@@ -1,9 +1,7 @@
 """Command-line front end: angle sweeps, formula comparisons, backend checks.
 
 Exit codes: 0 on success/pass, 1 when a validation threshold is exceeded,
-2 on usage errors. Output is deterministic for identical invocations. The
-environment variable SYMM_ENT_THREADS caps worker parallelism for grid
-evaluation (default: serial); results are order-restored either way.
+2 on usage errors. Output is deterministic for identical invocations.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ def _build_config(
     backend,
     chi_max,
     trunc_tol,
-    seed,
 ) -> SweepConfig:
     try:
         grid = GridSpec.parse(theta)
@@ -75,7 +72,6 @@ def _build_config(
             backend=backend,
             chi_max=chi_max,
             trunc_tol=trunc_tol,
-            seed=seed,
         )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
@@ -112,8 +108,6 @@ def _common_options(fn):
                       help="MPS bond-dimension cap."),
         click.option("--trunc-tol", type=float, default=1e-12, show_default=True,
                       help="MPS relative squared truncation tolerance."),
-        click.option("--seed", type=int, default=None,
-                      help="Reserved for randomized property tests; sweeps are deterministic."),
     ]
     for option in reversed(options):
         fn = option(fn)
@@ -132,10 +126,10 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the table here instead of stdout.")
 def sweep(protocol, case, n, n_outer, theta, theta2, theta2_offset, pairs, postselect,
-          backend, chi_max, trunc_tol, seed, fmt, out):
+          backend, chi_max, trunc_tol, fmt, out):
     """Sweep the angle grid and emit one row per (grid point, pair)."""
     config = _build_config(protocol, case, n, n_outer, theta, theta2, theta2_offset,
-                           pairs, postselect, backend, chi_max, trunc_tol, seed)
+                           pairs, postselect, backend, chi_max, trunc_tol)
     try:
         rows = run_sweep(config)
     except ValueError as exc:
@@ -155,10 +149,10 @@ def sweep(protocol, case, n, n_outer, theta, theta2, theta2_offset, pairs, posts
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Also write the underlying sweep rows here as CSV.")
 def compare(protocol, case, n, n_outer, theta, theta2, theta2_offset, pairs, postselect,
-            backend, chi_max, trunc_tol, seed, out):
+            backend, chi_max, trunc_tol, out):
     """Check swept concurrences against their closed forms (threshold 1e-8)."""
     config = _build_config(protocol, case, n, n_outer, theta, theta2, theta2_offset,
-                           pairs, postselect, backend, chi_max, trunc_tol, seed)
+                           pairs, postselect, backend, chi_max, trunc_tol)
     try:
         report = run_compare(config)
         if out:
@@ -176,10 +170,10 @@ def compare(protocol, case, n, n_outer, theta, theta2, theta2_offset, pairs, pos
 @main.command("oracle-check")
 @_common_options
 def oracle_check(protocol, case, n, n_outer, theta, theta2, theta2_offset, pairs,
-                 postselect, backend, chi_max, trunc_tol, seed):
+                 postselect, backend, chi_max, trunc_tol):
     """Run both backends on identical circuits and report their disagreement."""
     config = _build_config(protocol, case, n, n_outer, theta, theta2, theta2_offset,
-                           pairs, postselect, backend, chi_max, trunc_tol, seed)
+                           pairs, postselect, backend, chi_max, trunc_tol)
     try:
         report = run_oracle_check(config)
     except ValueError as exc:

@@ -5,7 +5,8 @@ site tensors have index order (left bond, physical, right bond), tensors
 strictly left of the center are left-isometric, tensors strictly right of it
 are right-isometric, and the center tensor carries the full norm. Moving the
 center one site is a pure QR basis change that leaves the represented state
-untouched.
+untouched; across a bond of dimension 1 the QR of the one-column matrix is
+its normalisation, so that is what the move does.
 
 Nearest-neighbor two-site gates follow the standard update: contract the
 two-site block at the center, apply the gate, split back with a truncated
@@ -13,6 +14,14 @@ SVD. Gates between distant sites (the star layout's controlled-NOTs) are
 applied exactly as a product-operator chain threaded through the intervening
 sites, followed by a recanonicalization pass over the touched window, so no
 swap network is needed.
+
+The public gate methods validate their gate with ``require_unitary`` on
+every call, and ``apply_2q`` leaves the center on the side it occupied.
+``run_circuit`` validates each distinct gate once per call (one check per
+rotation angle, one per CX orientation) and then applies the ops through
+unchecked kernels. It places the center by look-ahead: the split after a
+nearest-neighbor gate leaves the center on the side of the circuit's next
+two-site gate, so a staircase needs no center move between its gates.
 
 Every protocol circuit in this package is a single staircase sweep whose
 exact state never needs bond dimension above 2, so with the default settings
@@ -125,19 +134,34 @@ class MatrixProductState:
         c = self.center
         t = self.tensors[c - 1]
         l, _, r = t.shape
-        q, carry = np.linalg.qr(t.reshape(l * 2, r))
-        self.tensors[c - 1] = q.reshape(l, 2, -1)
-        self.tensors[c] = np.tensordot(carry, self.tensors[c], axes=(1, 0))
+        nxt = self.tensors[c]
+        if r == 1:
+            # the QR of a single column is its normalisation
+            norm = np.linalg.norm(t)
+            self.tensors[c - 1] = t / norm
+            self.tensors[c] = nxt * norm
+        else:
+            q, carry = np.linalg.qr(t.reshape(l * 2, r))
+            self.tensors[c - 1] = q.reshape(l, 2, -1)
+            self.tensors[c] = (carry @ nxt.reshape(r, -1)).reshape(-1, 2, nxt.shape[2])
         self.center = c + 1
 
     def _shift_left(self) -> None:
         c = self.center
         t = self.tensors[c - 1]
         l, _, r = t.shape
-        # factor t = carry @ Q with Q row-orthonormal, via QR of the adjoint
-        q, rmat = np.linalg.qr(t.reshape(l, 2 * r).conj().T)
-        self.tensors[c - 1] = q.conj().T.reshape(-1, 2, r)
-        self.tensors[c - 2] = np.tensordot(self.tensors[c - 2], rmat.conj().T, axes=(2, 0))
+        prev = self.tensors[c - 2]
+        if l == 1:
+            # the QR of a single row is its normalisation
+            norm = np.linalg.norm(t)
+            self.tensors[c - 1] = t / norm
+            self.tensors[c - 2] = prev * norm
+        else:
+            # factor t = carry @ Q with Q row-orthonormal, via QR of the adjoint
+            q, rmat = np.linalg.qr(t.reshape(l, 2 * r).conj().T)
+            self.tensors[c - 1] = q.conj().T.reshape(-1, 2, r)
+            lp = prev.shape[0]
+            self.tensors[c - 2] = (prev.reshape(lp * 2, l) @ rmat.conj().T).reshape(lp, 2, -1)
         self.center = c - 1
 
     def _shift_left_truncated(self) -> None:
@@ -153,8 +177,11 @@ class MatrixProductState:
         if norm_s > 0.0:
             s = s * (norm_t / norm_s)
         self.tensors[c - 1] = res.right_isometry_dag.reshape(-1, 2, r)
-        carry = res.left_isometry * s
-        self.tensors[c - 2] = np.tensordot(self.tensors[c - 2], carry, axes=(2, 0))
+        prev = self.tensors[c - 2]
+        lp = prev.shape[0]
+        self.tensors[c - 2] = (prev.reshape(lp * 2, l) @ (res.left_isometry * s)).reshape(
+            lp, 2, -1
+        )
         self.center = c - 1
 
     def shift_center(self, direction: str) -> None:
@@ -180,6 +207,13 @@ class MatrixProductState:
         while self.center > site:
             self._shift_left()
 
+    def _move_center_next_to(self, lo: int) -> None:
+        """Move the center the least distance that puts it on ``lo`` or ``lo + 1``."""
+        if self.center < lo:
+            self._move_center_to(lo)
+        elif self.center > lo + 1:
+            self._move_center_to(lo + 1)
+
     # ------------------------------------------------------------ gate layer
 
     def apply_1q(self, gate, site: int) -> None:
@@ -190,7 +224,10 @@ class MatrixProductState:
         """
         g = require_unitary(gate, 2)
         self._check_site(site)
-        self.tensors[site - 1] = np.einsum("qp,lpr->lqr", g, self.tensors[site - 1])
+        self._apply_1q(g, site)
+
+    def _apply_1q(self, g: np.ndarray, site: int) -> None:
+        self.tensors[site - 1] = g @ self.tensors[site - 1]
 
     def apply_2q(self, gate, site: int) -> None:
         """Apply a 4x4 unitary to sites (site, site + 1) at the center.
@@ -208,25 +245,31 @@ class MatrixProductState:
             raise ValueError(
                 f"center is at {self.center}, must be at {site} or {site + 1}; shift first"
             )
+        self._apply_2q(g, site, center_left=self.center == site)
+
+    def _apply_2q(self, g: np.ndarray, site: int, center_left: bool) -> None:
+        """Two-site update at (site, site + 1); the center ends at ``site``
+        when ``center_left`` and at ``site + 1`` otherwise."""
         left, right = self.tensors[site - 1], self.tensors[site]
         l = left.shape[0]
         r = right.shape[2]
-        block = np.tensordot(left, right, axes=(2, 0))  # (l, p1, p2, r)
-        block = np.tensordot(g.reshape(2, 2, 2, 2), block, axes=([2, 3], [1, 2]))
-        block = block.transpose(2, 0, 1, 3)  # back to (l, p1', p2', r)
+        block = (left.reshape(l * 2, -1) @ right.reshape(-1, 2 * r)).reshape(l, 4, r)
+        block = (g @ block).reshape(l * 2, 2 * r)
         norm_block = float(np.linalg.norm(block))
-        res = svd_truncate(block.reshape(l * 2, 2 * r), self.chi_max, self.trunc_tol)
+        res = svd_truncate(block, self.chi_max, self.trunc_tol)
         self.discarded_weight_total += res.discarded_weight
         s = res.singular_values
         norm_s = float(np.linalg.norm(s))
         if norm_s > 0.0:
             s = s * (norm_block / norm_s)
-        if self.center == site:
+        if center_left:
             self.tensors[site - 1] = (res.left_isometry * s).reshape(l, 2, -1)
             self.tensors[site] = res.right_isometry_dag.reshape(-1, 2, r)
+            self.center = site
         else:
             self.tensors[site - 1] = res.left_isometry.reshape(l, 2, -1)
             self.tensors[site] = (s[:, None] * res.right_isometry_dag).reshape(-1, 2, r)
+            self.center = site + 1
 
     def apply_2q_long_range(self, gate, i: int, j: int) -> None:
         """Apply a 4x4 unitary to the distant pair (i, j), i < j, exactly.
@@ -241,12 +284,12 @@ class MatrixProductState:
         if not i < j:
             raise ValueError(f"need i < j, got ({i}, {j})")
         if j == i + 1:
-            if self.center < i:
-                self._move_center_to(i)
-            elif self.center > j:
-                self._move_center_to(j)
-            self.apply_2q(g, i)
-            return
+            self._move_center_next_to(i)
+            self._apply_2q(g, i, center_left=self.center == i)
+        else:
+            self._apply_2q_long_range(g, i, j)
+
+    def _apply_2q_long_range(self, g: np.ndarray, i: int, j: int) -> None:
         self._move_center_to(i)
         left_ops, right_ops = _operator_schmidt(g)
         k = len(left_ops)
@@ -270,25 +313,43 @@ class MatrixProductState:
             self._shift_left_truncated()
 
     def run_circuit(self, circuit: Circuit) -> "MatrixProductState":
-        """Apply all gates in listed order, shifting the center as needed."""
+        """Apply all gates in listed order, shifting the center as needed.
+
+        Each distinct gate is validated once per call. After a
+        nearest-neighbor gate the center is left on the side of the next
+        two-site gate; after the last one it stays where it was.
+        """
         if circuit.n_qubits != self.n_qubits:
             raise ValueError(
                 f"circuit is for {circuit.n_qubits} qubits, state has {self.n_qubits}"
             )
-        for op in circuit.ops:
+        ops = circuit.ops
+        # left site of the first two-site gate after each op (None: no more)
+        upcoming: list[int | None] = [None] * len(ops)
+        following = None
+        for k in range(len(ops) - 1, -1, -1):
+            upcoming[k] = following
+            if isinstance(ops[k], ControlledNot):
+                following = min(ops[k].control, ops[k].target)
+        checked: dict[tuple, np.ndarray] = {}
+        for k, op in enumerate(ops):
             if isinstance(op, Rotation):
-                self.apply_1q(rotation_matrix(op.theta), op.site)
+                key = ("rotation", op.theta)
+                if key not in checked:
+                    checked[key] = require_unitary(rotation_matrix(op.theta), 2)
+                self._apply_1q(checked[key], op.site)
             elif isinstance(op, ControlledNot):
                 lo, hi = sorted((op.control, op.target))
-                gate = cx_matrix(control_first=op.control < op.target)
+                key = ("cx", op.control < op.target)
+                if key not in checked:
+                    checked[key] = require_unitary(cx_matrix(control_first=key[1]), 4)
                 if hi == lo + 1:
-                    if self.center < lo:
-                        self._move_center_to(lo)
-                    elif self.center > hi:
-                        self._move_center_to(hi)
-                    self.apply_2q(gate, lo)
+                    self._move_center_next_to(lo)
+                    target = upcoming[k]
+                    center_left = self.center == lo if target is None else target <= lo
+                    self._apply_2q(checked[key], lo, center_left)
                 else:
-                    self.apply_2q_long_range(gate, lo, hi)
+                    self._apply_2q_long_range(checked[key], lo, hi)
             else:
                 raise TypeError(f"unknown gate op {op!r}")
         return self

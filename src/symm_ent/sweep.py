@@ -17,8 +17,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -55,6 +53,8 @@ class GridSpec:
     steps: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.start, self.stop, self.stop - self.start))):
+            raise ValueError(f"grid bounds must be finite, got {self.start}..{self.stop}")
         if self.steps == 1:
             if self.start != self.stop:
                 raise ValueError("single-point grid needs start == stop")
@@ -106,7 +106,6 @@ class SweepConfig:
     backend: str = "auto"
     chi_max: int = DEFAULT_CHI_MAX
     trunc_tol: float = DEFAULT_TRUNC_TOL
-    seed: int | None = None
     # test hook: shifts every analytic value, for injected-error detection
     analytic_offset: float = 0.0
 
@@ -187,6 +186,8 @@ def _validated(config: SweepConfig) -> SweepConfig:
             raise ValueError("periodic protocol needs n >= 4")
         if (config.theta2 is None) == (config.theta2_offset is None):
             raise ValueError("periodic protocol needs exactly one of theta2 / theta2_offset")
+        if config.theta2_offset is not None and not math.isfinite(config.theta2_offset):
+            raise ValueError(f"theta2_offset must be finite, got {config.theta2_offset}")
     elif config.theta2 is not None or config.theta2_offset is not None:
         raise ValueError("theta2 is only meaningful for the periodic protocol")
     if not config.pairs:
@@ -213,6 +214,11 @@ def _resolve_pairs(config: SweepConfig) -> list[tuple[int, int]]:
             central = total
             if config.postselect is None:
                 return [(k, central) for k in range(1, central)]
+            if config.n_outer < 2:
+                raise ValueError(
+                    "post-selected 'star-all' pairs the outer qubits with each other and "
+                    f"needs n_outer >= 2, got n_outer={config.n_outer}"
+                )
             outers = range(1, central)
             return [(k, l) for k in outers for l in outers if k < l]
         if config.protocol == "star":
@@ -378,19 +384,6 @@ def _grid_points(config: SweepConfig) -> list[tuple[float, float | None]]:
     return [(float(t1), float(t1 + config.theta2_offset)) for t1 in thetas]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SYMM_ENT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"SYMM_ENT_THREADS must be a positive integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValueError(f"SYMM_ENT_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def run_sweep(config: SweepConfig) -> list[OutputRow]:
     """Evaluate pair concurrences over the configured angle grid.
 
@@ -402,16 +395,11 @@ def run_sweep(config: SweepConfig) -> list[OutputRow]:
     config = _validated(config)
     pairs = _resolve_pairs(config)
     backend = _choose_backend(config)
-    points = _grid_points(config)
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(lambda pt: _run_point(config, pt[0], pt[1], pairs, backend), points)
-            )
-    else:
-        chunks = [_run_point(config, t1, t2, pairs, backend) for t1, t2 in points]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [
+        row
+        for t1, t2 in _grid_points(config)
+        for row in _run_point(config, t1, t2, pairs, backend)
+    ]
     rows.sort(
         key=lambda r: (r.theta, -math.inf if r.theta2 is None else r.theta2, r.pair_left, r.pair_right)
     )

@@ -44,6 +44,28 @@ def test_grid_spec_parsing():
         GridSpec(0.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("text", ["0:inf:3", "inf", "nan:1:3", "-1e308:1e308:3"])
+def test_grid_spec_rejects_non_finite(text):
+    with pytest.raises(ValueError, match=f"bad grid '{text}': grid bounds must be finite"):
+        GridSpec.parse(text)
+
+
+def test_theta2_offset_must_be_finite():
+    config = SweepConfig(
+        protocol="periodic", theta=GridSpec.single(1.0), n=6, theta2_offset=float("inf")
+    )
+    with pytest.raises(ValueError, match="theta2_offset must be finite"):
+        run_sweep(config)
+
+
+def test_postselected_star_needs_two_outer_qubits():
+    config = SweepConfig(
+        protocol="star", theta=GridSpec.single(1.0), n_outer=1, pairs="star-all", postselect=0
+    )
+    with pytest.raises(ValueError, match="n_outer >= 2, got n_outer=1"):
+        run_sweep(config)
+
+
 def test_grid_endpoints_inclusive_and_exact():
     values = GridSpec(0.0, TWO_PI, 201).values()
     assert values[0] == 0.0 and values[-1] == TWO_PI
@@ -89,17 +111,6 @@ def test_sweep_rows_sorted_and_deterministic():
     assert rows_a == rows_b
     keys = [(r.theta, r.pair_left) for r in rows_a]
     assert keys == sorted(keys)
-
-
-def test_sweep_respects_thread_env(monkeypatch):
-    config = linear_config(theta=GridSpec(0.0, TWO_PI, 9), n=6)
-    serial = run_sweep(config)
-    monkeypatch.setenv("SYMM_ENT_THREADS", "4")
-    threaded = run_sweep(config)
-    assert serial == threaded
-    monkeypatch.setenv("SYMM_ENT_THREADS", "zero")
-    with pytest.raises(ValueError, match="SYMM_ENT_THREADS"):
-        run_sweep(config)
 
 
 def test_sweep_validation_errors():
@@ -291,6 +302,28 @@ def test_cli_oracle_check_runs():
     )
     assert result.returncode == 0, result.stderr
     assert "PASS" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--protocol", "linear", "--n", "6", "--theta", "0:inf:3"), "bad grid '0:inf:3'"),
+        (
+            ("--protocol", "periodic", "--n", "6", "--theta", "1.0", "--theta2-offset", "nan"),
+            "theta2_offset must be finite",
+        ),
+        (
+            ("--protocol", "star", "--n-outer", "1", "--postselect", "0", "--pairs", "star-all",
+             "--theta", "1.0"),
+            "n_outer",
+        ),
+    ],
+)
+def test_cli_rejects_bad_grid_and_empty_selection(args, message):
+    result = run_cli("sweep", *args)
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert result.stdout == ""
 
 
 def test_cli_usage_errors_exit_two():
