@@ -12,6 +12,9 @@ from pathlib import Path
 import click
 
 from .sweep import (
+    BACKENDS,
+    PAIR_KEYWORDS,
+    PROTOCOLS,
     GridSpec,
     SweepConfig,
     render_compare,
@@ -25,7 +28,7 @@ from .sweep import (
 
 
 def _parse_pairs(text: str):
-    if text in ("all-adjacent", "all-bulk", "bulk-center", "edges", "star-all"):
+    if text in PAIR_KEYWORDS:
         return text
     pairs = []
     for chunk in text.split(","):
@@ -33,7 +36,7 @@ def _parse_pairs(text: str):
         if len(bits) != 2:
             raise click.UsageError(
                 f"bad pair {chunk!r}: expected 'i:j' or one of the keywords "
-                "all-adjacent, all-bulk, bulk-center, edges, star-all"
+                f"{', '.join(PAIR_KEYWORDS)}"
             )
         try:
             pairs.append((int(bits[0]), int(bits[1])))
@@ -53,8 +56,6 @@ def _build_config(
     pairs,
     postselect,
     backend,
-    chi_max,
-    trunc_tol,
 ) -> SweepConfig:
     try:
         grid = GridSpec.parse(theta)
@@ -70,8 +71,6 @@ def _build_config(
             pairs=_parse_pairs(pairs) if pairs else "",
             postselect=postselect,
             backend=backend,
-            chi_max=chi_max,
-            trunc_tol=trunc_tol,
         )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
@@ -81,7 +80,7 @@ def _common_options(fn):
     options = [
         click.option(
             "--protocol",
-            type=click.Choice(["star", "linear", "periodic"]),
+            type=click.Choice(PROTOCOLS),
             required=True,
             help="Which state-generation protocol to run.",
         ),
@@ -96,18 +95,13 @@ def _common_options(fn):
         click.option("--theta2-offset", type=float, default=None,
                       help="Fix theta2 = theta + offset instead of a second grid."),
         click.option("--pairs", default="",
-                      help="Pair selection: all-adjacent, all-bulk, bulk-center, edges, "
-                           "star-all, or explicit 'i:j,k:l'. Default: all-adjacent "
-                           "(star: star-all)."),
+                      help=f"Pair selection: {', '.join(PAIR_KEYWORDS)}, or explicit "
+                           "'i:j,k:l'. Default: all-adjacent (star: star-all)."),
         click.option("--postselect", type=click.IntRange(0, 1), default=None,
                       help="Condition on measuring the central qubit (star only)."),
-        click.option("--backend", type=click.Choice(["statevector", "mps", "auto"]),
+        click.option("--backend", type=click.Choice(BACKENDS),
                       default="auto", show_default=True,
                       help="auto picks statevector up to 12 qubits, MPS beyond."),
-        click.option("--chi-max", type=int, default=16, show_default=True,
-                      help="MPS bond-dimension cap."),
-        click.option("--trunc-tol", type=float, default=1e-12, show_default=True,
-                      help="MPS relative squared truncation tolerance."),
     ]
     for option in reversed(options):
         fn = option(fn)
@@ -126,10 +120,10 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the table here instead of stdout.")
 def sweep(protocol, case, n, n_outer, theta, theta2, theta2_offset, pairs, postselect,
-          backend, chi_max, trunc_tol, fmt, out):
+          backend, fmt, out):
     """Sweep the angle grid and emit one row per (grid point, pair)."""
     config = _build_config(protocol, case, n, n_outer, theta, theta2, theta2_offset,
-                           pairs, postselect, backend, chi_max, trunc_tol)
+                           pairs, postselect, backend)
     try:
         rows = run_sweep(config)
     except ValueError as exc:
@@ -149,19 +143,19 @@ def sweep(protocol, case, n, n_outer, theta, theta2, theta2_offset, pairs, posts
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Also write the underlying sweep rows here as CSV.")
 def compare(protocol, case, n, n_outer, theta, theta2, theta2_offset, pairs, postselect,
-            backend, chi_max, trunc_tol, out):
+            backend, out):
     """Check swept concurrences against their closed forms (threshold 1e-8)."""
     config = _build_config(protocol, case, n, n_outer, theta, theta2, theta2_offset,
-                           pairs, postselect, backend, chi_max, trunc_tol)
+                           pairs, postselect, backend)
     try:
         report = run_compare(config)
-        if out:
-            Path(out).write_text(rows_to_csv_text(run_sweep(config)), encoding="utf-8")
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
     except RuntimeError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
+    if out:
+        Path(out).write_text(rows_to_csv_text(report.rows), encoding="utf-8")
     click.echo(render_compare(report))
     if not report.passed:
         sys.exit(1)
@@ -170,10 +164,10 @@ def compare(protocol, case, n, n_outer, theta, theta2, theta2_offset, pairs, pos
 @main.command("oracle-check")
 @_common_options
 def oracle_check(protocol, case, n, n_outer, theta, theta2, theta2_offset, pairs,
-                 postselect, backend, chi_max, trunc_tol):
+                 postselect, backend):
     """Run both backends on identical circuits and report their disagreement."""
     config = _build_config(protocol, case, n, n_outer, theta, theta2, theta2_offset,
-                           pairs, postselect, backend, chi_max, trunc_tol)
+                           pairs, postselect, backend)
     try:
         report = run_oracle_check(config)
     except ValueError as exc:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concurrence import extract_xstate, xstate_concurrence
+from .concurrence import XStateParams, extract_xstate, xstate_concurrence
 
 FAMILIES = (
     "star_central",
@@ -33,17 +33,10 @@ FAMILIES = (
     "periodic_even",
     "periodic_odd",
     "end_pair_case13",
+    "case13_zero",
 )
 
 _TWO_ANGLE = {"periodic_even", "periodic_odd"}
-_RDM_FAMILIES = {
-    "star_central",
-    "star_ring_0",
-    "star_ring_1",
-    "linear_bulk",
-    "periodic_even",
-    "periodic_odd",
-}
 
 
 @dataclass(frozen=True)
@@ -176,22 +169,15 @@ def analytic_concurrence(
     ``n_outer`` sizes the star (``star_central``); ``chain_n`` sizes the
     chain for ``end_pair_case13``, whose end-pair value decays with length as
     2 |a b| |a^2 - b^2|^(n-2); the three-qubit chain gives the familiar
-    2 |c s (c^2 - s^2)| = |sin(theta) cos(theta)|. Families without a
-    dedicated expression (the ring states) are evaluated through the exact
-    X-state concurrence of their analytic density matrix.
+    2 |c s (c^2 - s^2)| = |sin(theta) cos(theta)|; ``case13_zero``, every
+    other adjacent pair of cases 1 and 3, is unentangled. The star states
+    are evaluated through the exact X-state concurrence of their analytic
+    entries.
     """
     _check_family(family, angles)
     a, b = angles.a, angles.b
     if family == "star_central":
-        x, y, z, w, u, delta = _star_central_entries(angles, n_outer)
-        return float(
-            2.0
-            * max(
-                0.0,
-                abs(u) - math.sqrt(max(y * z, 0.0)),
-                abs(delta) - math.sqrt(max(x * w, 0.0)),
-            )
-        )
+        return xstate_concurrence(XStateParams(*_star_central_entries(angles, n_outer)))
     if family in ("star_ring_0", "star_ring_1"):
         return xstate_concurrence(extract_xstate(analytic_pair_rdm(family, angles)))
     if family == "linear_bulk":
@@ -209,6 +195,8 @@ def analytic_concurrence(
         if chain_n < 3:
             raise ValueError(f"end pair formula needs chain_n >= 3, got {chain_n}")
         return float(2.0 * abs(a * b) * abs(b * b - a * a) ** (chain_n - 2))
+    if family == "case13_zero":
+        return 0.0
     raise AssertionError("unreachable")
 
 

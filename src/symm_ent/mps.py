@@ -9,11 +9,11 @@ untouched; across a bond of dimension 1 the QR of the one-column matrix is
 its normalisation, so that is what the move does.
 
 Nearest-neighbor two-site gates follow the standard update: contract the
-two-site block at the center, apply the gate, split back with a truncated
-SVD. Gates between distant sites (the star layout's controlled-NOTs) are
-applied exactly as a product-operator chain threaded through the intervening
-sites, followed by a recanonicalization pass over the touched window, so no
-swap network is needed.
+two-site block at the center, apply the gate, split back with an SVD. Gates
+between distant sites (the star layout's controlled-NOTs) are applied
+exactly as a product-operator chain threaded through the intervening sites,
+followed by a recanonicalization pass over the touched window, so no swap
+network is needed.
 
 The public gate methods validate their gate with ``require_unitary`` on
 every call, and ``apply_2q`` leaves the center on the side it occupied.
@@ -23,10 +23,12 @@ unchecked kernels. It places the center by look-ahead: the split after a
 nearest-neighbor gate leaves the center on the side of the circuit's next
 two-site gate, so a staircase needs no center move between its gates.
 
-Every protocol circuit in this package is a single staircase sweep whose
-exact state never needs bond dimension above 2, so with the default settings
-``discarded_weight_total`` stays at roundoff level; callers treat anything
-above 1e-14 as a hard failure.
+There is no truncation policy: every split is a rank-revealing SVD that
+drops only singular values below ``linalg.SINGULAR_VALUE_FLOOR`` (1e-14), so
+the engine is exact by construction. Every protocol circuit in this package
+is a single staircase sweep whose exact state never needs bond dimension
+above 2, so ``discarded_weight_total`` stays at roundoff level; callers treat
+anything above 1e-14 as a hard failure.
 
 Instances are mutated in place by gates and sweeps; distinct sweeps must own
 distinct instances.
@@ -39,9 +41,6 @@ import numpy as np
 from .linalg import require_unitary, svd_truncate
 from .protocols import Circuit, ControlledNot, Rotation, cx_matrix, rotation_matrix
 from .statevector import MAX_QUBITS, ZERO_PROBABILITY, StateVector
-
-DEFAULT_CHI_MAX = 16
-DEFAULT_TRUNC_TOL = 1e-12
 
 
 def _operator_schmidt(gate: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -59,24 +58,13 @@ def _operator_schmidt(gate: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarr
 
 
 class MatrixProductState:
-    def __init__(
-        self,
-        n_qubits: int,
-        chi_max: int = DEFAULT_CHI_MAX,
-        trunc_tol: float = DEFAULT_TRUNC_TOL,
-    ):
+    def __init__(self, n_qubits: int):
         """Product state |0...0> with all bonds of dimension 1, center at site 1."""
         if n_qubits < 2:
             raise ValueError(f"MPS backend needs at least 2 qubits, got {n_qubits}")
-        if chi_max < 2:
-            raise ValueError(f"chi_max must be >= 2 (two-site gates need bond 2), got {chi_max}")
-        if trunc_tol < 0:
-            raise ValueError(f"trunc_tol must be >= 0, got {trunc_tol}")
         zero = np.zeros((1, 2, 1), dtype=complex)
         zero[0, 0, 0] = 1.0
         self.n_qubits = n_qubits
-        self.chi_max = int(chi_max)
-        self.trunc_tol = float(trunc_tol)
         self.tensors = [zero.copy() for _ in range(n_qubits)]
         self.center = 1
         self.discarded_weight_total = 0.0
@@ -97,7 +85,7 @@ class MatrixProductState:
         return max(self.bond_dimensions)
 
     def copy(self) -> "MatrixProductState":
-        dup = MatrixProductState(self.n_qubits, self.chi_max, self.trunc_tol)
+        dup = MatrixProductState(self.n_qubits)
         dup.tensors = [t.copy() for t in self.tensors]
         dup.center = self.center
         dup.discarded_weight_total = self.discarded_weight_total
@@ -165,11 +153,12 @@ class MatrixProductState:
         self.center = c - 1
 
     def _shift_left_truncated(self) -> None:
-        """Move the center left through a truncated SVD, compressing the bond."""
+        """Move the center left through a rank-revealing SVD, which drops the
+        zero Schmidt values a product-operator chain leaves on the bond."""
         c = self.center
         t = self.tensors[c - 1]
         l, _, r = t.shape
-        res = svd_truncate(t.reshape(l, 2 * r), self.chi_max, self.trunc_tol)
+        res = svd_truncate(t.reshape(l, 2 * r), min(l, 2 * r))
         self.discarded_weight_total += res.discarded_weight
         s = res.singular_values
         norm_t = float(np.linalg.norm(t))
@@ -233,7 +222,7 @@ class MatrixProductState:
         """Apply a 4x4 unitary to sites (site, site + 1) at the center.
 
         The two-site block is contracted, the gate applied, and the block
-        split by a truncated SVD; the center stays on the side it occupied
+        split by a rank-revealing SVD; the center stays on the side it occupied
         before the gate. The caller must have shifted the center to ``site``
         or ``site + 1`` first.
         """
@@ -256,7 +245,7 @@ class MatrixProductState:
         block = (left.reshape(l * 2, -1) @ right.reshape(-1, 2 * r)).reshape(l, 4, r)
         block = (g @ block).reshape(l * 2, 2 * r)
         norm_block = float(np.linalg.norm(block))
-        res = svd_truncate(block, self.chi_max, self.trunc_tol)
+        res = svd_truncate(block, min(block.shape))
         self.discarded_weight_total += res.discarded_weight
         s = res.singular_values
         norm_s = float(np.linalg.norm(s))
@@ -276,7 +265,7 @@ class MatrixProductState:
 
         The gate is split into a sum of product operators, threaded through
         the window [i, j] as a block-diagonal bond enlargement, and the window
-        is recanonicalized with truncating SVDs. The center ends at ``i``.
+        is recanonicalized with rank-revealing SVDs. The center ends at ``i``.
         """
         g = require_unitary(gate, 4)
         self._check_site(i)
@@ -364,6 +353,16 @@ class MatrixProductState:
         t = self.tensors[bond - 1]
         l, _, r = t.shape
         return np.linalg.svd(t.reshape(l * 2, r), compute_uv=False)
+
+    def single_rdm(self, site: int) -> np.ndarray:
+        """2x2 reduced density matrix of one qubit, read at the center.
+
+        Leaves the center on ``site``, where ``postselect`` needs it next.
+        """
+        self._check_site(site)
+        self._move_center_to(site)
+        m = self.tensors[site - 1].transpose(1, 0, 2).reshape(2, -1)
+        return m @ m.conj().T
 
     def pair_rdm(self, i: int, j: int) -> np.ndarray:
         """4x4 reduced density matrix of (i, j), i < j, in basis |q_i q_j>.

@@ -24,7 +24,7 @@ import numpy as np
 
 from .concurrence import wootters_concurrence
 from .formulas import analytic_concurrence, unitary_params
-from .mps import DEFAULT_CHI_MAX, DEFAULT_TRUNC_TOL, MatrixProductState
+from .mps import MatrixProductState
 from .protocols import Circuit, build_linear, build_periodic, build_star, periodic_site_angle
 from .statevector import MAX_QUBITS, StateVector
 
@@ -104,10 +104,6 @@ class SweepConfig:
     pairs: str | tuple[tuple[int, int], ...] = ""
     postselect: int | None = None
     backend: str = "auto"
-    chi_max: int = DEFAULT_CHI_MAX
-    trunc_tol: float = DEFAULT_TRUNC_TOL
-    # test hook: shifts every analytic value, for injected-error detection
-    analytic_offset: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -138,6 +134,7 @@ class CompareReport:
     families: tuple[FamilyComparison, ...]
     threshold: float
     passed: bool
+    rows: tuple[OutputRow, ...]
 
 
 @dataclass(frozen=True)
@@ -304,20 +301,40 @@ def _analytic_value(
     family = _family_for_pair(config, pair)
     if family is None:
         return None
-    if family == "case13_zero":
-        value = 0.0
-    elif family == "star_central":
-        value = analytic_concurrence("star_central", unitary_params(theta), config.n_outer)
-    elif family == "end_pair_case13":
-        value = analytic_concurrence(family, unitary_params(theta), chain_n=config.n)
-    elif family in ("periodic_even", "periodic_odd"):
-        value = analytic_concurrence(family, unitary_params(theta, theta2))
-    else:
-        value = analytic_concurrence(family, unitary_params(theta))
-    return value + config.analytic_offset
+    if family == "star_central":
+        return analytic_concurrence(family, unitary_params(theta), config.n_outer)
+    if family == "end_pair_case13":
+        return analytic_concurrence(family, unitary_params(theta), chain_n=config.n)
+    if family in ("periodic_even", "periodic_odd"):
+        return analytic_concurrence(family, unitary_params(theta, theta2))
+    return analytic_concurrence(family, unitary_params(theta))
 
 
 # ------------------------------------------------------------------- sweeps
+
+
+def _prepare_point(
+    config: SweepConfig, circuit: Circuit, backend: str
+) -> tuple[StateVector | MatrixProductState, float | None] | None:
+    """Run ``circuit`` on a fresh ``backend`` state and apply the post-selection.
+
+    Returns ``(state, branch probability)``, the probability being None
+    without post-selection, or None when the post-selected branch is below
+    ``BRANCH_PROBABILITY_FLOOR`` (the conditioned state does not exist).
+    """
+    total = circuit.n_qubits
+    if backend == "statevector":
+        state = StateVector.zeros(total).run_circuit(circuit)
+    else:
+        state = MatrixProductState(total).run_circuit(circuit)
+    outcome = config.postselect
+    if outcome is None:
+        return state, None
+    if state.single_rdm(total)[outcome, outcome].real < BRANCH_PROBABILITY_FLOOR:
+        return None
+    if backend == "statevector":
+        return state.postselect(total, outcome)
+    return state, state.postselect(total, outcome)
 
 
 def _run_point(
@@ -327,34 +344,17 @@ def _run_point(
     pairs: list[tuple[int, int]],
     backend: str,
 ) -> list[OutputRow]:
-    circuit = _build_circuit(config, theta, theta2)
-    total = circuit.n_qubits
-    probability: float | None = None
-    if backend == "statevector":
-        state = StateVector.zeros(total).run_circuit(circuit)
-        if config.postselect is not None:
-            branch = state.single_rdm(total)[config.postselect, config.postselect].real
-            if branch < BRANCH_PROBABILITY_FLOOR:
-                return []
-            state, probability = state.postselect(total, config.postselect)
-        rdms = {pair: state.pair_rdm(*pair) for pair in pairs}
-    else:
-        state = MatrixProductState(total, config.chi_max, config.trunc_tol)
-        state.run_circuit(circuit)
-        if state.discarded_weight_total >= DISCARDED_WEIGHT_LIMIT:
-            raise RuntimeError(
-                f"MPS sweep truncated (discarded weight {state.discarded_weight_total:.3e}); "
-                "protocol circuits must be exact"
-            )
-        if config.postselect is not None:
-            central_rdm = state.pair_rdm(total - 1, total)
-            branch = float(
-                sum(central_rdm[k, k].real for k in (config.postselect, 2 + config.postselect))
-            )
-            if branch < BRANCH_PROBABILITY_FLOOR:
-                return []
-            probability = state.postselect(total, config.postselect)
-        rdms = {pair: state.pair_rdm(*pair) for pair in sorted(pairs)}
+    prepared = _prepare_point(config, _build_circuit(config, theta, theta2), backend)
+    if prepared is None:
+        return []
+    state, probability = prepared
+    if backend == "mps" and state.discarded_weight_total >= DISCARDED_WEIGHT_LIMIT:
+        raise RuntimeError(
+            f"MPS sweep truncated (discarded weight {state.discarded_weight_total:.3e}); "
+            "protocol circuits must be exact"
+        )
+    # ascending pair order keeps the MPS center walk short
+    rdms = {pair: state.pair_rdm(*pair) for pair in sorted(pairs)}
     rows = []
     for pair in pairs:
         numeric = wootters_concurrence(rdms[pair])
@@ -440,6 +440,7 @@ def run_compare(config: SweepConfig, threshold: float = COMPARE_THRESHOLD) -> Co
         families=tuple(comparisons),
         threshold=threshold,
         passed=all(c.passed for c in comparisons),
+        rows=tuple(rows),
     )
 
 
@@ -448,7 +449,7 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
 
     Reports the worst elementwise pair-RDM deviation, concurrence deviation,
     post-selection probability deviation, and accumulated MPS discarded
-    weight across the whole grid.
+    weight over the grid points whose branch the statevector finds alive.
     """
     config = _validated(config)
     total = _total_qubits(config)
@@ -463,16 +464,19 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
     n_checked = 0
     for theta, theta2 in points:
         circuit = _build_circuit(config, theta, theta2)
-        sv = StateVector.zeros(total).run_circuit(circuit)
-        mps = MatrixProductState(total, config.chi_max, config.trunc_tol)
-        mps.run_circuit(circuit)
+        # the exact backend decides which branches exist
+        exact = _prepare_point(config, circuit, "statevector")
+        if exact is None:
+            continue
+        sv, p_sv = exact
+        prepared = _prepare_point(config, circuit, "mps")
+        if prepared is None:
+            # the MPS branch is below the floor: it deviates by at least this
+            max_prob = max(max_prob, p_sv - BRANCH_PROBABILITY_FLOOR)
+            continue
+        mps, p_mps = prepared
         max_weight = max(max_weight, mps.discarded_weight_total)
-        if config.postselect is not None:
-            branch = sv.single_rdm(total)[config.postselect, config.postselect].real
-            if branch < BRANCH_PROBABILITY_FLOOR:
-                continue
-            sv, p_sv = sv.postselect(total, config.postselect)
-            p_mps = mps.postselect(total, config.postselect)
+        if p_sv is not None:
             max_prob = max(max_prob, abs(p_sv - p_mps))
         n_checked += 1
         for pair in pairs:

@@ -45,8 +45,6 @@ def test_init_examples():
 def test_init_validation():
     with pytest.raises(ValueError):
         MatrixProductState(1)
-    with pytest.raises(ValueError, match="chi_max"):
-        MatrixProductState(4, chi_max=1)
 
 
 def test_apply_1q_examples():
@@ -231,9 +229,13 @@ def test_to_statevector_caps_at_oracle_size():
 def test_postselect_matches_oracle():
     theta = 1.3
     circuit = build_star(4, theta)
+    exact = StateVector.zeros(5).run_circuit(circuit)
     for outcome in (0, 1):
-        sv, p_sv = StateVector.zeros(5).run_circuit(circuit).postselect(5, outcome)
+        sv, p_sv = exact.postselect(5, outcome)
         mps = MatrixProductState(5).run_circuit(circuit)
+        for site in (1, 3, 5):
+            assert np.abs(mps.single_rdm(site) - exact.single_rdm(site)).max() < 1e-12
+        assert mps.center == 5  # where postselect needs it
         p_mps = mps.postselect(5, outcome)
         assert abs(p_sv - p_mps) < 1e-12
         assert abs(mps.norm() - 1.0) < 1e-12
@@ -245,20 +247,6 @@ def test_postselect_zero_probability_errors():
     mps = MatrixProductState(3)
     with pytest.raises(ValueError, match="zero probability"):
         mps.postselect(2, 1)
-
-
-def test_truncation_is_tracked_when_forced():
-    # chi_max = 2 cannot hold a 3-qubit GHZ-like ladder of random unitaries
-    rng = np.random.default_rng(5)
-    mps = MatrixProductState(6, chi_max=2, trunc_tol=0.0)
-    for _ in range(3):
-        for site in range(1, 7):
-            mps.apply_1q(haar_unitary(rng), site)
-        for site in range(1, 6):
-            mps._move_center_to(site)
-            mps.apply_2q(random_two_site_unitary(rng), site)
-    assert mps.discarded_weight_total > 1e-6
-    assert abs(mps.norm() - 1.0) < 1e-10
 
 
 def test_run_circuit_size_mismatch():

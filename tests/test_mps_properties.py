@@ -40,10 +40,7 @@ def circuits(draw):
 @settings(max_examples=150, deadline=None)
 @given(circuits())
 def test_random_circuits_match_statevector(circuit):
-    # trunc_tol = 0: the default tolerance drops Schmidt weights below 1e-12
-    # by design, which random angles near 0 can produce; chi_max = 16 holds
-    # any state of 8 qubits, so nothing may be truncated here
-    mps = MatrixProductState(circuit.n_qubits, trunc_tol=0.0).run_circuit(circuit)
+    mps = MatrixProductState(circuit.n_qubits).run_circuit(circuit)
     sv = StateVector.zeros(circuit.n_qubits).run_circuit(circuit)
     assert np.abs(mps.to_statevector().amplitudes - sv.amplitudes).max() <= 1e-12
     assert mps.canonical_deviation() <= 1e-12

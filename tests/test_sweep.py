@@ -4,10 +4,16 @@ import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+import symm_ent.cli
+import symm_ent.sweep
 from symm_ent import (
+    FAMILIES,
     GridSpec,
+    MatrixProductState,
     SweepConfig,
+    analytic_concurrence,
     read_rows_csv,
     rows_from_csv_text,
     rows_to_csv_text,
@@ -15,6 +21,7 @@ from symm_ent import (
     run_compare,
     run_oracle_check,
     run_sweep,
+    unitary_params,
 )
 
 TWO_PI = 2 * np.pi
@@ -202,13 +209,35 @@ def test_compare_periodic_families_pass():
     assert {c.family for c in report.families} == {"periodic_even", "periodic_odd"}
 
 
-def test_compare_detects_injected_error():
-    report = run_compare(
-        linear_config(n=12, theta=GridSpec(0.0, TWO_PI, 11), analytic_offset=1e-3)
+def test_compare_detects_injected_error(monkeypatch):
+    exact = symm_ent.sweep.analytic_concurrence
+    monkeypatch.setattr(
+        symm_ent.sweep, "analytic_concurrence", lambda *args, **kw: exact(*args, **kw) + 1e-3
     )
+    report = run_compare(linear_config(n=12, theta=GridSpec(0.0, TWO_PI, 11)))
     assert not report.passed
     for c in report.families:
         assert abs(c.max_abs_error - 1e-3) < 1e-4
+
+
+def test_every_pair_family_has_a_closed_form():
+    configs = [SweepConfig("star", GridSpec.single(0.7), n_outer=k, postselect=p)
+               for k in (3, 4) for p in (None, 0, 1)]
+    configs += [linear_config(n=6, case=case) for case in (1, 2, 3, 4)]
+    configs.append(SweepConfig("periodic", GridSpec.single(0.7), n=8, theta2_offset=0.4))
+    found = set()
+    for config in configs:
+        total = symm_ent.sweep._total_qubits(config)
+        for i in range(1, total):
+            for j in range(i + 1, total + 1):
+                family = symm_ent.sweep._family_for_pair(config, (i, j))
+                if family is not None:
+                    value = analytic_concurrence(
+                        family, unitary_params(0.7, 1.1), n_outer=4, chain_n=6
+                    )
+                    assert 0.0 <= value <= 1.0
+                    found.add(family)
+    assert found == set(FAMILIES)
 
 
 def test_compare_rejects_uncovered_pairs():
@@ -336,3 +365,71 @@ def test_cli_usage_errors_exit_two():
         ).returncode
         == 2
     )
+    # the MPS engine is exact and has no truncation settings
+    for option in ("--chi-max", "--trunc-tol"):
+        result = run_cli(
+            "sweep", "--protocol", "linear", "--n", "6", "--theta", "1.0", option, "4"
+        )
+        assert result.returncode == 2
+        assert "No such option" in result.stderr
+
+
+@pytest.mark.parametrize("theta", ["1e-6", "1e-9"])
+def test_cli_tiny_angles_on_mps(theta):
+    args = ("--protocol", "linear", "--n", "20", "--theta", theta, "--backend", "mps",
+            "--pairs", "bulk-center")
+    swept = run_cli("sweep", *args)
+    assert swept.returncode == 0, swept.stderr
+    (row,) = rows_from_csv_text(swept.stdout)
+    assert row.abs_error <= 1e-8
+    # truncating the small Schmidt value leaves a product state, concurrence 0,
+    # which the 1e-8 bound alone does not catch at theta = 1e-9
+    assert row.concurrence_numeric > 0.5 * float(theta)
+    compared = run_cli("compare", *args)
+    assert compared.returncode == 0, compared.stderr
+    assert compared.stdout.endswith("result: PASS\n")
+
+
+@pytest.fixture
+def lossy_mps(monkeypatch):
+    """Make every MPS circuit run report a discarded weight above the limit."""
+    run = MatrixProductState.run_circuit
+
+    def lossy(self, circuit):
+        run(self, circuit)
+        self.discarded_weight_total = 1e-10
+        return self
+
+    monkeypatch.setattr(MatrixProductState, "run_circuit", lossy)
+
+
+def test_discarded_weight_guard(lossy_mps):
+    with pytest.raises(RuntimeError, match="MPS sweep truncated"):
+        run_sweep(linear_config(n=8, backend="mps"))
+    result = CliRunner().invoke(
+        symm_ent.cli.main,
+        ["oracle-check", "--protocol", "linear", "--n", "6", "--theta", "0:6:5"],
+    )
+    assert result.exit_code == 1
+    assert "max MPS discarded weight:   1.000e-10" in result.stdout
+    assert result.stdout.endswith("result: FAIL\n")
+
+
+def test_cli_compare_out_sweeps_once(monkeypatch, tmp_path):
+    calls = []
+    counted = symm_ent.sweep.run_sweep
+
+    def counting(config):
+        calls.append(config)
+        return counted(config)
+
+    monkeypatch.setattr(symm_ent.sweep, "run_sweep", counting)
+    monkeypatch.setattr(symm_ent.cli, "run_sweep", counting)
+    args = ["--protocol", "linear", "--n", "8", "--theta", "0:6:7"]
+    out_path = tmp_path / "rows.csv"
+    runner = CliRunner()
+    compared = runner.invoke(symm_ent.cli.main, ["compare", *args, "--out", str(out_path)])
+    assert compared.exit_code == 0, compared.output
+    assert len(calls) == 1
+    swept = runner.invoke(symm_ent.cli.main, ["sweep", *args])
+    assert out_path.read_text(encoding="utf-8") == swept.stdout
