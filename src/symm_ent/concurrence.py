@@ -11,6 +11,11 @@ equal those of B^dag B, so sqrt(lambda_i) = sigma_i(B) exactly, with no
 squaring loss. A fast exact path is provided for X-shaped states (nonzero
 entries only on the diagonal and anti-diagonal), the form every protocol in
 this package produces.
+
+``wootters_concurrence`` also scores a whole ``(..., 4, 4)`` stack in one
+call: one stacked eigendecomposition, then one stacked product and SVD per
+kept rank. Every stacked value is bitwise equal to the one-matrix call,
+which is the same code applied to a stack of one.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigs
+from .linalg import first_flagged, hermitian_eigs
 
 # rho itself may carry eigenvalues this far below zero from upstream roundoff
 DM_TOL = 1e-10
@@ -57,20 +62,33 @@ class XStateParams:
     delta: float
 
 
-def _validate_density_matrix(rho: np.ndarray) -> np.ndarray:
+def _validate_density_matrices(rho) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Check a 4x4 matrix or a (..., 4, 4) stack; returns it flattened to
+    (n, 4, 4), together with its stack shape."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_dev > DM_TOL:
-        raise ValueError(f"invalid density matrix: not Hermitian (deviation {herm_dev:.3e})")
-    trace_dev = abs(rho.trace() - 1.0)
-    if trace_dev > DM_TOL:
-        raise ValueError(f"invalid density matrix: trace deviates by {trace_dev:.3e}")
-    return rho
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(
+            f"expected a 4x4 density matrix or a (..., 4, 4) stack, got shape {rho.shape}"
+        )
+    stack_shape = rho.shape[:-2]
+    rho = rho.reshape(-1, 4, 4)
+    herm_dev = np.abs(rho - rho.conj().swapaxes(1, 2))
+    if np.maximum.reduce(herm_dev, axis=None, initial=0.0) > DM_TOL:
+        herm_dev = herm_dev.max(axis=(1, 2))
+        flat, where = first_flagged(herm_dev > DM_TOL, stack_shape)
+        raise ValueError(
+            f"invalid density matrix{where}: not Hermitian (deviation {herm_dev[flat]:.3e})"
+        )
+    trace_dev = np.abs(rho.trace(axis1=1, axis2=2) - 1.0)
+    if np.maximum.reduce(trace_dev, initial=0.0) > DM_TOL:
+        flat, where = first_flagged(trace_dev > DM_TOL, stack_shape)
+        raise ValueError(
+            f"invalid density matrix{where}: trace deviates by {trace_dev[flat]:.3e}"
+        )
+    return rho, stack_shape
 
 
-def wootters_concurrence(rho) -> float:
+def wootters_concurrence(rho) -> float | np.ndarray:
     """Concurrence of a two-qubit density matrix, general method.
 
     C = max(0, sqrt(l4) - sqrt(l3) - sqrt(l2) - sqrt(l1)) with l_i the
@@ -78,22 +96,39 @@ def wootters_concurrence(rho) -> float:
     complex conjugate (sigma_y x sigma_y) rho* (sigma_y x sigma_y). The
     square roots are obtained directly as singular values (see module
     docstring), which keeps the result accurate near concurrence zeros.
+
+    ``rho`` is one 4x4 matrix, for which a float is returned, or a
+    ``(..., 4, 4)`` stack, for which an array of shape ``rho.shape[:-2]`` is
+    returned; each stacked value is bitwise equal to the one-matrix call.
     """
-    rho = _validate_density_matrix(rho)
-    vals, vecs = hermitian_eigs(rho)
-    if vals[0] < -DM_TOL:
-        raise ValueError(f"invalid density matrix: eigenvalue {vals[0]:.3e} below -{DM_TOL:.0e}")
-    # the singular-value form makes the spin-flip spectrum non-negative by
-    # construction, so no separate clamp on R's eigenvalues is needed
-    keep = vals > RANK_CUT
-    factor = vecs[:, keep] * np.sqrt(vals[keep])
-    if factor.shape[1] == 0:
-        return 0.0
-    symmetric_overlap = factor.T @ _SY_SY @ factor
-    roots = np.zeros(4)
-    sigma = np.linalg.svd(symmetric_overlap, compute_uv=False)
-    roots[: sigma.size] = sigma
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    rho, stack_shape = _validate_density_matrices(rho)
+    vals, vecs = hermitian_eigs(rho.reshape(stack_shape + (4, 4)))
+    vals, vecs = vals.reshape(-1, 4), vecs.reshape(-1, 4, 4)
+    smallest = vals[:, 0]
+    if np.minimum.reduce(smallest, initial=0.0) < -DM_TOL:
+        flat, where = first_flagged(smallest < -DM_TOL, stack_shape)
+        raise ValueError(
+            f"invalid density matrix{where}: eigenvalue {smallest[flat]:.3e} "
+            f"below -{DM_TOL:.0e}"
+        )
+    # eigenvalues ascend, so the kept ones are the last ``rank`` of each
+    # matrix; each rank is factored as its own stack, which keeps every
+    # value bitwise equal to factoring its matrix alone
+    ranks = np.add.reduce(vals > RANK_CUT, axis=1)
+    present = set(ranks.tolist())
+    concurrence = np.zeros(ranks.shape)
+    for rank in present - {0}:
+        selected = slice(None) if len(present) == 1 else ranks == rank
+        factor = vecs[selected, :, -rank:] * np.sqrt(vals[selected, None, -rank:])
+        symmetric_overlap = factor.swapaxes(1, 2) @ _SY_SY @ factor
+        # the singular-value form makes the spin-flip spectrum non-negative
+        # by construction, so no separate clamp on R's eigenvalues is needed
+        roots = np.linalg.svd(symmetric_overlap, compute_uv=False)
+        # subtract.reduce folds left: sqrt(l4) - sqrt(l3) - sqrt(l2) - sqrt(l1)
+        concurrence[selected] = np.maximum(np.subtract.reduce(roots, axis=1), 0.0)
+    if not stack_shape:
+        return float(concurrence[0])
+    return concurrence.reshape(stack_shape)
 
 
 def extract_xstate(rho, tol: float = 1e-10) -> XStateParams:

@@ -38,12 +38,28 @@ class SVDResult:
         return int(self.singular_values.size)
 
 
-def _as_matrix(matrix) -> np.ndarray:
+def first_flagged(bad: np.ndarray, stack_shape: tuple[int, ...]) -> tuple[int, str]:
+    """Locate the first flagged matrix of a stack of shape ``stack_shape``.
+
+    ``bad`` holds one flag per matrix, in C order. Returns the flat position
+    of the first True flag and a message fragment naming its stack index,
+    ``" at stack index k"``, which is empty for a single matrix.
+    """
+    flat = int(np.argmax(bad))
+    if not stack_shape:
+        return flat, ""
+    index = tuple(int(i) for i in np.unravel_index(flat, stack_shape))
+    return flat, f" at stack index {index[0] if len(index) == 1 else index}"
+
+
+def _as_matrix(matrix, stacked: bool = False) -> np.ndarray:
     arr = np.asarray(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"expected a non-empty 2-d matrix, got shape {arr.shape}")
+    if arr.ndim < 2 or (arr.ndim > 2 and not stacked) or 0 in arr.shape[-2:]:
+        kind = "matrix or a stack of them" if stacked else "matrix"
+        raise ValueError(f"expected a non-empty 2-d {kind}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError("matrix contains non-finite entries")
+        _, where = first_flagged(~np.isfinite(arr).all(axis=(-2, -1)).ravel(), arr.shape[:-2])
+        raise ValueError(f"matrix{where} contains non-finite entries")
     return arr
 
 
@@ -72,21 +88,25 @@ def svd_truncate(matrix, max_rank: int, tol: float = 0.0) -> SVDResult:
             f"SVD failed to converge for a {m.shape[0]}x{m.shape[1]} matrix: {exc}"
         ) from exc
 
-    total = float(np.sum(s * s))
-    if total == 0.0:
-        keep = 1
-        discarded = 0.0
-    else:
-        effective = np.where(s < SINGULAR_VALUE_FLOOR, 0.0, s)
-        weights = (effective * effective) / total
-        significant = int(np.count_nonzero(weights > tol))
-        keep = max(1, min(int(max_rank), significant))
-        discarded = float(np.sum(s[keep:] ** 2) / total)
+    total = float((s * s).sum())
+    keep = 1
+    discarded = 0.0
+    if total > 0.0:
+        if tol == 0.0:
+            # the weight test below reduces to the floor: a value at or
+            # above it squares to a nonzero weight
+            significant = np.count_nonzero(s >= SINGULAR_VALUE_FLOOR)
+        else:
+            effective = np.where(s < SINGULAR_VALUE_FLOOR, 0.0, s)
+            significant = np.count_nonzero((effective * effective) / total > tol)
+        keep = max(1, min(int(max_rank), int(significant)))
+        if keep < s.size:
+            discarded = float((s[keep:] ** 2).sum() / total)
 
     return SVDResult(
-        left_isometry=u[:, :keep].copy(),
-        singular_values=s[:keep].copy(),
-        right_isometry_dag=vdag[:keep, :].copy(),
+        left_isometry=u[:, :keep],
+        singular_values=s[:keep],
+        right_isometry_dag=vdag[:keep, :],
         discarded_weight=discarded,
     )
 
@@ -94,23 +114,30 @@ def svd_truncate(matrix, max_rank: int, tol: float = 0.0) -> SVDResult:
 def hermitian_eigs(matrix, herm_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (real, ascending) and eigenvectors of a Hermitian matrix.
 
-    The input must be Hermitian within ``herm_tol`` elementwise; it is
-    symmetrized before factorization so the returned spectrum is exactly real.
+    ``matrix`` is one ``(n, n)`` matrix or a ``(..., n, n)`` stack, factored
+    in one call; each stacked result is bitwise equal to factoring that
+    matrix alone. Every input must be Hermitian within ``herm_tol``
+    elementwise; it is symmetrized before factorization so the returned
+    spectrum is exactly real.
 
     Returns:
-        ``(eigenvalues, eigenvectors)`` with ``eigenvectors[:, k]`` the
-        eigenvector belonging to ``eigenvalues[k]``.
+        ``(eigenvalues, eigenvectors)`` with ``eigenvectors[..., :, k]`` the
+        eigenvector belonging to ``eigenvalues[..., k]``.
     """
-    m = _as_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
+    m = _as_matrix(matrix, stacked=True)
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    deviation = float(np.max(np.abs(m - m.conj().T)))
-    if deviation > herm_tol:
+    adjoint = m.conj().swapaxes(-1, -2)
+    deviation = np.abs(m - adjoint)
+    if deviation.max(initial=0.0) > herm_tol:
+        deviation = deviation.max(axis=(-2, -1)).ravel()
+        flat, where = first_flagged(deviation > herm_tol, m.shape[:-2])
         raise ValueError(
-            f"matrix is not Hermitian: max |M - M^dag| = {deviation:.3e} exceeds {herm_tol:.1e}"
+            f"matrix{where} is not Hermitian: max |M - M^dag| = {deviation[flat]:.3e} "
+            f"exceeds {herm_tol:.1e}"
         )
     try:
-        vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+        vals, vecs = np.linalg.eigh(0.5 * (m + adjoint))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition failed to converge: {exc}") from exc
     return vals, vecs

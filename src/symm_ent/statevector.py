@@ -60,6 +60,9 @@ class StateVector:
         """Apply a 2x2 unitary to ``site``; only amplitudes differing in that bit mix."""
         g = require_unitary(gate, 2)
         self._check_site(site)
+        return self._apply_1q(g, site)
+
+    def _apply_1q(self, g: np.ndarray, site: int) -> "StateVector":
         axis = site - 1
         out = np.tensordot(g, self._grid(), axes=([1], [axis]))
         out = np.moveaxis(out, 0, axis)
@@ -82,14 +85,19 @@ class StateVector:
         return StateVector(self.n_qubits, psi.ravel())
 
     def run_circuit(self, circuit: Circuit) -> "StateVector":
+        """Apply all gates in listed order; each distinct rotation is
+        validated once per call."""
         if circuit.n_qubits != self.n_qubits:
             raise ValueError(
                 f"circuit is for {circuit.n_qubits} qubits, state has {self.n_qubits}"
             )
         state = self
+        checked: dict[float, np.ndarray] = {}
         for op in circuit.ops:
             if isinstance(op, Rotation):
-                state = state.apply_1q(rotation_matrix(op.theta), op.site)
+                if op.theta not in checked:
+                    checked[op.theta] = require_unitary(rotation_matrix(op.theta), 2)
+                state = state._apply_1q(checked[op.theta], op.site)
             elif isinstance(op, ControlledNot):
                 state = state.apply_cx(op.control, op.target)
             else:

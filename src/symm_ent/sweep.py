@@ -158,7 +158,9 @@ def _total_qubits(config: SweepConfig) -> int:
     return config.n
 
 
-def _validated(config: SweepConfig) -> SweepConfig:
+def _validated(config: SweepConfig) -> tuple[SweepConfig, list[tuple[int, int]]]:
+    """Check ``config``, fill in the default pair keyword, and resolve the
+    pairs; returns the completed config and its pairs."""
     if config.protocol not in PROTOCOLS:
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {config.protocol!r}")
     if config.backend not in BACKENDS:
@@ -197,8 +199,7 @@ def _validated(config: SweepConfig) -> SweepConfig:
             f"statevector backend is capped at {MAX_QUBITS} qubits but the protocol needs "
             f"{total}; use the mps backend"
         )
-    _resolve_pairs(config)  # raises on a bad pair selection
-    return config
+    return config, _resolve_pairs(config)
 
 
 def _resolve_pairs(config: SweepConfig) -> list[tuple[int, int]]:
@@ -354,10 +355,12 @@ def _run_point(
             "protocol circuits must be exact"
         )
     # ascending pair order keeps the MPS center walk short
-    rdms = {pair: state.pair_rdm(*pair) for pair in sorted(pairs)}
+    ordered = sorted(pairs)
+    scores = wootters_concurrence(np.array([state.pair_rdm(*pair) for pair in ordered]))
+    numerics = dict(zip(ordered, scores.tolist()))
     rows = []
     for pair in pairs:
-        numeric = wootters_concurrence(rdms[pair])
+        numeric = numerics[pair]
         analytic = _analytic_value(config, pair, theta, theta2)
         rows.append(
             OutputRow(
@@ -392,8 +395,7 @@ def run_sweep(config: SweepConfig) -> list[OutputRow]:
     probability is below 1e-9 are skipped (the conditioned state does not
     exist there).
     """
-    config = _validated(config)
-    pairs = _resolve_pairs(config)
+    config, pairs = _validated(config)
     backend = _choose_backend(config)
     rows = [
         row
@@ -408,8 +410,7 @@ def run_sweep(config: SweepConfig) -> list[OutputRow]:
 
 def run_compare(config: SweepConfig, threshold: float = COMPARE_THRESHOLD) -> CompareReport:
     """Compare swept concurrences against their closed forms, per family."""
-    config = _validated(config)
-    pairs = _resolve_pairs(config)
+    config, pairs = _validated(config)
     missing = sorted({pair for pair in pairs if _family_for_pair(config, pair) is None})
     if missing:
         raise ValueError(
@@ -451,11 +452,10 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
     post-selection probability deviation, and accumulated MPS discarded
     weight over the grid points whose branch the statevector finds alive.
     """
-    config = _validated(config)
+    config, pairs = _validated(config)
     total = _total_qubits(config)
     if total > MAX_QUBITS:
         raise ValueError(f"oracle check needs <= {MAX_QUBITS} qubits, protocol uses {total}")
-    pairs = _resolve_pairs(config)
     max_rdm = 0.0
     max_conc = 0.0
     max_prob = 0.0
@@ -479,13 +479,10 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
         if p_sv is not None:
             max_prob = max(max_prob, abs(p_sv - p_mps))
         n_checked += 1
-        for pair in pairs:
-            rho_sv = sv.pair_rdm(*pair)
-            rho_mps = mps.pair_rdm(*pair)
-            max_rdm = max(max_rdm, float(np.max(np.abs(rho_sv - rho_mps))))
-            max_conc = max(
-                max_conc, abs(wootters_concurrence(rho_sv) - wootters_concurrence(rho_mps))
-            )
+        rdms = np.array([[state.pair_rdm(*pair) for pair in pairs] for state in (sv, mps)])
+        max_rdm = max(max_rdm, float(np.max(np.abs(rdms[0] - rdms[1]))))
+        scores = wootters_concurrence(rdms)
+        max_conc = max(max_conc, float(np.max(np.abs(scores[0] - scores[1]))))
     passed = (
         max_rdm <= RDM_THRESHOLD
         and max_conc <= CONCURRENCE_THRESHOLD

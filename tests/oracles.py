@@ -111,3 +111,27 @@ def random_x_state(rng: np.random.Generator):
     rho[0, 3] = rho[3, 0] = u
     rho[1, 2] = rho[2, 1] = delta
     return rho
+
+
+def one_matrix_wootters(rho: np.ndarray) -> float:
+    """Wootters concurrence of one 4x4 matrix, one factorization per call.
+
+    The reference for the stacked concurrence layer: the same arithmetic in
+    the same order (symmetrized eigh, eigenvalues above 1e-14 kept, singular
+    values of L^T (sigma_y x sigma_y) L), applied to a single matrix, so the
+    stacked values must match it bit for bit. Input validation is left to
+    the library.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    keep = vals > 1e-14
+    factor = vecs[:, keep] * np.sqrt(vals[keep])
+    if factor.shape[1] == 0:
+        return 0.0
+    sy_sy = np.array(
+        [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
+    )
+    roots = np.zeros(4)
+    sigma = np.linalg.svd(factor.T @ sy_sy @ factor, compute_uv=False)
+    roots[: sigma.size] = sigma
+    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symm_ent import (
     StateVector,
@@ -13,7 +15,7 @@ from symm_ent import (
 )
 from symm_ent.formulas import analytic_concurrence, analytic_pair_rdm
 
-from oracles import haar_unitary, random_density_matrix, random_x_state
+from oracles import haar_unitary, one_matrix_wootters, random_density_matrix, random_x_state
 
 
 def bell_projector() -> np.ndarray:
@@ -155,3 +157,90 @@ def test_general_path_is_exact_near_zeros():
     sv = StateVector.zeros(2).apply_1q(rotation_matrix(0.3), 1)
     rho = sv.pair_rdm(1, 2)
     assert wootters_concurrence(rho) < 1e-13
+
+
+# ------------------------------------------------------------ stacked calls
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _stack_member(kind: str, rng: np.random.Generator) -> np.ndarray:
+    if kind == "pure":
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        return np.outer(psi, psi.conj())
+    if kind == "x":
+        return random_x_state(rng)
+    if kind == "product":
+        # exact rank 1 with eigenvalues that are exact zeros or roundoff
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = 1.0
+        u = np.kron(haar_unitary(rng), haar_unitary(rng))
+        return u @ rho @ u.conj().T
+    if kind == "diagonal":
+        # exact zeros on the diagonal: ranks 1..3 with no roundoff at all
+        weights = rng.random(4) * (rng.random(4) < 0.5)
+        weights[int(rng.integers(4))] += 0.5
+        return np.diag(weights / weights.sum()).astype(complex)
+    return random_density_matrix(rng, rank=int(kind[-1]))
+
+
+STACK_KINDS = ("pure", "x", "product", "diagonal", "rank1", "rank2", "rank3", "rank4")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(STACK_KINDS), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    two_dims=st.booleans(),
+)
+def test_stacked_concurrence_is_bitwise_the_one_matrix_call(kinds, seed, two_dims):
+    rng = np.random.default_rng(seed)
+    stack = np.array([_stack_member(kind, rng) for kind in kinds])
+    if two_dims and len(kinds) % 2 == 0:
+        stack = stack.reshape(2, -1, 4, 4)
+    stacked = wootters_concurrence(stack)
+    flat = stack.reshape(-1, 4, 4)
+    one_by_one = np.array([wootters_concurrence(rho) for rho in flat]).reshape(stack.shape[:-2])
+    reference = np.array([one_matrix_wootters(rho) for rho in flat]).reshape(stack.shape[:-2])
+    assert _same_bits(stacked, one_by_one)
+    assert _same_bits(stacked, reference)
+
+
+def test_stack_shapes(rng):
+    rho = random_density_matrix(rng)
+    assert type(wootters_concurrence(rho)) is float
+    for shape in ((1,), (3,), (2, 3)):
+        stack = np.broadcast_to(rho, shape + (4, 4))
+        values = wootters_concurrence(stack)
+        assert isinstance(values, np.ndarray) and values.shape == shape
+        assert _same_bits(values, np.full(shape, wootters_concurrence(rho)))
+    empty = wootters_concurrence(np.zeros((0, 4, 4)))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    for bad in (np.zeros((4,)), np.zeros((3, 4)), np.zeros((2, 3, 3))):
+        with pytest.raises(ValueError, match="expected a 4x4 density matrix"):
+            wootters_concurrence(bad)
+
+
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [
+        (np.triu(np.ones((4, 4))) / 2.5, "not Hermitian"),
+        (np.eye(4), "trace"),
+        (np.diag([1.5, -0.5, 0.0, 0.0]), "eigenvalue"),
+        (np.diag([np.nan, 1.0, 0.0, 0.0]), "non-finite"),
+    ],
+)
+def test_bad_matrix_in_a_stack_is_named(rng, bad, message):
+    good = [random_density_matrix(rng) for _ in range(6)]
+    stack = np.array(good[:2] + [bad] + good[2:] + [bad]).astype(complex)
+    with pytest.raises(ValueError, match=rf"at stack index 2\b.*{message}"):
+        wootters_concurrence(stack)
+    with pytest.raises(ValueError, match=rf"at stack index \(0, 2\).*{message}"):
+        wootters_concurrence(stack.reshape(2, 4, 4, 4))
+    with pytest.raises(ValueError, match=message) as single:
+        wootters_concurrence(bad)
+    assert "stack index" not in str(single.value)

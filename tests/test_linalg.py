@@ -107,3 +107,42 @@ def test_eigs_rejects_non_hermitian():
         hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         hermitian_eigs(np.zeros((2, 3)))
+
+
+def test_absolute_floor_boundary_at_zero_tol():
+    # at tol = 0 exactly the values at or above the 1e-14 floor are kept
+    assert svd_truncate(np.diag([1.0, 1e-14]), max_rank=2).rank == 2
+    assert svd_truncate(np.diag([1.0, np.nextafter(1e-14, 0.0)]), max_rank=2).rank == 1
+    assert svd_truncate(np.diag([1.0, 1e-14]), max_rank=2, tol=1e-27).rank == 1
+
+
+def test_stacked_eigs_are_bitwise_the_per_matrix_call(rng):
+    g = rng.normal(size=(3, 5, 6, 6)) + 1j * rng.normal(size=(3, 5, 6, 6))
+    stack = g + g.conj().swapaxes(-1, -2)
+    vals, vecs = hermitian_eigs(stack)
+    assert vals.shape == (3, 5, 6) and vecs.shape == (3, 5, 6, 6)
+    for index in np.ndindex(3, 5):
+        one_vals, one_vecs = hermitian_eigs(stack[index])
+        assert one_vals.tobytes() == vals[index].tobytes()
+        assert one_vecs.tobytes() == vecs[index].tobytes()
+        ref_vals, ref_vecs = np.linalg.eigh(0.5 * (stack[index] + stack[index].conj().T))
+        assert ref_vals.tobytes() == vals[index].tobytes()
+        assert ref_vecs.tobytes() == vecs[index].tobytes()
+    empty_vals, empty_vecs = hermitian_eigs(np.zeros((0, 4, 4)))
+    assert empty_vals.shape == (0, 4) and empty_vecs.shape == (0, 4, 4)
+
+
+def test_stacked_eigs_name_the_bad_matrix():
+    stack = np.stack([np.eye(2)] * 4).astype(complex)
+    stack[2, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="matrix at stack index 2 is not Hermitian"):
+        hermitian_eigs(stack)
+    with pytest.raises(ValueError, match=r"matrix at stack index \(1, 0\) is not Hermitian"):
+        hermitian_eigs(stack.reshape(2, 2, 2, 2))
+    stack[2, 0, 1] = np.inf
+    with pytest.raises(ValueError, match="matrix at stack index 2 contains non-finite"):
+        hermitian_eigs(stack)
+    with pytest.raises(ValueError, match="expected a non-empty 2-d matrix"):
+        hermitian_eigs(np.zeros((2, 0, 0)))
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eigs(np.zeros((2, 2, 3)))

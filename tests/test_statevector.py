@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from symm_ent import StateVector, build_star, rotation_matrix
+import symm_ent.statevector
+from symm_ent import (
+    Rotation,
+    StateVector,
+    build_linear,
+    build_periodic,
+    build_star,
+    rotation_matrix,
+)
 
 from oracles import brute_pair_rdm, brute_postselect, brute_single_rdm, haar_unitary
 
@@ -173,3 +181,36 @@ def test_amplitudes_are_read_only():
     sv = StateVector.zeros(2)
     with pytest.raises(ValueError):
         sv.amplitudes[0] = 0.0
+
+
+@pytest.fixture
+def unitary_checks(monkeypatch):
+    """Dimensions of every ``require_unitary`` call the statevector makes."""
+    calls = []
+    original = symm_ent.statevector.require_unitary
+
+    def counting(matrix, dim, *args, **kwargs):
+        calls.append(dim)
+        return original(matrix, dim, *args, **kwargs)
+
+    monkeypatch.setattr(symm_ent.statevector, "require_unitary", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    ("circuit", "distinct_angles"),
+    [(build_star(6, 0.9), 1), (build_linear(8, 4, 0.9), 1), (build_periodic(8, 0.9, 2.3), 2)],
+)
+def test_run_circuit_validates_each_distinct_rotation_once(circuit, distinct_angles, unitary_checks):
+    state = StateVector.zeros(circuit.n_qubits).run_circuit(circuit)
+    assert unitary_checks == [2] * distinct_angles
+    # gate by gate through the public methods, which validate every call
+    expected = StateVector.zeros(circuit.n_qubits)
+    for op in circuit.ops:
+        if isinstance(op, Rotation):
+            expected = expected.apply_1q(rotation_matrix(op.theta), op.site)
+        else:
+            expected = expected.apply_cx(op.control, op.target)
+    rotations = sum(isinstance(op, Rotation) for op in circuit.ops)
+    assert len(unitary_checks) == distinct_angles + rotations
+    assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()

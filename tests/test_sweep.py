@@ -433,3 +433,33 @@ def test_cli_compare_out_sweeps_once(monkeypatch, tmp_path):
     assert len(calls) == 1
     swept = runner.invoke(symm_ent.cli.main, ["sweep", *args])
     assert out_path.read_text(encoding="utf-8") == swept.stdout
+
+
+def _one_matrix_at_a_time(rho):
+    """``wootters_concurrence`` called once per matrix of a stack."""
+    rho = np.asarray(rho)
+    values = [symm_ent.wootters_concurrence(m) for m in rho.reshape(-1, 4, 4)]
+    return np.array(values).reshape(rho.shape[:-2])
+
+
+STACKED_CONFIGS = [
+    linear_config(n=12, theta=GridSpec(0.0, TWO_PI, 25), backend="mps"),
+    SweepConfig(protocol="star", theta=GridSpec(0.0, TWO_PI, 25), n_outer=5, postselect=1),
+    SweepConfig(
+        protocol="periodic",
+        theta=GridSpec(0.0, TWO_PI, 7),
+        theta2=GridSpec(0.0, TWO_PI, 7),
+        n=8,
+        pairs="all-adjacent",
+        backend="mps",
+    ),
+]
+
+
+@pytest.mark.parametrize("config", STACKED_CONFIGS, ids=["chain", "star-postselected", "periodic"])
+def test_stacked_scoring_matches_one_matrix_calls(config, monkeypatch):
+    stacked_rows = rows_to_csv_text(run_sweep(config))
+    stacked_report = run_oracle_check(config)
+    monkeypatch.setattr(symm_ent.sweep, "wootters_concurrence", _one_matrix_at_a_time)
+    assert rows_to_csv_text(run_sweep(config)) == stacked_rows
+    assert run_oracle_check(config) == stacked_report
