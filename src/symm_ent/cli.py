@@ -7,7 +7,6 @@ Exit codes: 0 on success/pass, 1 when a validation threshold is exceeded,
 from __future__ import annotations
 
 import sys
-from pathlib import Path
 
 import click
 
@@ -19,16 +18,16 @@ from .sweep import (
     SweepConfig,
     render_compare,
     render_oracle,
-    rows_to_csv_text,
-    rows_to_json_text,
+    rows_to_text,
     run_compare,
     run_oracle_check,
     run_sweep,
+    write_rows,
 )
 
 
 def _parse_pairs(text: str):
-    if text in PAIR_KEYWORDS:
+    if not text or text in PAIR_KEYWORDS:
         return text
     pairs = []
     for chunk in text.split(","):
@@ -45,35 +44,25 @@ def _parse_pairs(text: str):
     return tuple(pairs)
 
 
-def _build_config(
-    protocol,
-    case,
-    n,
-    n_outer,
-    theta,
-    theta2,
-    theta2_offset,
-    pairs,
-    postselect,
-    backend,
-) -> SweepConfig:
+def _run(action, options: dict):
+    """Build the config from the common options and return ``action(config)``.
+
+    A ValueError is a usage error (exit 2); a RuntimeError exits 1.
+    """
     try:
-        grid = GridSpec.parse(theta)
-        grid2 = GridSpec.parse(theta2) if theta2 else None
-        return SweepConfig(
-            protocol=protocol,
-            theta=grid,
-            case=case,
-            n=n,
-            n_outer=n_outer,
-            theta2=grid2,
-            theta2_offset=theta2_offset,
-            pairs=_parse_pairs(pairs) if pairs else "",
-            postselect=postselect,
-            backend=backend,
+        theta2 = options.pop("theta2")
+        config = SweepConfig(
+            theta=GridSpec.parse(options.pop("theta")),
+            theta2=GridSpec.parse(theta2) if theta2 else None,
+            pairs=_parse_pairs(options.pop("pairs")),
+            **options,
         )
+        return action(config)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
+    except RuntimeError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
 
 
 def _common_options(fn):
@@ -119,43 +108,24 @@ def main():
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the table here instead of stdout.")
-def sweep(protocol, case, n, n_outer, theta, theta2, theta2_offset, pairs, postselect,
-          backend, fmt, out):
+def sweep(fmt, out, **options):
     """Sweep the angle grid and emit one row per (grid point, pair)."""
-    config = _build_config(protocol, case, n, n_outer, theta, theta2, theta2_offset,
-                           pairs, postselect, backend)
-    try:
-        rows = run_sweep(config)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    except RuntimeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    text = rows_to_csv_text(rows) if fmt == "csv" else rows_to_json_text(rows)
+    rows = _run(run_sweep, options)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        write_rows(rows, out, fmt)
     else:
-        click.echo(text, nl=False)
+        click.echo(rows_to_text(rows, fmt), nl=False)
 
 
 @main.command()
 @_common_options
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Also write the underlying sweep rows here as CSV.")
-def compare(protocol, case, n, n_outer, theta, theta2, theta2_offset, pairs, postselect,
-            backend, out):
+def compare(out, **options):
     """Check swept concurrences against their closed forms (threshold 1e-8)."""
-    config = _build_config(protocol, case, n, n_outer, theta, theta2, theta2_offset,
-                           pairs, postselect, backend)
-    try:
-        report = run_compare(config)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    except RuntimeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    report = _run(run_compare, options)
     if out:
-        Path(out).write_text(rows_to_csv_text(report.rows), encoding="utf-8")
+        write_rows(report.rows, out)
     click.echo(render_compare(report))
     if not report.passed:
         sys.exit(1)
@@ -163,18 +133,9 @@ def compare(protocol, case, n, n_outer, theta, theta2, theta2_offset, pairs, pos
 
 @main.command("oracle-check")
 @_common_options
-def oracle_check(protocol, case, n, n_outer, theta, theta2, theta2_offset, pairs,
-                 postselect, backend):
+def oracle_check(**options):
     """Run both backends on identical circuits and report their disagreement."""
-    config = _build_config(protocol, case, n, n_outer, theta, theta2, theta2_offset,
-                           pairs, postselect, backend)
-    try:
-        report = run_oracle_check(config)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    except RuntimeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    report = _run(run_oracle_check, options)
     click.echo(render_oracle(report))
     if not report.passed:
         sys.exit(1)

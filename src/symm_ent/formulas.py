@@ -3,8 +3,8 @@
 These expressions are the analytic ground truth the simulators are compared
 against. Conventions:
 
-* a = sin(theta/2), b = cos(theta/2); for two-angle protocols a2, b2 belong
-  to theta2.
+* a = sin(theta/2), b = cos(theta/2); two-angle families take the second
+  angle as ``theta2``.
 * Pair density matrices are written in the basis |left qubit, right qubit>
   of the chain, and |outer, central> for the star.
 * ``star_central`` generalizes to any ring size: with m outer qubits the
@@ -41,7 +41,7 @@ _TWO_ANGLE = {"periodic_even", "periodic_odd"}
 
 @dataclass(frozen=True)
 class AngleParams:
-    """Rotation angle(s) with the derived half-angle sine/cosine pairs."""
+    """Rotation angle(s), with the half-angle sine and cosine of ``theta``."""
 
     theta: float
     theta2: float | None = None
@@ -53,18 +53,6 @@ class AngleParams:
     @property
     def b(self) -> float:
         return math.cos(self.theta / 2.0)
-
-    @property
-    def a2(self) -> float:
-        if self.theta2 is None:
-            raise ValueError("theta2 is not set")
-        return math.sin(self.theta2 / 2.0)
-
-    @property
-    def b2(self) -> float:
-        if self.theta2 is None:
-            raise ValueError("theta2 is not set")
-        return math.cos(self.theta2 / 2.0)
 
 
 def unitary_params(theta: float, theta2: float | None = None) -> AngleParams:

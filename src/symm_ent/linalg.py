@@ -63,24 +63,22 @@ def _as_matrix(matrix, stacked: bool = False) -> np.ndarray:
     return arr
 
 
-def svd_truncate(matrix, max_rank: int, tol: float = 0.0) -> SVDResult:
+def svd_truncate(matrix, max_rank: int) -> SVDResult:
     """SVD of ``matrix`` keeping at most ``max_rank`` singular values.
 
     The kept rank is ``min(max_rank, k)`` where ``k`` counts the singular
-    values whose relative squared weight ``s_i^2 / sum(s^2)`` exceeds ``tol``;
-    at least one value is always kept so downstream tensors never lose their
-    bond. The reported ``discarded_weight`` equals the relative squared
-    Frobenius reconstruction error of the truncated factorization.
+    values at or above ``SINGULAR_VALUE_FLOOR``; at least one value is always
+    kept so downstream tensors never lose their bond. The reported
+    ``discarded_weight`` equals the relative squared Frobenius reconstruction
+    error of the truncated factorization.
 
     Raises:
-        ValueError: on malformed input or invalid ``max_rank`` / ``tol``.
+        ValueError: on malformed input or invalid ``max_rank``.
         RuntimeError: if the underlying factorization fails to converge.
     """
     m = _as_matrix(matrix)
     if max_rank < 1:
         raise ValueError(f"max_rank must be >= 1, got {max_rank}")
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
     try:
         u, s, vdag = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -92,13 +90,7 @@ def svd_truncate(matrix, max_rank: int, tol: float = 0.0) -> SVDResult:
     keep = 1
     discarded = 0.0
     if total > 0.0:
-        if tol == 0.0:
-            # the weight test below reduces to the floor: a value at or
-            # above it squares to a nonzero weight
-            significant = np.count_nonzero(s >= SINGULAR_VALUE_FLOOR)
-        else:
-            effective = np.where(s < SINGULAR_VALUE_FLOOR, 0.0, s)
-            significant = np.count_nonzero((effective * effective) / total > tol)
+        significant = np.count_nonzero(s >= SINGULAR_VALUE_FLOOR)
         keep = max(1, min(int(max_rank), int(significant)))
         if keep < s.size:
             discarded = float((s[keep:] ** 2).sum() / total)

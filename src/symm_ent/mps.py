@@ -158,20 +158,24 @@ class MatrixProductState:
         c = self.center
         t = self.tensors[c - 1]
         l, _, r = t.shape
-        res = svd_truncate(t.reshape(l, 2 * r), min(l, 2 * r))
-        self.discarded_weight_total += res.discarded_weight
-        s = res.singular_values
-        norm_t = float(np.linalg.norm(t))
-        norm_s = float(np.linalg.norm(s))
-        if norm_s > 0.0:
-            s = s * (norm_t / norm_s)
-        self.tensors[c - 1] = res.right_isometry_dag.reshape(-1, 2, r)
+        u, s, vdag = self._split(t.reshape(l, 2 * r))
+        self.tensors[c - 1] = vdag.reshape(-1, 2, r)
         prev = self.tensors[c - 2]
         lp = prev.shape[0]
-        self.tensors[c - 2] = (prev.reshape(lp * 2, l) @ (res.left_isometry * s)).reshape(
-            lp, 2, -1
-        )
+        self.tensors[c - 2] = (prev.reshape(lp * 2, l) @ (u * s)).reshape(lp, 2, -1)
         self.center = c - 1
+
+    def _split(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rank-revealing SVD ``block = U diag(s) V^dag``, returned as
+        ``(U, s, V^dag)``; ``s`` is rescaled to the norm of ``block`` and the
+        discarded weight is added to ``discarded_weight_total``."""
+        res = svd_truncate(block, min(block.shape))
+        self.discarded_weight_total += res.discarded_weight
+        s = res.singular_values
+        norm_s = float(np.linalg.norm(s))
+        if norm_s > 0.0:
+            s = s * (float(np.linalg.norm(block)) / norm_s)
+        return res.left_isometry, s, res.right_isometry_dag
 
     def shift_center(self, direction: str) -> None:
         """Move the orthogonality center one site left or right.
@@ -243,21 +247,14 @@ class MatrixProductState:
         l = left.shape[0]
         r = right.shape[2]
         block = (left.reshape(l * 2, -1) @ right.reshape(-1, 2 * r)).reshape(l, 4, r)
-        block = (g @ block).reshape(l * 2, 2 * r)
-        norm_block = float(np.linalg.norm(block))
-        res = svd_truncate(block, min(block.shape))
-        self.discarded_weight_total += res.discarded_weight
-        s = res.singular_values
-        norm_s = float(np.linalg.norm(s))
-        if norm_s > 0.0:
-            s = s * (norm_block / norm_s)
+        u, s, vdag = self._split((g @ block).reshape(l * 2, 2 * r))
         if center_left:
-            self.tensors[site - 1] = (res.left_isometry * s).reshape(l, 2, -1)
-            self.tensors[site] = res.right_isometry_dag.reshape(-1, 2, r)
+            self.tensors[site - 1] = (u * s).reshape(l, 2, -1)
+            self.tensors[site] = vdag.reshape(-1, 2, r)
             self.center = site
         else:
-            self.tensors[site - 1] = res.left_isometry.reshape(l, 2, -1)
-            self.tensors[site] = (s[:, None] * res.right_isometry_dag).reshape(-1, 2, r)
+            self.tensors[site - 1] = u.reshape(l, 2, -1)
+            self.tensors[site] = (s[:, None] * vdag).reshape(-1, 2, r)
             self.center = site + 1
 
     def apply_2q_long_range(self, gate, i: int, j: int) -> None:

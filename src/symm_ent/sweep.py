@@ -5,7 +5,8 @@ row per (grid point, pair), with the matching closed-form value attached
 wherever one exists. ``run_compare`` turns that into a per-family error
 report against a fixed threshold, and ``run_oracle_check`` runs the exact
 statevector backend and the MPS backend on identical circuits and reports
-their worst disagreement.
+their worst disagreement. Each of them first resolves its configuration
+into a ``RunPlan`` and then reads only the plan.
 
 Output is deterministic: identical configurations produce byte-identical
 CSV/JSON. Reals are printed with 17 significant digits so parsing a file
@@ -17,8 +18,10 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -37,12 +40,6 @@ CONCURRENCE_THRESHOLD = 1e-10
 DISCARDED_WEIGHT_LIMIT = 1e-14
 # post-selection branches below this probability are skipped by sweeps
 BRANCH_PROBABILITY_FLOOR = 1e-9
-
-CSV_HEADER = (
-    "theta,theta2,pair_left,pair_right,concurrence_numeric,"
-    "concurrence_analytic,abs_error,postselect_outcome,postselect_probability"
-)
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -119,6 +116,12 @@ class OutputRow:
     postselect_probability: float | None
 
 
+# the row schema: column names in order, and the CSV header they make
+COLUMNS = tuple(field.name for field in fields(OutputRow))
+CSV_HEADER = ",".join(COLUMNS)
+_row_values = attrgetter(*COLUMNS)
+
+
 @dataclass(frozen=True)
 class FamilyComparison:
     family: str
@@ -149,6 +152,19 @@ class OracleReport:
     passed: bool
 
 
+@dataclass(frozen=True)
+class RunPlan:
+    """A validated run, resolved once: everything a sweep, comparison or
+    cross-check needs besides the circuits themselves."""
+
+    config: SweepConfig  # completed: the default pair keyword filled in
+    total: int  # qubits in the circuit
+    backend: str  # "statevector" or "mps"; "auto" already decided
+    pairs: tuple[tuple[int, int], ...]  # ascending, i < j in each
+    families: tuple[str | None, ...]  # closed-form family per pair, None if none
+    points: tuple[tuple[float, float | None], ...]  # (theta, theta2), ascending
+
+
 # --------------------------------------------------------------- validation
 
 
@@ -158,9 +174,8 @@ def _total_qubits(config: SweepConfig) -> int:
     return config.n
 
 
-def _validated(config: SweepConfig) -> tuple[SweepConfig, list[tuple[int, int]]]:
-    """Check ``config``, fill in the default pair keyword, and resolve the
-    pairs; returns the completed config and its pairs."""
+def _plan(config: SweepConfig) -> RunPlan:
+    """Check ``config`` and resolve it into the plan of its run."""
     if config.protocol not in PROTOCOLS:
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {config.protocol!r}")
     if config.backend not in BACKENDS:
@@ -170,16 +185,22 @@ def _validated(config: SweepConfig) -> tuple[SweepConfig, list[tuple[int, int]]]
             raise ValueError("star protocol needs n_outer >= 1")
         if config.postselect not in (None, 0, 1):
             raise ValueError("postselect must be 0 or 1")
+        if config.n is not None:
+            raise ValueError("n is not used by the star protocol, which is sized by n_outer")
     else:
         if config.postselect is not None:
             raise ValueError("postselect is only meaningful for the star protocol")
         if config.n is None:
             raise ValueError(f"{config.protocol} protocol needs n")
+        if config.n_outer is not None:
+            raise ValueError("n_outer is only meaningful for the star protocol")
     if config.protocol == "linear":
         if config.case not in (1, 2, 3, 4):
             raise ValueError(f"case must be 1..4, got {config.case}")
         if config.n < 3:
             raise ValueError("linear protocol needs n >= 3")
+    elif config.case != 4:
+        raise ValueError(f"case is only meaningful for the linear protocol, got case={config.case}")
     if config.protocol == "periodic":
         if config.n < 4:
             raise ValueError("periodic protocol needs n >= 4")
@@ -199,7 +220,25 @@ def _validated(config: SweepConfig) -> tuple[SweepConfig, list[tuple[int, int]]]
             f"statevector backend is capped at {MAX_QUBITS} qubits but the protocol needs "
             f"{total}; use the mps backend"
         )
-    return config, _resolve_pairs(config)
+    backend = config.backend
+    if backend == "auto":
+        backend = "statevector" if total <= MAX_QUBITS else "mps"
+    pairs = tuple(sorted(_resolve_pairs(config)))
+    thetas = config.theta.values().tolist()
+    if config.theta2 is not None:
+        points = [(t1, t2) for t1 in thetas for t2 in config.theta2.values().tolist()]
+    elif config.theta2_offset is not None:
+        points = [(t1, t1 + config.theta2_offset) for t1 in thetas]
+    else:
+        points = [(t1, None) for t1 in thetas]
+    return RunPlan(
+        config=config,
+        total=total,
+        backend=backend,
+        pairs=pairs,
+        families=tuple(_family_for_pair(config, pair) for pair in pairs),
+        points=tuple(points),
+    )
 
 
 def _resolve_pairs(config: SweepConfig) -> list[tuple[int, int]]:
@@ -235,21 +274,18 @@ def _resolve_pairs(config: SweepConfig) -> list[tuple[int, int]]:
         raise ValueError(
             f"unknown pair keyword {selection!r}; valid: {', '.join(PAIR_KEYWORDS)}"
         )
-    pairs = []
+    first_as = {}
     for pair in selection:
         i, j = int(pair[0]), int(pair[1])
         if i == j:
             raise ValueError(f"pair sites must differ, got ({i}, {j})")
         if not (1 <= i <= total and 1 <= j <= total):
             raise ValueError(f"pair ({i}, {j}) outside 1..{total}")
-        pairs.append((min(i, j), max(i, j)))
-    return pairs
-
-
-def _choose_backend(config: SweepConfig) -> str:
-    if config.backend != "auto":
-        return config.backend
-    return "statevector" if _total_qubits(config) <= MAX_QUBITS else "mps"
+        ordered = (min(i, j), max(i, j))
+        if ordered in first_as:
+            raise ValueError(f"pair ({i}, {j}) is listed twice (first as {first_as[ordered]})")
+        first_as[ordered] = (i, j)
+    return list(first_as)
 
 
 def _build_circuit(config: SweepConfig, theta: float, theta2: float | None) -> Circuit:
@@ -296,21 +332,6 @@ def _family_for_pair(config: SweepConfig, pair: tuple[int, int]) -> str | None:
     return "periodic_even" if right_angle_is_theta1 else "periodic_odd"
 
 
-def _analytic_value(
-    config: SweepConfig, pair: tuple[int, int], theta: float, theta2: float | None
-) -> float | None:
-    family = _family_for_pair(config, pair)
-    if family is None:
-        return None
-    if family == "star_central":
-        return analytic_concurrence(family, unitary_params(theta), config.n_outer)
-    if family == "end_pair_case13":
-        return analytic_concurrence(family, unitary_params(theta), chain_n=config.n)
-    if family in ("periodic_even", "periodic_odd"):
-        return analytic_concurrence(family, unitary_params(theta, theta2))
-    return analytic_concurrence(family, unitary_params(theta))
-
-
 # ------------------------------------------------------------------- sweeps
 
 
@@ -338,36 +359,36 @@ def _prepare_point(
     return state, state.postselect(total, outcome)
 
 
-def _run_point(
-    config: SweepConfig,
-    theta: float,
-    theta2: float | None,
-    pairs: list[tuple[int, int]],
-    backend: str,
-) -> list[OutputRow]:
-    prepared = _prepare_point(config, _build_circuit(config, theta, theta2), backend)
+def _run_point(plan: RunPlan, theta: float, theta2: float | None) -> list[OutputRow]:
+    config = plan.config
+    prepared = _prepare_point(config, _build_circuit(config, theta, theta2), plan.backend)
     if prepared is None:
         return []
     state, probability = prepared
-    if backend == "mps" and state.discarded_weight_total >= DISCARDED_WEIGHT_LIMIT:
+    if plan.backend == "mps" and state.discarded_weight_total >= DISCARDED_WEIGHT_LIMIT:
         raise RuntimeError(
             f"MPS sweep truncated (discarded weight {state.discarded_weight_total:.3e}); "
             "protocol circuits must be exact"
         )
     # ascending pair order keeps the MPS center walk short
-    ordered = sorted(pairs)
-    scores = wootters_concurrence(np.array([state.pair_rdm(*pair) for pair in ordered]))
-    numerics = dict(zip(ordered, scores.tolist()))
+    scores = wootters_concurrence(np.array([state.pair_rdm(*pair) for pair in plan.pairs]))
+    # one closed-form value per family; each formula ignores the size it does not use
+    angles = unitary_params(theta, theta2)
+    closed = dict.fromkeys(plan.families)
+    for family in closed:
+        if family is not None:
+            closed[family] = analytic_concurrence(
+                family, angles, n_outer=plan.total - 1, chain_n=plan.total
+            )
     rows = []
-    for pair in pairs:
-        numeric = numerics[pair]
-        analytic = _analytic_value(config, pair, theta, theta2)
+    for (i, j), family, numeric in zip(plan.pairs, plan.families, scores.tolist()):
+        analytic = closed[family]
         rows.append(
             OutputRow(
-                theta=float(theta),
-                theta2=None if theta2 is None else float(theta2),
-                pair_left=pair[0],
-                pair_right=pair[1],
+                theta=theta,
+                theta2=theta2,
+                pair_left=i,
+                pair_right=j,
                 concurrence_numeric=numeric,
                 concurrence_analytic=analytic,
                 abs_error=None if analytic is None else abs(numeric - analytic),
@@ -378,51 +399,33 @@ def _run_point(
     return rows
 
 
-def _grid_points(config: SweepConfig) -> list[tuple[float, float | None]]:
-    thetas = config.theta.values()
-    if config.protocol != "periodic":
-        return [(float(t), None) for t in thetas]
-    if config.theta2 is not None:
-        return [(float(t1), float(t2)) for t1 in thetas for t2 in config.theta2.values()]
-    return [(float(t1), float(t1 + config.theta2_offset)) for t1 in thetas]
-
-
 def run_sweep(config: SweepConfig) -> list[OutputRow]:
     """Evaluate pair concurrences over the configured angle grid.
 
-    Returns one row per (grid point, pair), sorted by (theta, theta2,
+    Returns one row per (grid point, pair), in order of (theta, theta2,
     pair_left, pair_right). Star post-selection grid points whose branch
     probability is below 1e-9 are skipped (the conditioned state does not
     exist there).
     """
-    config, pairs = _validated(config)
-    backend = _choose_backend(config)
-    rows = [
-        row
-        for t1, t2 in _grid_points(config)
-        for row in _run_point(config, t1, t2, pairs, backend)
-    ]
-    rows.sort(
-        key=lambda r: (r.theta, -math.inf if r.theta2 is None else r.theta2, r.pair_left, r.pair_right)
-    )
-    return rows
+    plan = _plan(config)
+    return [row for theta, theta2 in plan.points for row in _run_point(plan, theta, theta2)]
 
 
 def run_compare(config: SweepConfig, threshold: float = COMPARE_THRESHOLD) -> CompareReport:
     """Compare swept concurrences against their closed forms, per family."""
-    config, pairs = _validated(config)
-    missing = sorted({pair for pair in pairs if _family_for_pair(config, pair) is None})
+    plan = _plan(config)
+    missing = [pair for pair, family in zip(plan.pairs, plan.families) if family is None]
     if missing:
         raise ValueError(
             f"no closed form covers pair(s) {missing}; restrict --pairs to covered "
             "classes (bulk/edge pairs for linear case 4, bulk pairs for periodic, "
             "star-all for the star)"
         )
-    rows = run_sweep(config)
+    family_of = dict(zip(plan.pairs, plan.families))
+    rows = run_sweep(plan.config)
     by_family: dict[str, list[OutputRow]] = {}
     for row in rows:
-        family = _family_for_pair(config, (row.pair_left, row.pair_right))
-        by_family.setdefault(family, []).append(row)
+        by_family.setdefault(family_of[row.pair_left, row.pair_right], []).append(row)
     comparisons = []
     for family in sorted(by_family):
         frows = by_family[family]
@@ -452,17 +455,16 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
     post-selection probability deviation, and accumulated MPS discarded
     weight over the grid points whose branch the statevector finds alive.
     """
-    config, pairs = _validated(config)
-    total = _total_qubits(config)
-    if total > MAX_QUBITS:
-        raise ValueError(f"oracle check needs <= {MAX_QUBITS} qubits, protocol uses {total}")
+    plan = _plan(config)
+    config = plan.config
+    if plan.total > MAX_QUBITS:
+        raise ValueError(f"oracle check needs <= {MAX_QUBITS} qubits, protocol uses {plan.total}")
     max_rdm = 0.0
     max_conc = 0.0
     max_prob = 0.0
     max_weight = 0.0
-    points = _grid_points(config)
     n_checked = 0
-    for theta, theta2 in points:
+    for theta, theta2 in plan.points:
         circuit = _build_circuit(config, theta, theta2)
         # the exact backend decides which branches exist
         exact = _prepare_point(config, circuit, "statevector")
@@ -479,7 +481,7 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
         if p_sv is not None:
             max_prob = max(max_prob, abs(p_sv - p_mps))
         n_checked += 1
-        rdms = np.array([[state.pair_rdm(*pair) for pair in pairs] for state in (sv, mps)])
+        rdms = np.array([[state.pair_rdm(*pair) for pair in plan.pairs] for state in (sv, mps)])
         max_rdm = max(max_rdm, float(np.max(np.abs(rdms[0] - rdms[1]))))
         scores = wootters_concurrence(rdms)
         max_conc = max(max_conc, float(np.max(np.abs(scores[0] - scores[1]))))
@@ -515,52 +517,44 @@ def _fmt(value) -> str:
 def rows_to_csv_text(rows: list[OutputRow]) -> str:
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
-    for r in rows:
-        out.write(
-            ",".join(
-                (
-                    _fmt(r.theta),
-                    _fmt(r.theta2),
-                    _fmt(r.pair_left),
-                    _fmt(r.pair_right),
-                    _fmt(r.concurrence_numeric),
-                    _fmt(r.concurrence_analytic),
-                    _fmt(r.abs_error),
-                    _fmt(r.postselect_outcome),
-                    _fmt(r.postselect_probability),
-                )
-            )
-            + "\n"
-        )
+    for row in rows:
+        out.write(",".join(map(_fmt, _row_values(row))) + "\n")
     return out.getvalue()
 
 
 def rows_to_json_text(rows: list[OutputRow]) -> str:
-    payload = [
-        {
-            "theta": r.theta,
-            "theta2": r.theta2,
-            "pair_left": r.pair_left,
-            "pair_right": r.pair_right,
-            "concurrence_numeric": r.concurrence_numeric,
-            "concurrence_analytic": r.concurrence_analytic,
-            "abs_error": r.abs_error,
-            "postselect_outcome": r.postselect_outcome,
-            "postselect_probability": r.postselect_probability,
-        }
-        for r in rows
-    ]
+    payload = [dict(zip(COLUMNS, _row_values(row))) for row in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 
+def rows_to_text(rows: list[OutputRow], fmt: str = "csv") -> str:
+    """Serialize ``rows`` in ``fmt``, 'csv' or 'json'."""
+    if fmt == "csv":
+        return rows_to_csv_text(rows)
+    if fmt == "json":
+        return rows_to_json_text(rows)
+    raise ValueError(f"fmt must be 'csv' or 'json', got {fmt!r}")
+
+
 def write_rows(rows: list[OutputRow], path: str | Path, fmt: str = "csv") -> None:
-    text = rows_to_csv_text(rows) if fmt == "csv" else rows_to_json_text(rows)
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_text(rows_to_text(rows, fmt), encoding="utf-8")
 
 
 def read_rows_csv(path: str | Path) -> list[OutputRow]:
     """Parse a CSV file produced by ``rows_to_csv_text`` back into rows."""
     return rows_from_csv_text(Path(path).read_text(encoding="utf-8"))
+
+
+def _column_parser(hint):
+    """Parser of one CSV field: int or float, empty meaning None where allowed."""
+    kinds = get_args(hint) or (hint,)
+    parse = int if int in kinds else float
+    if type(None) in kinds:
+        return lambda text: parse(text) if text else None
+    return parse
+
+
+_PARSERS = tuple(map(_column_parser, get_type_hints(OutputRow).values()))
 
 
 def rows_from_csv_text(text: str) -> list[OutputRow]:
@@ -570,21 +564,9 @@ def rows_from_csv_text(text: str) -> list[OutputRow]:
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != 9:
+        if len(parts) != len(COLUMNS):
             raise ValueError(f"malformed CSV row: {line!r}")
-        rows.append(
-            OutputRow(
-                theta=float(parts[0]),
-                theta2=float(parts[1]) if parts[1] else None,
-                pair_left=int(parts[2]),
-                pair_right=int(parts[3]),
-                concurrence_numeric=float(parts[4]),
-                concurrence_analytic=float(parts[5]) if parts[5] else None,
-                abs_error=float(parts[6]) if parts[6] else None,
-                postselect_outcome=int(parts[7]) if parts[7] else None,
-                postselect_probability=float(parts[8]) if parts[8] else None,
-            )
-        )
+        rows.append(OutputRow(*(parse(part) for parse, part in zip(_PARSERS, parts))))
     return rows
 
 

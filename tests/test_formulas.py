@@ -33,8 +33,6 @@ def test_unitary_params_special_angles():
 def test_unitary_params_validation():
     with pytest.raises(ValueError):
         unitary_params(float("nan"))
-    with pytest.raises(ValueError):
-        unitary_params(1.0).b2
 
 
 def test_star_central_at_zero_angle_is_pure_one_one():

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import symm_ent.cli
 import symm_ent.sweep
@@ -12,6 +15,7 @@ from symm_ent import (
     FAMILIES,
     GridSpec,
     MatrixProductState,
+    OutputRow,
     SweepConfig,
     analytic_concurrence,
     read_rows_csv,
@@ -22,6 +26,7 @@ from symm_ent import (
     run_oracle_check,
     run_sweep,
     unitary_params,
+    write_rows,
 )
 
 TWO_PI = 2 * np.pi
@@ -346,6 +351,21 @@ def test_cli_oracle_check_runs():
              "--theta", "1.0"),
             "n_outer",
         ),
+        (
+            ("--protocol", "star", "--n-outer", "3", "--n", "50", "--case", "2", "--theta", "1.0"),
+            "n is not used by the star protocol",
+        ),
+        (("--protocol", "star", "--n-outer", "3", "--case", "2", "--theta", "1.0"), "case=2"),
+        (("--protocol", "linear", "--n", "5", "--n-outer", "9", "--theta", "1.0"), "n_outer"),
+        (
+            ("--protocol", "periodic", "--n", "6", "--theta2-offset", "0", "--case", "1",
+             "--theta", "1.0"),
+            "case=1",
+        ),
+        (
+            ("--protocol", "linear", "--n", "6", "--pairs", "1:2,2:1", "--theta", "1.0"),
+            "pair (2, 1) is listed twice (first as (1, 2))",
+        ),
     ],
 )
 def test_cli_rejects_bad_grid_and_empty_selection(args, message):
@@ -463,3 +483,123 @@ def test_stacked_scoring_matches_one_matrix_calls(config, monkeypatch):
     monkeypatch.setattr(symm_ent.sweep, "wootters_concurrence", _one_matrix_at_a_time)
     assert rows_to_csv_text(run_sweep(config)) == stacked_rows
     assert run_oracle_check(config) == stacked_report
+
+
+# ------------------------------------------------- arguments the run ignores
+
+
+@pytest.mark.parametrize(
+    "given_fields, message",
+    [
+        (dict(protocol="star", n_outer=3, n=50), "n is not used by the star protocol"),
+        (dict(protocol="star", n_outer=3, case=2), "case is only meaningful"),
+        (dict(protocol="linear", n=5, n_outer=9), "n_outer is only meaningful"),
+        (dict(protocol="periodic", n=6, theta2_offset=0.0, n_outer=3), "n_outer is only"),
+        (dict(protocol="periodic", n=6, theta2_offset=0.0, case=1), "case=1"),
+    ],
+)
+def test_arguments_the_protocol_ignores_are_rejected(given_fields, message):
+    config = SweepConfig(theta=GridSpec.single(1.0), **given_fields)
+    for run in (run_sweep, run_compare, run_oracle_check):
+        with pytest.raises(ValueError, match=message):
+            run(config)
+
+
+def test_duplicate_pairs_are_rejected():
+    for pairs, first in ((((1, 2), (2, 1)), "(1, 2)"), (((4, 5), (2, 3), (2, 3)), "(2, 3)")):
+        duplicate = pairs[-1]
+        with pytest.raises(ValueError) as excinfo:
+            run_sweep(linear_config(pairs=pairs))
+        assert str(excinfo.value) == f"pair {duplicate} is listed twice (first as {first})"
+    with pytest.raises(ValueError, match="listed twice"):
+        run_compare(linear_config(pairs=((2, 3), (2, 3))))
+
+
+def test_write_rows_rejects_unknown_format(tmp_path):
+    path = tmp_path / "rows.xml"
+    rows = run_sweep(linear_config(theta=GridSpec.single(1.0), n=6, pairs="edges"))
+    with pytest.raises(ValueError, match="fmt must be 'csv' or 'json', got 'xml'"):
+        write_rows(rows, path, fmt="xml")
+    assert not path.exists()
+
+
+# ---------------------------------------------------------- row order
+
+
+def test_rows_in_order_with_unsorted_pairs():
+    args = ["sweep", "--protocol", "linear", "--n", "10", "--theta", "0:6.2:5",
+            "--pairs", "5:6,2:1,3:7"]
+    result = CliRunner().invoke(symm_ent.cli.main, args)
+    assert result.exit_code == 0, result.output
+    keys = [(r.theta, r.pair_left, r.pair_right) for r in rows_from_csv_text(result.stdout)]
+    assert len(keys) == 15
+    assert keys == sorted(keys)
+    assert {key[1:] for key in keys} == {(1, 2), (3, 7), (5, 6)}
+
+
+def test_rows_in_order_on_a_theta2_grid():
+    args = ["sweep", "--protocol", "periodic", "--n", "8", "--theta", "0:6.2:4",
+            "--theta2", "0.5:3:3", "--pairs", "6:7,3:4"]
+    result = CliRunner().invoke(symm_ent.cli.main, args)
+    assert result.exit_code == 0, result.output
+    rows = rows_from_csv_text(result.stdout)
+    keys = [(r.theta, r.theta2, r.pair_left) for r in rows]
+    assert len(keys) == 4 * 3 * 2
+    assert keys == sorted(keys)
+
+
+# ------------------------------------------------------ round trips
+
+bounded = st.floats(min_value=-1e300, max_value=1e300)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+optional = st.none() | finite
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=bounded, stop=bounded, steps=st.integers(1, 10**6))
+def test_grid_spec_parse_round_trip(start, stop, steps):
+    if steps == 1:
+        assert GridSpec.parse(repr(start)) == GridSpec.single(start)
+        return
+    assume(start < stop)
+    assert GridSpec.parse(f"{start!r}:{stop!r}:{steps}") == GridSpec(start, stop, steps)
+
+
+output_rows = st.builds(
+    OutputRow,
+    theta=finite,
+    theta2=optional,
+    pair_left=st.integers(1, 10**6),
+    pair_right=st.integers(1, 10**6),
+    concurrence_numeric=finite,
+    concurrence_analytic=optional,
+    abs_error=optional,
+    postselect_outcome=st.none() | st.sampled_from([0, 1]),
+    postselect_probability=optional,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(output_rows, max_size=8))
+def test_csv_round_trip_random_rows(rows):
+    assert rows_from_csv_text(rows_to_csv_text(rows)) == rows
+
+
+OPTIONAL_COLUMNS = {
+    "theta2", "concurrence_analytic", "abs_error", "postselect_outcome",
+    "postselect_probability",
+}
+
+
+def test_csv_empty_field_is_none_only_in_optional_columns():
+    row = OutputRow(0.5, 0.25, 1, 2, 0.125, 0.375, 0.25, 0, 0.75)
+    header, line = rows_to_csv_text([row]).splitlines()
+    for k, column in enumerate(fields(OutputRow)):
+        parts = line.split(",")
+        parts[k] = ""
+        text = f"{header}\n{','.join(parts)}\n"
+        if column.name in OPTIONAL_COLUMNS:
+            assert rows_from_csv_text(text) == [replace(row, **{column.name: None})]
+        else:
+            with pytest.raises(ValueError):
+                rows_from_csv_text(text)
