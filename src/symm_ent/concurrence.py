@@ -4,7 +4,7 @@ The spectrum of rho * rho_tilde is real and non-negative, and the
 concurrence needs its square roots. Extracting them from eigenvalues loses
 half the working precision wherever the spectrum touches zero (sqrt of a
 1e-16 eigenvalue is 1e-8), and the states this package produces sit exactly
-there. Instead the general path factors rho = L L^dag, forms the complex
+there. Instead the general path factors rho = L L^dag, forms the
 symmetric matrix B = L^T (sigma_y x sigma_y) L, and reads the square roots
 off as the singular values of B: the nonzero eigenvalues of rho * rho_tilde
 equal those of B^dag B, so sqrt(lambda_i) = sigma_i(B) exactly, with no
@@ -16,6 +16,11 @@ this package produces.
 call: one stacked eigendecomposition, then one stacked product and SVD per
 kept rank. Every stacked value is bitwise equal to the one-matrix call,
 which is the same code applied to a stack of one.
+
+Real in, real out: sigma_y x sigma_y is real (its two factors of i cancel),
+so for a real rho the factor L, the product B and their factorizations are
+all real, and the whole score runs in float64. Every pair RDM the protocols
+produce is real. A complex rho is scored in complex128 by the same code.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import first_flagged, hermitian_eigs
+from .linalg import as_float, first_flagged, hermitian_eigs
 
 # rho itself may carry eigenvalues this far below zero from upstream roundoff
 DM_TOL = 1e-10
@@ -39,8 +44,11 @@ _SY_SY = np.array(
         [0, 1, 0, 0],
         [-1, 0, 0, 0],
     ],
-    dtype=complex,
+    dtype=float,
 )
+
+# the diagonal and anti-diagonal, the entries an X state may have nonzero
+_X_PATTERN = (np.eye(4) + np.eye(4)[::-1]) > 0
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,7 @@ class XStateParams:
 def _validate_density_matrices(rho) -> tuple[np.ndarray, tuple[int, ...]]:
     """Check a 4x4 matrix or a (..., 4, 4) stack; returns it flattened to
     (n, 4, 4), together with its stack shape."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = as_float(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(
             f"expected a 4x4 density matrix or a (..., 4, 4) stack, got shape {rho.shape}"
@@ -135,38 +143,20 @@ def extract_xstate(rho, tol: float = 1e-10) -> XStateParams:
     """Read the six defining entries off an X-shaped density matrix.
 
     Every entry outside the diagonal and anti-diagonal must have magnitude at
-    most ``tol``, and the anti-diagonal entries must be real within ``tol``;
+    most ``tol``, and every entry on them must be real within ``tol``;
     otherwise the matrix is rejected.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = as_float(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    mask = np.ones((4, 4), dtype=bool)
-    for k in range(4):
-        mask[k, k] = False
-        mask[k, 3 - k] = False
-    stray = float(np.max(np.abs(rho[mask])))
+    stray = float(np.abs(rho[~_X_PATTERN]).max())
     if stray > tol:
         raise ValueError(f"not an X state: off-pattern entry of magnitude {stray:.3e}")
-    imag_dev = float(
-        max(
-            np.max(np.abs(np.diag(rho).imag)),
-            abs(rho[0, 3].imag),
-            abs(rho[1, 2].imag),
-            abs(rho[2, 1].imag),
-            abs(rho[3, 0].imag),
-        )
-    )
+    imag_dev = float(np.abs(rho[_X_PATTERN].imag).max())
     if imag_dev > tol:
         raise ValueError(f"not an X state: complex entry with imaginary part {imag_dev:.3e}")
-    return XStateParams(
-        x=float(rho[0, 0].real),
-        y=float(rho[1, 1].real),
-        z=float(rho[2, 2].real),
-        w=float(rho[3, 3].real),
-        u=float(rho[0, 3].real),
-        delta=float(rho[1, 2].real),
-    )
+    x, y, z, w = rho.diagonal().real.tolist()
+    return XStateParams(x, y, z, w, u=float(rho[0, 3].real), delta=float(rho[1, 2].real))
 
 
 def _validate_xstate(p: XStateParams) -> None:

@@ -75,8 +75,7 @@ def _x_matrix(x: float, y: float, z: float, w: float, u: float, delta: float) ->
             [0.0, y, delta, 0.0],
             [0.0, delta, z, 0.0],
             [u, 0.0, 0.0, w],
-        ],
-        dtype=complex,
+        ]
     )
 
 

@@ -1,4 +1,4 @@
-"""Dense complex linear-algebra kernels shared by the simulation modules.
+"""Dense linear-algebra kernels shared by the simulation modules.
 
 Only two factorizations are needed anywhere in this package: a truncated
 singular value decomposition (splitting two-site blocks, compressing bonds)
@@ -7,6 +7,13 @@ that reaches these routines is small, a few hundred rows at the very most,
 so explicit validation and deterministic behavior win over asymptotics.
 Each routine also takes a stack of matrices, one per grid point of a
 sweep, and handles it in one call.
+
+Real in, real out: every routine works in the kind of its input, so a real
+matrix is factored in real LAPACK and only a complex one in complex
+arithmetic. ``as_float`` is the one promotion rule: int, bool and float
+become float64, complex becomes complex128. Every protocol gate is real, so
+a protocol run stays float64 from the first gate to the concurrence; a
+complex gate promotes what it touches through numpy's own type promotion.
 """
 
 from __future__ import annotations
@@ -56,8 +63,15 @@ def first_flagged(bad: np.ndarray, stack_shape: tuple[int, ...]) -> tuple[int, s
     return flat, f" at stack index {index[0] if len(index) == 1 else index}"
 
 
+def as_float(values) -> np.ndarray:
+    """``values`` as a float64 array, or a complex128 one when complex; an
+    array already of that dtype is returned as it is."""
+    arr = np.asarray(values)
+    return arr.astype(np.result_type(arr, np.float64), copy=False)
+
+
 def _as_matrix(matrix, stacked: bool = False) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=complex)
+    arr = as_float(matrix)
     if arr.ndim < 2 or (arr.ndim > 2 and not stacked) or 0 in arr.shape[-2:]:
         kind = "matrix or a stack of them" if stacked else "matrix"
         raise ValueError(f"expected a non-empty 2-d {kind}, got shape {arr.shape}")

@@ -42,6 +42,12 @@ reads one grid point of a stacked state per call, after moving the shared
 center once for all of them. ``discarded_weight`` holds each point's
 total, and ``discarded_weight_total`` is the largest of them.
 
+Real in, real out: the product state starts as float64 and every protocol
+gate is real, so a protocol run keeps float64 tensors throughout. The
+public gate methods also take complex gates; the tensors a complex gate
+touches are promoted to complex128 by numpy's own type promotion, and the
+rest stay as they are.
+
 Instances are mutated in place by gates and sweeps; distinct sweeps must own
 distinct instances.
 """
@@ -85,7 +91,7 @@ class MatrixProductState:
         """Product state |0...0> with all bonds of dimension 1, center at site 1."""
         if n_qubits < 2:
             raise ValueError(f"MPS backend needs at least 2 qubits, got {n_qubits}")
-        zero = np.zeros((1, 2, 1), dtype=complex)
+        zero = np.zeros((1, 2, 1))
         zero[0, 0, 0] = 1.0
         self.n_qubits = n_qubits
         self.tensors = [zero.copy() for _ in range(n_qubits)]

@@ -99,7 +99,7 @@ def rotation_matrix(theta: Angle) -> np.ndarray:
     half = np.asarray(theta, dtype=float) / 2.0
     a = np.sin(half)
     b = np.cos(half)
-    return np.stack([np.stack([a, b], -1), np.stack([b, -a], -1)], -2).astype(complex)
+    return np.stack([np.stack([a, b], -1), np.stack([b, -a], -1)], -2)
 
 
 def cx_matrix(control_first: bool = True) -> np.ndarray:
@@ -107,7 +107,7 @@ def cx_matrix(control_first: bool = True) -> np.ndarray:
 
     ``control_first`` selects whether the left or the right site controls.
     """
-    m = np.zeros((4, 4), dtype=complex)
+    m = np.zeros((4, 4))
     # column -> row permutation of basis states 00, 01, 10, 11
     order = (0, 1, 3, 2) if control_first else (0, 3, 2, 1)
     for col, row in enumerate(order):

@@ -5,13 +5,18 @@ amplitude vector, and reduced density matrices are obtained by tracing the
 complete environment, so it is hard-capped at 12 qubits. Site 1 is the most
 significant bit of the basis index (basis index = sum_i q_i * 2**(n - i)).
 States are immutable; every operation returns a new instance.
+
+Real in, real out: ``zeros`` is float64 and real amplitudes stay real, so
+the protocol circuits, whose gates are all real, run in float64 to the last
+pair RDM. A complex gate or complex amplitudes make the state complex128
+(the promotion rule is ``linalg.as_float``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import require_unitary
+from .linalg import as_float, require_unitary
 from .protocols import Circuit, ControlledNot, Rotation, rotation_matrix
 
 MAX_QUBITS = 12
@@ -26,7 +31,7 @@ class StateVector:
             raise ValueError(
                 f"statevector backend supports 1..{MAX_QUBITS} qubits, got {n_qubits}"
             )
-        amps = np.array(amplitudes, dtype=complex)
+        amps = as_float(amplitudes).copy()
         if amps.shape != (2**n_qubits,):
             raise ValueError(
                 f"amplitude vector must have length {2**n_qubits}, got shape {amps.shape}"
@@ -42,7 +47,7 @@ class StateVector:
             raise ValueError(
                 f"statevector backend supports 1..{MAX_QUBITS} qubits, got {n_qubits}"
             )
-        amps = np.zeros(2**n_qubits, dtype=complex)
+        amps = np.zeros(2**n_qubits)
         amps[0] = 1.0
         return cls(n_qubits, amps)
 

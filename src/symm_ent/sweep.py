@@ -47,6 +47,8 @@ CONCURRENCE_THRESHOLD = 1e-10
 DISCARDED_WEIGHT_LIMIT = 1e-14
 # post-selection branches below this probability are skipped by sweeps
 BRANCH_PROBABILITY_FLOOR = 1e-9
+# a check with no grid point left checked nothing, so it fails with this line
+NOTHING_CHECKED = f"  no grid point has a post-selected branch >= {BRANCH_PROBABILITY_FLOOR:.0e}"
 # grid points the MPS backend runs as one stacked circuit. Over a 1024-point
 # grid at blocks of 16 / 64 / 256 / 1024 (2-vCPU x86 host, one BLAS thread),
 # wall s and peak RSS MB were: 60-qubit linear bulk-center sweep 1.06 / 0.58 /
@@ -491,7 +493,11 @@ def run_sweep(config: SweepConfig) -> list[OutputRow]:
 
 
 def run_compare(config: SweepConfig, threshold: float = COMPARE_THRESHOLD) -> CompareReport:
-    """Compare swept concurrences against their closed forms, per family."""
+    """Compare swept concurrences against their closed forms, per family.
+
+    A comparison whose every grid point was skipped (no post-selected branch
+    exists) checked nothing and fails.
+    """
     plan = _plan(config)
     missing = [pair for pair, family in zip(plan.pairs, plan.families) if family is None]
     if missing:
@@ -522,7 +528,7 @@ def run_compare(config: SweepConfig, threshold: float = COMPARE_THRESHOLD) -> Co
     return CompareReport(
         families=tuple(comparisons),
         threshold=threshold,
-        passed=all(c.passed for c in comparisons),
+        passed=bool(comparisons) and all(c.passed for c in comparisons),
         rows=tuple(rows),
     )
 
@@ -534,7 +540,8 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
     post-selection probability deviation, and accumulated MPS discarded
     weight over the grid points whose branch the statevector finds alive.
     The MPS runs each block of grid points as one stacked circuit; the
-    statevector runs one point at a time.
+    statevector runs one point at a time. A check that found no grid point
+    alive checked nothing and fails.
     """
     plan = _plan(config)
     config = plan.config
@@ -550,8 +557,10 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
         stacked_at = {index: k for k, index in enumerate(alive.tolist())}
         if state is not None:
             max_weight = max(max_weight, state.discarded_weight_total)
-            # filled in place: a list of the stacks would double the peak memory
-            mps_rdms = np.empty((len(plan.pairs), alive.size, 4, 4), dtype=complex)
+            # filled in place (a list of the stacks would double the peak memory),
+            # in the state's dtype so real RDMs are scored in real arithmetic
+            dtype = np.result_type(*state.tensors)
+            mps_rdms = np.empty((len(plan.pairs), alive.size, 4, 4), dtype)
             for rdms, pair in zip(mps_rdms, plan.pairs):
                 rdms[...] = _pair_rdms(state, pair)
             mps_scores = np.array([wootters_concurrence(rdms) for rdms in mps_rdms])
@@ -573,7 +582,7 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
             max_rdm = max(max_rdm, float(np.max(np.abs(sv_rdms - mps_rdms[:, k]))))
             sv_scores = wootters_concurrence(sv_rdms)
             max_conc = max(max_conc, float(np.max(np.abs(sv_scores - mps_scores[:, k]))))
-    passed = (
+    passed = n_checked > 0 and (
         max_rdm <= RDM_THRESHOLD
         and max_conc <= CONCURRENCE_THRESHOLD
         and max_prob <= RDM_THRESHOLD
@@ -669,6 +678,8 @@ def render_compare(report: CompareReport) -> str:
             f"  {status}  {c.family}: max |err| = {c.max_abs_error:.3e} at {where} "
             f"({c.n_rows} rows)"
         )
+    if not report.families:
+        lines.append(NOTHING_CHECKED)
     lines.append("result: " + ("PASS" if report.passed else "FAIL"))
     return "\n".join(lines)
 
@@ -685,6 +696,7 @@ def render_oracle(report: OracleReport) -> str:
             f"  max probability deviation:  {report.max_probability_deviation:.3e}",
             f"  max MPS discarded weight:   {report.max_discarded_weight:.3e} "
             f"(limit {DISCARDED_WEIGHT_LIMIT:.0e})",
+            *([NOTHING_CHECKED] if report.n_points == 0 else []),
             f"result: {status}",
         ]
     )

@@ -119,17 +119,19 @@ def one_matrix_wootters(rho: np.ndarray) -> float:
     The reference for the stacked concurrence layer: the same arithmetic in
     the same order (symmetrized eigh, eigenvalues above 1e-14 kept, singular
     values of L^T (sigma_y x sigma_y) L), applied to a single matrix, so the
-    stacked values must match it bit for bit. Input validation is left to
-    the library.
+    stacked values must match it bit for bit. Like the library it works in
+    the kind of its input: float64 for a real matrix, complex128 for a
+    complex one. Input validation is left to the library.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho)
+    rho = rho.astype(np.result_type(rho, np.float64))
     vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
     keep = vals > 1e-14
     factor = vecs[:, keep] * np.sqrt(vals[keep])
     if factor.shape[1] == 0:
         return 0.0
     sy_sy = np.array(
-        [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
+        [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float
     )
     roots = np.zeros(4)
     sigma = np.linalg.svd(factor.T @ sy_sy @ factor, compute_uv=False)

@@ -210,6 +210,65 @@ def test_stacked_concurrence_is_bitwise_the_one_matrix_call(kinds, seed, two_dim
     assert _same_bits(stacked, reference)
 
 
+def _real_stack_member(kind: str, rng: np.random.Generator) -> np.ndarray:
+    """A real density matrix of the given kind: every pair RDM of the
+    protocols is one."""
+    if kind in ("x", "diagonal"):
+        return _stack_member(kind, rng).real
+    if kind == "product":
+        left, right = rotation_matrix(rng.uniform(0, 2 * np.pi, size=2))
+        u = np.kron(left, right)
+        return np.outer(u[:, 0], u[:, 0])
+    rank = 1 if kind == "pure" else int(kind[-1])
+    g = rng.normal(size=(4, rank))
+    rho = g @ g.T
+    return rho / np.trace(rho)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(STACK_KINDS), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    two_dims=st.booleans(),
+)
+def test_real_stacked_concurrence_is_bitwise_the_one_matrix_call(kinds, seed, two_dims):
+    rng = np.random.default_rng(seed)
+    stack = np.array([_real_stack_member(kind, rng) for kind in kinds])
+    assert stack.dtype == np.float64
+    if two_dims and len(kinds) % 2 == 0:
+        stack = stack.reshape(2, -1, 4, 4)
+    stacked = wootters_concurrence(stack)
+    flat = stack.reshape(-1, 4, 4)
+    one_by_one = np.array([wootters_concurrence(rho) for rho in flat]).reshape(stack.shape[:-2])
+    reference = np.array([one_matrix_wootters(rho) for rho in flat]).reshape(stack.shape[:-2])
+    assert _same_bits(stacked, one_by_one)
+    assert _same_bits(stacked, reference)
+    # the complex route to the same matrices gives the same values up to roundoff
+    assert np.abs(stacked - wootters_concurrence(stack.astype(complex))).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "given, kept", [(np.float64, np.float64), (np.int64, np.float64), (np.complex128, np.complex128)]
+)
+def test_concurrence_works_in_the_kind_of_its_input(monkeypatch, given, kept):
+    import symm_ent.concurrence
+
+    seen = []
+    eigs, svd = symm_ent.concurrence.hermitian_eigs, np.linalg.svd
+    monkeypatch.setattr(
+        symm_ent.concurrence, "hermitian_eigs", lambda m: seen.append(m.dtype) or eigs(m)
+    )
+    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: seen.append(m.dtype) or svd(m, **kw))
+    product = np.diag([1, 0, 0, 0]).astype(given)
+    bell = np.zeros((4, 4), dtype=given)
+    bell[::3, ::3] = 1
+    assert wootters_concurrence(product) == 0.0
+    assert seen == [kept, kept]
+    assert abs(wootters_concurrence(bell.astype(kept) / 2) - 1.0) < 1e-12
+    assert seen[2:] == [kept, kept]
+    assert extract_xstate(bell / 2) == XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
+
+
 def test_stack_shapes(rng):
     rho = random_density_matrix(rng)
     assert type(wootters_concurrence(rho)) is float

@@ -18,51 +18,51 @@ GRID = "0:6.283185307179586:9"
 GOLDEN = [
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "1", "--n", "6", "--theta", GRID),
-        "fd29752d92ad32e1a60bbd665099b7653b15e8e930255e01a635ee24bc3a88c5",
+        "85b22df21a6de3046655f99102a1e98c7994c2c6c12cb5fbb2efbd2acce50443",
         id="linear-case1",
     ),
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "2", "--n", "7", "--theta", GRID,
          "--backend", "mps"),
-        "21964461b0d2e1cfc39eee501d25d78d165120a55cac44e696b2e5dc8fa9f229",
+        "e93d3d8b06d20930378e9e5beeb07a468fade6f5eac8d6fcfe2f2200c28da515",
         id="linear-case2-mps",
     ),
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "3", "--n", "6", "--theta", GRID),
-        "fbe4a33e7ef1062cf97903e6996b621db7eb35f771a1ae8b1109556ad4735bd3",
+        "c17a18f1b2a3f56aa91e9b3d274f9195c4123d20bef0768bb33ecc8b95d8a08e",
         id="linear-case3",
     ),
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "4", "--n", "8", "--theta", GRID,
          "--backend", "mps"),
-        "2156739767eb353773e5e9f161bf20021a18800ec6b18252f511d68222f74310",
+        "de600961781835582f1ac1e4a28da7876b642dc177f12a3b602fdaf27d455ee2",
         id="linear-case4-mps",
     ),
     pytest.param(
         ("sweep", "--protocol", "periodic", "--n", "8", "--theta", GRID,
          "--theta2-offset", "0.4", "--backend", "mps"),
-        "f45a76ee3981dd9a55f0a43ed0517d9972f7d5d8852eb5476d4628c539d4feb6",
+        "5b6e1e6586c1a6fe226f3af7f4d48d50aa30335da4f33e590f20e6658041c35b",
         id="periodic-offset-mps",
     ),
     pytest.param(
         ("sweep", "--protocol", "star", "--n-outer", "4", "--theta", GRID),
-        "88e57665cb168a8302528c87d0a79732d62d30e07ded7abd4757c530492d2eb7",
+        "fc267c937467b9993c9a9c5e668612899cef574f19db84f653d04284cf2139cd",
         id="star",
     ),
     pytest.param(
         ("sweep", "--protocol", "star", "--n-outer", "4", "--theta", GRID, "--postselect", "1"),
-        "04de7885b403d77043a858f3b54aedbed9d23c933b4bce660c4abf57bd8be764",
+        "6fc776343b01d88dcc3aba52bd42826a0a6c26dcd94a60f96df0bac4ef105fdc",
         id="star-postselect1",
     ),
     pytest.param(
         ("compare", "--protocol", "linear", "--n", "8", "--theta", GRID),
-        "1680f12e3ab52a54a708f3440560ccff9a8d4c9470ec666a4ed53fadb05acc05",
+        "2d6428f6e33f9e8aec4e1cd930c4123cdd0e9f2a6ea99b3fb676e23664927e5a",
         id="compare-linear",
     ),
     pytest.param(
         ("oracle-check", "--protocol", "star", "--n-outer", "3", "--theta", GRID,
          "--postselect", "0"),
-        "161253efeb3a46245a9cbd1187bddcc3f752cdf9b278922380bf4798d18fcb05",
+        "f6d94cf85cdd327e7b63210ac1cb2c9dffabf1afa876b03825ff45c0d4a593d2",
         id="oracle-check-star-postselect0",
     ),
 ]

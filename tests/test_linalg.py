@@ -170,3 +170,41 @@ def test_require_unitary_checks_a_stack_and_names_the_bad_gate():
         require_unitary(stack, 2)
     with pytest.raises(ValueError, match="must be 4x4"):
         require_unitary(np.stack([np.eye(2)] * 2), 4)
+
+
+# input kind -> working kind: real stays real, complex stays complex, and
+# int, bool and single precision become double precision
+KINDS = [
+    (np.float64, np.float64),
+    (np.float32, np.float64),
+    (np.int64, np.float64),
+    (np.bool_, np.float64),
+    (np.complex128, np.complex128),
+    (np.complex64, np.complex128),
+]
+
+
+@pytest.mark.parametrize("given, kept", KINDS)
+def test_kernels_work_in_the_kind_of_their_input(rng, given, kept):
+    from symm_ent.linalg import require_unitary
+
+    ints = rng.integers(-3, 4, size=(3, 4, 4))
+    if np.issubdtype(given, np.complexfloating):
+        ints = ints + 1j * rng.integers(-3, 4, size=(3, 4, 4))
+    m = ints.astype(given)
+    res = svd_truncate(m, max_rank=4)
+    assert res.left_isometry.dtype == kept and res.right_isometry_dag.dtype == kept
+    assert res.singular_values.dtype == np.float64
+    rebuilt = (res.left_isometry * res.singular_values[..., None, :]) @ res.right_isometry_dag
+    assert np.abs(rebuilt - m).max() < 1e-12
+
+    hermitian = (m + m.conj().swapaxes(-1, -2)).astype(given)
+    vals, vecs = hermitian_eigs(hermitian)
+    assert vals.dtype == np.float64 and vecs.dtype == kept
+    rebuilt = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    assert np.abs(rebuilt - hermitian).max() < 1e-12
+
+    swap = np.array([[0, 1], [1, 0]]).astype(given)
+    assert require_unitary(swap, 2).dtype == kept
+    assert require_unitary(np.stack([swap] * 3), 2).dtype == kept
+

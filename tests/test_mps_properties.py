@@ -6,12 +6,16 @@ any site order, and center moves across bonds of dimension 1 mixed with
 moves across entangled bonds.
 """
 
+from dataclasses import replace
+from itertools import groupby
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symm_ent.mps
+import symm_ent.sweep
 from symm_ent import (
     Circuit,
     ControlledNot,
@@ -23,7 +27,10 @@ from symm_ent import (
     build_star,
     cx_matrix,
     rotation_matrix,
+    run_oracle_check,
+    run_sweep,
 )
+from symm_ent.sweep import GridSpec, SweepConfig
 
 
 @st.composite
@@ -181,3 +188,100 @@ def test_stacked_long_chain_matches_scalar_runs():
     _assert_stacked_matches_scalar(
         lambda t, t2: build_linear(60, 4, t), 60, points, None, pairs
     )
+
+
+# ------------------------------------------ dtype: real in, real out
+
+def _rz(t: float) -> np.ndarray:
+    return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+
+
+def _complex_unitary(angles) -> np.ndarray:
+    """e^(i alpha) Rz(beta) Ry(gamma) Rz(delta): a complex128 single-qubit unitary."""
+    alpha, beta, gamma, delta = angles
+    c, s = np.cos(gamma / 2), np.sin(gamma / 2)
+    return np.exp(1j * alpha) * _rz(beta) @ np.array([[c, -s], [s, c]]) @ _rz(delta)
+
+
+@st.composite
+def mixed_circuits(draw):
+    """A qubit count and ops: protocol gates, or ``(site, U)`` for a random
+    complex single-qubit unitary U."""
+    n = draw(st.integers(3, 7))
+    site = st.integers(1, n)
+    angle = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+    rotation = st.builds(Rotation, site, angle)
+    cx = st.tuples(site, site).filter(lambda p: p[0] != p[1]).map(lambda p: ControlledNot(*p))
+    unitary = st.tuples(site, st.tuples(angle, angle, angle, angle).map(_complex_unitary))
+    gate = st.one_of(rotation, cx, unitary) if draw(st.booleans()) else st.one_of(rotation, cx)
+    return n, draw(st.lists(gate, min_size=1, max_size=20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_circuits())
+def test_dtype_follows_the_gates(case):
+    n, ops = case
+    mps, sv = MatrixProductState(n), StateVector.zeros(n)
+    # runs of protocol gates go through run_circuit, complex gates through apply_1q
+    for is_unitary, run in groupby(ops, key=lambda op: isinstance(op, tuple)):
+        if is_unitary:
+            for site, gate in run:
+                mps.apply_1q(gate, site)
+                sv = sv.apply_1q(gate, site)
+        else:
+            circuit = Circuit(n, tuple(run))
+            mps.run_circuit(circuit)
+            sv = sv.run_circuit(circuit)
+    kind = np.complex128 if any(isinstance(op, tuple) for op in ops) else np.float64
+    amplitudes = mps.to_statevector().amplitudes
+    assert amplitudes.dtype == kind and sv.amplitudes.dtype == kind
+    assert np.result_type(*mps.tensors) == kind
+    assert np.abs(amplitudes - sv.amplitudes).max() <= 1e-12
+    assert mps.canonical_deviation() <= 1e-12
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            exact = sv.pair_rdm(i, j)
+            assert exact.dtype == kind
+            assert np.abs(mps.pair_rdm(i, j) - exact).max() <= 1e-12
+    if kind is np.float64:
+        assert all(t.dtype == np.float64 for t in mps.tensors)
+        assert mps.pair_rdm(1, n).dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SweepConfig(protocol="star", theta=GridSpec(0.0, 2 * np.pi, 9), n_outer=4),
+        *(
+            SweepConfig(protocol="star", theta=GridSpec(0.0, 2 * np.pi, 9), n_outer=4,
+                        postselect=outcome)
+            for outcome in (0, 1)
+        ),
+        *(
+            SweepConfig(protocol="linear", theta=GridSpec(0.0, 2 * np.pi, 9), n=8, case=case)
+            for case in (1, 2, 3, 4)
+        ),
+        SweepConfig(protocol="periodic", theta=GridSpec(0.0, 2 * np.pi, 5), n=8,
+                    theta2=GridSpec(0.3, 2.0, 3)),
+    ],
+    ids=["star", "star-0", "star-1", "case1", "case2", "case3", "case4", "periodic"],
+)
+def test_stacked_protocol_runs_stay_float64(monkeypatch, config):
+    """Every stacked state, pair-RDM stack and concurrence input of an MPS
+    sweep or oracle check of a protocol is float64."""
+    seen = []
+    pair_rdms, score = symm_ent.sweep._pair_rdms, symm_ent.sweep.wootters_concurrence
+
+    def recording_pair_rdms(state, pair):
+        seen.extend(t.dtype for t in state.tensors)
+        return pair_rdms(state, pair)
+
+    def recording_score(rho):
+        seen.append(np.asarray(rho).dtype)
+        return score(rho)
+
+    monkeypatch.setattr(symm_ent.sweep, "_pair_rdms", recording_pair_rdms)
+    monkeypatch.setattr(symm_ent.sweep, "wootters_concurrence", recording_score)
+    assert run_sweep(replace(config, backend="mps"))
+    assert run_oracle_check(config).passed
+    assert seen and set(seen) == {np.dtype(np.float64)}

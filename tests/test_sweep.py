@@ -329,6 +329,24 @@ def test_cli_compare_pass_and_fail_exit_codes():
     assert bad.returncode == 2  # uncovered pairs is a usage error
 
 
+@pytest.mark.parametrize("command", ["compare", "oracle-check"])
+@pytest.mark.parametrize("theta", ["0", f"{TWO_PI}"])
+def test_cli_check_that_checked_no_grid_point_fails(command, theta):
+    # the outcome-0 branch of the star is dead at theta = 0 and 2 pi
+    args = [command, "--protocol", "star", "--n-outer", "3", "--theta", theta, "--postselect", "0"]
+    result = CliRunner().invoke(symm_ent.cli.main, args)
+    assert result.exit_code == 1, result.output
+    assert "PASS" not in result.stdout
+    assert result.stdout.endswith(
+        "  no grid point has a post-selected branch >= 1e-09\nresult: FAIL\n"
+    )
+    config = SweepConfig(protocol="star", theta=GridSpec.parse(theta), n_outer=3, postselect=0)
+    compared = run_compare(config)
+    assert not compared.passed and not compared.families
+    report = run_oracle_check(config)
+    assert report.n_points == 0 and not report.passed
+
+
 def test_cli_oracle_check_runs():
     result = run_cli(
         "oracle-check", "--protocol", "periodic", "--n", "6",
