@@ -6,6 +6,17 @@ complete environment, so it is hard-capped at 12 qubits. Site 1 is the most
 significant bit of the basis index (basis index = sum_i q_i * 2**(n - i)).
 States are immutable; every operation returns a new instance.
 
+A state can also hold one amplitude vector per point of an angle grid, like
+``MatrixProductState``. Running a circuit whose rotations carry angle tuples
+(see ``protocols``) gives the amplitudes a leading grid axis, shape
+``(P, 2**n)``, and each gate acts on all P vectors in one numpy call; the
+``grid`` attribute holds P (None for a single-point state, whose amplitudes
+have shape ``(2**n,)``). Both run through the same code. On a stacked state
+``single_rdm`` and ``pair_rdm`` return ``(P, 2, 2)`` and ``(P, 4, 4)``
+stacks and ``postselect`` one probability per point, each point bitwise
+equal to its own single-point run. A stack costs P * 2**n amplitudes of
+memory, so callers bound P (``sweep`` caps a block at 2**15 amplitudes).
+
 Real in, real out: ``zeros`` is float64 and real amplitudes stay real, so
 the protocol circuits, whose gates are all real, run in float64 to the last
 pair RDM. A complex gate or complex amplitudes make the state complex128
@@ -16,37 +27,49 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_float, require_unitary
+from .linalg import as_float, first_flagged, require_unitary
 from .protocols import Circuit, ControlledNot, Rotation, rotation_matrix
 
 MAX_QUBITS = 12
 ZERO_PROBABILITY = 1e-14
 
 
+def _check_size(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"statevector backend supports 1..{MAX_QUBITS} qubits, got {n_qubits}")
+
+
 class StateVector:
-    __slots__ = ("n_qubits", "amplitudes")
+    __slots__ = ("n_qubits", "amplitudes", "grid")
 
     def __init__(self, n_qubits: int, amplitudes):
-        if not 1 <= n_qubits <= MAX_QUBITS:
-            raise ValueError(
-                f"statevector backend supports 1..{MAX_QUBITS} qubits, got {n_qubits}"
-            )
+        """``amplitudes`` is one vector of length 2**n_qubits, or a ``(P, 2**n_qubits)``
+        stack of them, one per grid point."""
+        _check_size(n_qubits)
         amps = as_float(amplitudes).copy()
-        if amps.shape != (2**n_qubits,):
+        if amps.shape[-1:] != (2**n_qubits,) or amps.ndim > 2 or amps.size == 0:
             raise ValueError(
-                f"amplitude vector must have length {2**n_qubits}, got shape {amps.shape}"
+                f"amplitudes must have shape ({2**n_qubits},) or (P, {2**n_qubits}) with "
+                f"P >= 1, got shape {amps.shape}"
             )
+        self._own(n_qubits, amps)
+
+    def _own(self, n_qubits: int, amps: np.ndarray) -> "StateVector":
+        """Take ``amps``, a valid array no one else holds, as this state's amplitudes."""
         amps.setflags(write=False)
         self.n_qubits = n_qubits
         self.amplitudes = amps
+        self.grid: int | None = amps.shape[0] if amps.ndim == 2 else None
+        return self
+
+    def _new(self, amps: np.ndarray) -> "StateVector":
+        """A state of the same register holding ``amps``, freshly computed, uncopied."""
+        return StateVector.__new__(StateVector)._own(self.n_qubits, amps)
 
     @classmethod
     def zeros(cls, n_qubits: int) -> "StateVector":
         """All qubits in |0>."""
-        if not 1 <= n_qubits <= MAX_QUBITS:
-            raise ValueError(
-                f"statevector backend supports 1..{MAX_QUBITS} qubits, got {n_qubits}"
-            )
+        _check_size(n_qubits)
         amps = np.zeros(2**n_qubits)
         amps[0] = 1.0
         return cls(n_qubits, amps)
@@ -55,23 +78,54 @@ class StateVector:
         if not 1 <= site <= self.n_qubits:
             raise ValueError(f"{label} {site} outside 1..{self.n_qubits}")
 
-    def _grid(self) -> np.ndarray:
-        return self.amplitudes.reshape((2,) * self.n_qubits)
+    def _lead(self) -> tuple[int, ...]:
+        """The grid axis, ``(P,)``, or ``()`` for a single-point state."""
+        return self.amplitudes.shape[:-1]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def _grid(self) -> np.ndarray:
+        return self.amplitudes.reshape(self._lead() + (2,) * self.n_qubits)
+
+    def _stacked(self, grid: int | None) -> "StateVector":
+        """This state repeated over ``grid`` points; itself for None or the
+        grid it already has."""
+        if grid is None or grid == self.grid:
+            return self
+        if self.grid is not None:
+            raise ValueError(f"gates carry {grid} grid points, the state stacks {self.grid}")
+        repeated = np.broadcast_to(self.amplitudes, (grid,) + self.amplitudes.shape)
+        return StateVector(self.n_qubits, repeated)
+
+    def norm(self) -> float | np.ndarray:
+        """Norm of the state; one per grid point for a stacked state."""
+        if self.grid is None:
+            return float(np.linalg.norm(self.amplitudes))
+        return np.linalg.norm(self.amplitudes, axis=-1)
 
     def apply_1q(self, gate, site: int) -> "StateVector":
-        """Apply a 2x2 unitary to ``site``; only amplitudes differing in that bit mix."""
+        """Apply a 2x2 unitary to ``site``; only amplitudes differing in that bit mix.
+
+        One gate acts on every grid point of a stacked state.
+        """
         g = require_unitary(gate, 2)
+        if g.ndim != 2:
+            raise ValueError(
+                f"gate must be one 2x2 matrix, got shape {g.shape}; run a circuit with "
+                "angle tuples to apply one gate per grid point"
+            )
         self._check_site(site)
         return self._apply_1q(g, site)
 
     def _apply_1q(self, g: np.ndarray, site: int) -> "StateVector":
-        axis = site - 1
-        out = np.tensordot(g, self._grid(), axes=([1], [axis]))
-        out = np.moveaxis(out, 0, axis)
-        return StateVector(self.n_qubits, out.ravel())
+        """``g`` is one 2x2 gate or a ``(P, 2, 2)`` stack, one per grid point."""
+        psi = self.amplitudes.reshape(self._lead() + (2 ** (site - 1), 2, -1))
+        if site < self.n_qubits:
+            out = g[..., None, :, :] @ psi
+        else:
+            # the last site is the fastest index: one (2**(n-1), 2) @ g^T product per
+            # point, which rounds as the tensor contraction does (and 2**(n-1)
+            # matrix-vector products would not)
+            out = psi[..., 0] @ g.swapaxes(-1, -2)
+        return self._new(out.reshape(self._lead() + (-1,)))
 
     def apply_cx(self, control: int, target: int) -> "StateVector":
         """Flip ``target`` on the branch where ``control`` is 1."""
@@ -79,36 +133,40 @@ class StateVector:
         self._check_site(target, "target")
         if control == target:
             raise ValueError("control and target must differ")
-        psi = self._grid().copy()
-        c_ax, t_ax = control - 1, target - 1
-        sel: list = [slice(None)] * self.n_qubits
-        sel[c_ax] = 1
-        sel = tuple(sel)
+        psi = self._grid()
+        lead = len(self._lead())
+        c_ax, t_ax = lead + control - 1, lead + target - 1
+        sel = (slice(None),) * c_ax + (1,)
         # after fixing the control axis, later axes shift down by one
         flip_ax = t_ax if t_ax < c_ax else t_ax - 1
-        psi[sel] = np.flip(psi[sel], axis=flip_ax)
-        return StateVector(self.n_qubits, psi.ravel())
+        out = psi.copy()
+        out[sel] = np.flip(psi[sel], axis=flip_ax)
+        return self._new(out.reshape(self._lead() + (-1,)))
+
+    def keep_points(self, points) -> "StateVector":
+        """The state of the grid points at the indices ``points``, in that order."""
+        if self.grid is None:
+            raise ValueError("keep_points needs a grid-stacked state")
+        points = np.asarray(points, dtype=int)
+        if points.ndim != 1 or points.size == 0:
+            raise ValueError(f"keep_points needs a non-empty 1-d index array, got {points!r}")
+        return self._new(self.amplitudes[points])
 
     def run_circuit(self, circuit: Circuit) -> "StateVector":
         """Apply all gates in listed order; each distinct rotation is
         validated once per call.
 
-        The statevector holds one grid point: a rotation carrying an angle
-        tuple is a ValueError.
+        A circuit with angle tuples runs every grid point at once and returns
+        a stacked state.
         """
         if circuit.n_qubits != self.n_qubits:
             raise ValueError(
                 f"circuit is for {circuit.n_qubits} qubits, state has {self.n_qubits}"
             )
-        state = self
-        checked: dict[float, np.ndarray] = {}
+        state = self._stacked(circuit.grid)
+        checked: dict[float | tuple[float, ...], np.ndarray] = {}
         for op in circuit.ops:
             if isinstance(op, Rotation):
-                if isinstance(op.theta, tuple):
-                    raise ValueError(
-                        f"the statevector runs one grid point at a time; {op!r} carries "
-                        "an angle tuple"
-                    )
                 if op.theta not in checked:
                     checked[op.theta] = require_unitary(rotation_matrix(op.theta), 2)
                 state = state._apply_1q(checked[op.theta], op.site)
@@ -118,38 +176,49 @@ class StateVector:
                 raise TypeError(f"unknown gate op {op!r}")
         return state
 
+    def _gram(self, sites: tuple[int, ...]) -> np.ndarray:
+        """Reduced density matrix of ``sites`` in basis |q_sites...>, per grid point."""
+        lead = len(self._lead())
+        moved = np.moveaxis(
+            self._grid(), [lead + s - 1 for s in sites], list(range(lead, lead + len(sites)))
+        )
+        m = moved.reshape(self._lead() + (2 ** len(sites), -1))
+        return m @ m.conj().swapaxes(-1, -2)
+
     def single_rdm(self, site: int) -> np.ndarray:
-        """2x2 reduced density matrix of one qubit."""
+        """2x2 reduced density matrix of one qubit; a ``(P, 2, 2)`` stack for a stacked state."""
         self._check_site(site)
-        m = np.moveaxis(self._grid(), site - 1, 0).reshape(2, -1)
-        return m @ m.conj().T
+        return self._gram((site,))
 
     def pair_rdm(self, i: int, j: int) -> np.ndarray:
-        """4x4 reduced density matrix of the ordered pair in basis |q_i q_j>."""
+        """4x4 reduced density matrix of the ordered pair in basis |q_i q_j>;
+        a ``(P, 4, 4)`` stack for a stacked state."""
         self._check_site(i)
         self._check_site(j)
         if i == j:
             raise ValueError("pair sites must differ")
-        m = np.moveaxis(self._grid(), (i - 1, j - 1), (0, 1)).reshape(4, -1)
-        return m @ m.conj().T
+        return self._gram((i, j))
 
-    def postselect(self, site: int, outcome: int) -> tuple["StateVector", float]:
+    def postselect(self, site: int, outcome: int) -> tuple["StateVector", float | np.ndarray]:
         """Project ``site`` onto ``outcome`` and renormalize.
 
         The measured qubit is kept (collapsed). Returns the new state and the
-        branch probability; a branch below 1e-14 probability is an error.
+        branch probability, one per grid point for a stacked state; a branch
+        below 1e-14 probability is an error naming its grid point.
         """
         self._check_site(site)
         if outcome not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {outcome}")
+        lead = self._lead()
         psi = self._grid()
-        sel: list = [slice(None)] * self.n_qubits
-        sel[site - 1] = outcome
-        sel = tuple(sel)
+        sel = (slice(None),) * (len(lead) + site - 1) + (outcome, ...)
         branch = psi[sel]
-        probability = float(np.sum(np.abs(branch) ** 2))
-        if probability < ZERO_PROBABILITY:
-            raise ValueError(f"outcome {outcome} at site {site} has zero probability")
+        probability = np.sum(np.abs(branch) ** 2, axis=tuple(range(len(lead), branch.ndim)))
+        if probability.min() < ZERO_PROBABILITY:
+            _, where = first_flagged(probability.ravel() < ZERO_PROBABILITY, lead)
+            raise ValueError(f"outcome {outcome} at site {site} has zero probability{where}")
         projected = np.zeros_like(psi)
-        projected[sel] = branch / np.sqrt(probability)
-        return StateVector(self.n_qubits, projected.ravel()), probability
+        scale = np.sqrt(probability).reshape(lead + (1,) * (branch.ndim - len(lead)))
+        np.divide(branch, scale, out=projected[sel])
+        state = self._new(projected.reshape(lead + (-1,)))
+        return state, float(probability) if self.grid is None else probability

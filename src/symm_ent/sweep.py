@@ -29,7 +29,6 @@ from .concurrence import wootters_concurrence
 from .formulas import analytic_concurrence, unitary_params
 from .mps import MatrixProductState
 from .protocols import (
-    Angle,
     Circuit,
     build_linear,
     build_periodic,
@@ -58,6 +57,14 @@ NOTHING_CHECKED = f"  no grid point has a post-selected branch >= {BRANCH_PROBAB
 # 32.8 / 34.0 / 37.4 / 49.7 MB. Past 256 the time falls by 5% at most while
 # the memory keeps growing with the block.
 BLOCK_POINTS = 256
+# amplitudes the statevector backend holds in one stacked block: 8 grid points
+# at 12 qubits. The star oracle-check (n_outer 11, 101 angles, post-selected;
+# perfbench host-normalised wall s, median of 3 runs, same host) at caps of
+# 2**13 / 2**14 / 2**15 / 2**16 / 2**17 took 0.502 / 0.468 / 0.438 / 0.446 /
+# 0.455 s at peak RSS 36.0 / 36.1 / 36.5 / 37.7 / 39.3 MB (one point at a
+# time: 0.58 s, 35.7 MB). A 12-qubit linear sweep, 1024 angles, all adjacent
+# pairs, took 0.90 s at 2**15 and 0.82 s at 2**16 (one point at a time: 1.78 s).
+MAX_BLOCK_AMPLITUDES = 2**15
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -317,12 +324,14 @@ def _resolve_pairs(config: SweepConfig) -> list[tuple[int, int]]:
     return list(first_as)
 
 
-def _build_circuit(config: SweepConfig, theta: Angle, theta2: Angle | None) -> Circuit:
+def _block_circuit(config: SweepConfig, points: tuple[tuple[float, float | None], ...]) -> Circuit:
+    """One circuit for a block of grid points, its angles as tuples."""
+    thetas = tuple(theta for theta, _ in points)
     if config.protocol == "star":
-        return build_star(config.n_outer, theta)
+        return build_star(config.n_outer, thetas)
     if config.protocol == "linear":
-        return build_linear(config.n, config.case, theta)
-    return build_periodic(config.n, theta, theta2)
+        return build_linear(config.n, config.case, thetas)
+    return build_periodic(config.n, thetas, tuple(theta2 for _, theta2 in points))
 
 
 # ---------------------------------------------------------- analytic lookup
@@ -364,79 +373,65 @@ def _family_for_pair(config: SweepConfig, pair: tuple[int, int]) -> str | None:
 # ------------------------------------------------------------------- sweeps
 
 
-def _prepare_statevector(
-    config: SweepConfig, theta: float, theta2: float | None
-) -> tuple[StateVector, float | None] | None:
-    """Run one grid point's circuit on the statevector and post-select.
-
-    Returns ``(state, branch probability)``, the probability being None
-    without post-selection, or None when the post-selected branch is below
-    ``BRANCH_PROBABILITY_FLOOR`` (the conditioned state does not exist).
-    """
-    circuit = _build_circuit(config, theta, theta2)
-    state = StateVector.zeros(circuit.n_qubits).run_circuit(circuit)
-    outcome = config.postselect
-    if outcome is None:
-        return state, None
-    if state.single_rdm(circuit.n_qubits)[outcome, outcome].real < BRANCH_PROBABILITY_FLOOR:
-        return None
-    return state.postselect(circuit.n_qubits, outcome)
+def _block_points(backend: str, total: int) -> int:
+    """Grid points ``backend`` runs as one stacked circuit on ``total`` qubits."""
+    if backend == "mps":
+        return BLOCK_POINTS
+    return max(1, MAX_BLOCK_AMPLITUDES // 2**total)
 
 
-def _prepare_mps(
-    plan: RunPlan, points: tuple[tuple[float, float | None], ...]
-) -> tuple[MatrixProductState | None, np.ndarray, np.ndarray | None]:
-    """Run one stacked circuit for ``points`` on the MPS and post-select.
+def _blocks(points: tuple, size: int):
+    """``points`` in blocks of at most ``size``."""
+    for start in range(0, len(points), size):
+        yield points[start : start + size]
+
+
+def _prepare_block(
+    plan: RunPlan, points: tuple[tuple[float, float | None], ...], backend: str
+) -> tuple[StateVector | MatrixProductState | None, np.ndarray, np.ndarray | None]:
+    """Run one stacked circuit for ``points`` on ``backend`` and post-select.
 
     Returns ``(state, alive, probabilities)``: ``alive`` indexes the points
     whose post-selected branch reaches ``BRANCH_PROBABILITY_FLOOR`` (all of
     them without post-selection), the state stacks only those (None when
     there are none), and ``probabilities`` holds their branch probabilities
-    (None without post-selection).
+    (None without post-selection, empty when no branch is alive).
     """
-    config = plan.config
-    thetas = tuple(theta for theta, _ in points)
-    theta2s = tuple(theta2 for _, theta2 in points) if config.protocol == "periodic" else None
-    state = MatrixProductState(plan.total).run_circuit(_build_circuit(config, thetas, theta2s))
-    outcome = config.postselect
+    circuit = _block_circuit(plan.config, points)
+    if backend == "mps":
+        state = MatrixProductState(plan.total).run_circuit(circuit)
+    else:
+        state = StateVector.zeros(plan.total).run_circuit(circuit)
+    outcome = plan.config.postselect
     if outcome is None:
         return state, np.arange(len(points)), None
     weights = state.single_rdm(plan.total)[:, outcome, outcome].real
     alive = np.flatnonzero(weights >= BRANCH_PROBABILITY_FLOOR)
     if alive.size == 0:
-        return None, alive, None
-    state.keep_points(alive)
-    return state, alive, state.postselect(plan.total, outcome)
+        return None, alive, np.empty(0)
+    if backend == "mps":
+        state.keep_points(alive)
+        return state, alive, state.postselect(plan.total, outcome)
+    state = state.keep_points(alive)
+    state, probabilities = state.postselect(plan.total, outcome)
+    return state, alive, probabilities
 
 
-def _pair_rdms(state: MatrixProductState, pair: tuple[int, int]) -> np.ndarray:
+def _pair_rdms(state: StateVector | MatrixProductState, pair: tuple[int, int]) -> np.ndarray:
     """``pair``'s RDM at every grid point of a stacked state, as a ``(P, 4, 4)`` stack."""
+    if isinstance(state, StateVector):
+        return state.pair_rdm(*pair)
     return np.array([state.pair_rdm(*pair, point=k) for k in range(state.grid)])
-
-
-def _blocks(plan: RunPlan):
-    """The plan's grid points in blocks of at most ``BLOCK_POINTS``."""
-    for start in range(0, len(plan.points), BLOCK_POINTS):
-        yield plan.points[start : start + BLOCK_POINTS]
 
 
 def _scored_points(plan: RunPlan):
     """Yield ``(theta, theta2, probability, scores)`` for every grid point
     whose state exists, ``scores`` holding one concurrence per plan pair."""
-    config = plan.config
-    if plan.backend == "statevector":
-        for theta, theta2 in plan.points:
-            prepared = _prepare_statevector(config, theta, theta2)
-            if prepared is not None:
-                state, probability = prepared
-                rdms = np.array([state.pair_rdm(*pair) for pair in plan.pairs])
-                yield theta, theta2, probability, wootters_concurrence(rdms).tolist()
-        return
-    for block in _blocks(plan):
-        state, alive, probabilities = _prepare_mps(plan, block)
+    for block in _blocks(plan.points, _block_points(plan.backend, plan.total)):
+        state, alive, probabilities = _prepare_block(plan, block, plan.backend)
         if state is None:
             continue
-        if state.discarded_weight_total >= DISCARDED_WEIGHT_LIMIT:
+        if plan.backend == "mps" and state.discarded_weight_total >= DISCARDED_WEIGHT_LIMIT:
             raise RuntimeError(
                 f"MPS sweep truncated (discarded weight {state.discarded_weight_total:.3e}); "
                 "protocol circuits must be exact"
@@ -485,8 +480,9 @@ def run_sweep(config: SweepConfig) -> list[OutputRow]:
     Returns one row per (grid point, pair), in order of (theta, theta2,
     pair_left, pair_right). Star post-selection grid points whose branch
     probability is below 1e-9 are skipped (the conditioned state does not
-    exist there). The MPS backend runs up to ``BLOCK_POINTS`` grid points
-    as one stacked circuit.
+    exist there). Each backend runs a block of grid points as one stacked
+    circuit: up to ``BLOCK_POINTS`` on the MPS, up to ``MAX_BLOCK_AMPLITUDES``
+    amplitudes on the statevector.
     """
     plan = _plan(config)
     return [row for point in _scored_points(plan) for row in _point_rows(plan, *point)]
@@ -538,50 +534,61 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
 
     Reports the worst elementwise pair-RDM deviation, concurrence deviation,
     post-selection probability deviation, and accumulated MPS discarded
-    weight over the grid points whose branch the statevector finds alive.
-    The MPS runs each block of grid points as one stacked circuit; the
-    statevector runs one point at a time. A check that found no grid point
-    alive checked nothing and fails.
+    weight over the grid points whose branch both backends find alive. A
+    branch alive on one backend only deviates by at least its probability
+    minus ``BRANCH_PROBABILITY_FLOOR``, and that is what the probability
+    deviation records for it. The MPS runs each block of up to
+    ``BLOCK_POINTS`` grid points as one stacked circuit, and the statevector
+    runs that block in stacked sub-blocks of at most ``MAX_BLOCK_AMPLITUDES``
+    amplitudes; each sub-block is compared whole. A check that found no grid
+    point alive on both backends checked nothing and fails.
     """
     plan = _plan(config)
-    config = plan.config
     if plan.total > MAX_QUBITS:
         raise ValueError(f"oracle check needs <= {MAX_QUBITS} qubits, protocol uses {plan.total}")
+    sv_points = _block_points("statevector", plan.total)
+    floor = BRANCH_PROBABILITY_FLOOR
     max_rdm = 0.0
     max_conc = 0.0
     max_prob = 0.0
     max_weight = 0.0
     n_checked = 0
-    for block in _blocks(plan):
-        state, alive, p_mps = _prepare_mps(plan, block)
-        stacked_at = {index: k for k, index in enumerate(alive.tolist())}
-        if state is not None:
-            max_weight = max(max_weight, state.discarded_weight_total)
+    for block in _blocks(plan.points, BLOCK_POINTS):
+        mps, mps_alive, p_mps = _prepare_block(plan, block, "mps")
+        if mps is not None:
+            max_weight = max(max_weight, mps.discarded_weight_total)
             # filled in place (a list of the stacks would double the peak memory),
             # in the state's dtype so real RDMs are scored in real arithmetic
-            dtype = np.result_type(*state.tensors)
-            mps_rdms = np.empty((len(plan.pairs), alive.size, 4, 4), dtype)
+            dtype = np.result_type(*mps.tensors)
+            mps_rdms = np.empty((len(plan.pairs), mps_alive.size, 4, 4), dtype)
             for rdms, pair in zip(mps_rdms, plan.pairs):
-                rdms[...] = _pair_rdms(state, pair)
+                rdms[...] = _pair_rdms(mps, pair)
             mps_scores = np.array([wootters_concurrence(rdms) for rdms in mps_rdms])
-        for index, (theta, theta2) in enumerate(block):
-            # the exact backend decides which branches exist
-            exact = _prepare_statevector(config, theta, theta2)
-            if exact is None:
-                continue
-            sv, p_sv = exact
-            k = stacked_at.get(index)
-            if k is None:
-                # the MPS branch is below the floor: it deviates by at least this
-                max_prob = max(max_prob, p_sv - BRANCH_PROBABILITY_FLOOR)
-                continue
+        # each block point's index in the MPS stack, -1 where its MPS branch is dead
+        in_mps = np.full(len(block), -1)
+        in_mps[mps_alive] = np.arange(mps_alive.size)
+        sv_dead = np.ones(len(block), dtype=bool)
+        for start in range(0, len(block), sv_points):
+            sub_block = block[start : start + sv_points]
+            sv, sv_alive, p_sv = _prepare_block(plan, sub_block, "statevector")
+            sv_dead[start + sv_alive] = False
+            k = in_mps[start + sv_alive]
+            both = k >= 0
+            k = k[both]
+            n_checked += k.size
             if p_sv is not None:
-                max_prob = max(max_prob, abs(p_sv - float(p_mps[k])))
-            n_checked += 1
-            sv_rdms = np.array([sv.pair_rdm(*pair) for pair in plan.pairs])
-            max_rdm = max(max_rdm, float(np.max(np.abs(sv_rdms - mps_rdms[:, k]))))
-            sv_scores = wootters_concurrence(sv_rdms)
-            max_conc = max(max_conc, float(np.max(np.abs(sv_scores - mps_scores[:, k]))))
+                # a branch alive on the statevector only deviates by at least p - floor
+                gaps = np.concatenate([np.abs(p_sv[both] - p_mps[k]), p_sv[~both] - floor])
+                max_prob = max(max_prob, float(gaps.max(initial=0.0)))
+            if k.size:
+                sv_rdms = np.array([sv.pair_rdm(*pair)[both] for pair in plan.pairs])
+                max_rdm = max(max_rdm, float(np.max(np.abs(sv_rdms - mps_rdms[:, k]))))
+                sv_scores = wootters_concurrence(sv_rdms)
+                max_conc = max(max_conc, float(np.max(np.abs(sv_scores - mps_scores[:, k]))))
+        # and so does a branch alive on the MPS only
+        mps_only = in_mps[sv_dead & (in_mps >= 0)]
+        if mps_only.size:
+            max_prob = max(max_prob, float((p_mps[mps_only] - floor).max()))
     passed = n_checked > 0 and (
         max_rdm <= RDM_THRESHOLD
         and max_conc <= CONCURRENCE_THRESHOLD

@@ -65,6 +65,13 @@ GOLDEN = [
         "f6d94cf85cdd327e7b63210ac1cb2c9dffabf1afa876b03825ff45c0d4a593d2",
         id="oracle-check-star-postselect0",
     ),
+    pytest.param(
+        # 12 qubits: the statevector runs the 21 points in stacked blocks of 8
+        ("oracle-check", "--protocol", "star", "--n-outer", "11", "--postselect", "0",
+         "--theta", "0:6.283185307179586:21"),
+        "90e831b127815f3d0250859386f0f790f800a7e2b99e982fa114a93c600d6353",
+        id="oracle-check-star12-postselect0",
+    ),
 ]
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import symm_ent.statevector
 from symm_ent import (
@@ -8,10 +9,12 @@ from symm_ent import (
     build_linear,
     build_periodic,
     build_star,
+    circuit_to_text,
     rotation_matrix,
 )
 
 from oracles import brute_pair_rdm, brute_postselect, brute_single_rdm, haar_unitary
+from test_mps_properties import BRANCH_FLOOR, protocol_grids
 
 
 def test_zeros_examples():
@@ -216,7 +219,106 @@ def test_run_circuit_validates_each_distinct_rotation_once(circuit, distinct_ang
     assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
 
-def test_run_circuit_rejects_angle_tuples():
+def test_run_circuit_runs_angle_tuples_stacked():
     circuit = build_star(3, (0.5, 0.7))
-    with pytest.raises(ValueError, match=r"one grid point at a time; Rotation\(site=3, theta="):
-        StateVector.zeros(4).run_circuit(circuit)
+    state = StateVector.zeros(4).run_circuit(circuit)
+    assert state.grid == 2 and state.amplitudes.shape == (2, 16)
+    for k, theta in enumerate((0.5, 0.7)):
+        single = StateVector.zeros(4).run_circuit(build_star(3, theta))
+        assert single.grid is None
+        assert state.amplitudes[k].tobytes() == single.amplitudes.tobytes()
+    # the debug dump still covers one grid point only
+    with pytest.raises(ValueError, match=r"one grid point; Rotation\(site=3, theta="):
+        circuit_to_text(circuit)
+
+
+# ------------------------------------------------- grid-stacked statevector
+
+
+def _same(stacked_value, single_value) -> bool:
+    return np.asarray(stacked_value).tobytes() == np.asarray(single_value).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(protocol_grids())
+def test_stacked_run_matches_single_point_runs(grid):
+    """Every point of a stacked run is bitwise its own single-point run."""
+    build, n, points, outcome = grid
+    stacked = StateVector.zeros(n).run_circuit(build(*map(tuple, zip(*points))))
+    singles = [StateVector.zeros(n).run_circuit(build(*point)) for point in points]
+    assert stacked.grid == len(points) and stacked.amplitudes.dtype == np.float64
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    stacked_pairs = {pair: stacked.pair_rdm(*pair) for pair in pairs}
+    for site in range(1, n + 1):
+        stacked_single = stacked.single_rdm(site)
+        assert stacked_single.shape == (len(points), 2, 2)
+        for k, single in enumerate(singles):
+            assert _same(stacked_single[k], single.single_rdm(site))
+    for k, single in enumerate(singles):
+        assert single.amplitudes.dtype == np.float64
+        assert _same(stacked.amplitudes[k], single.amplitudes)
+        for pair, rdms in stacked_pairs.items():
+            assert rdms.dtype == np.float64
+            assert _same(rdms[k], single.pair_rdm(*pair))
+    if outcome is None:
+        return
+    weights = stacked.single_rdm(n)[:, outcome, outcome]
+    alive = np.flatnonzero(weights >= BRANCH_FLOOR)
+    if alive.size == 0:
+        return
+    projected, probabilities = stacked.keep_points(alive).postselect(n, outcome)
+    assert projected.grid == alive.size and probabilities.dtype == np.float64
+    for k, index in enumerate(alive):
+        single, probability = singles[index].postselect(n, outcome)
+        assert isinstance(probability, float) and probabilities[k] == probability
+        assert _same(projected.amplitudes[k], single.amplitudes)
+
+
+def test_gate_kernel_is_the_tensordot_contraction(rng):
+    """Each site's rotation equals contracting the gate into that axis, bit
+    for bit, on one point and on a stack, so grid stacking moves no printed digit."""
+    n = 7
+    stack = rng.standard_normal((3, 2**n))
+    gates = rotation_matrix((0.3, 1.9, 4.4))
+    for site in range(1, n + 1):
+        rotated = StateVector(n, stack)._apply_1q(gates, site)
+        for k in range(3):
+            grid = stack[k].reshape((2,) * n)
+            contracted = np.tensordot(gates[k], grid, axes=([1], [site - 1]))
+            expected = np.moveaxis(contracted, 0, site - 1)
+            assert _same(rotated.amplitudes[k], expected.ravel())
+            single = StateVector(n, stack[k]).apply_1q(gates[k], site)
+            assert _same(single.amplitudes, expected.ravel())
+
+
+def test_stacked_postselect_names_the_dead_point():
+    # at theta = 0 every outer qubit flips, so the central qubit of three is |1>
+    state = StateVector.zeros(4).run_circuit(build_star(3, (1.0, 0.0, 2.0)))
+    dead = "outcome 0 at site 4 has zero probability at stack index 1"
+    with pytest.raises(ValueError, match=dead):
+        state.postselect(4, 0)
+    _, probabilities = state.postselect(4, 1)
+    assert probabilities.shape == (3,) and probabilities[1] == 1.0
+
+
+def test_stacked_state_checks():
+    state = StateVector.zeros(3).run_circuit(build_linear(3, 4, (0.4, 1.3)))
+    with pytest.raises(ValueError, match="gates carry 3 grid points, the state stacks 2"):
+        state.run_circuit(build_linear(3, 4, (0.4, 1.3, 2.0)))
+    # one public gate acts on every point; a stack of gates is a circuit's job
+    rotated = state.apply_1q(rotation_matrix(0.9), 2)
+    for k in range(2):
+        single = StateVector(3, state.amplitudes[k]).apply_1q(rotation_matrix(0.9), 2)
+        assert _same(rotated.amplitudes[k], single.amplitudes)
+    with pytest.raises(ValueError, match=r"gate must be one 2x2 matrix, got shape \(2, 2, 2\)"):
+        state.apply_1q(rotation_matrix((0.1, 0.2)), 1)
+    assert np.abs(state.norm() - 1.0).max() < 1e-12 and state.norm().shape == (2,)
+    assert _same(state.keep_points([1]).amplitudes, state.amplitudes[1:])
+    with pytest.raises(ValueError, match="non-empty 1-d index array"):
+        state.keep_points([])
+    with pytest.raises(ValueError, match="keep_points needs a grid-stacked state"):
+        StateVector.zeros(3).keep_points([0])
+    for shape in [(0, 8), (2, 4), (1, 2, 8), ()]:
+        with pytest.raises(ValueError, match="amplitudes must have shape"):
+            StateVector(3, np.ones(shape))
+    assert StateVector(3, np.ones((1, 8))).grid == 1

@@ -16,6 +16,7 @@ from symm_ent import (
     GridSpec,
     MatrixProductState,
     OutputRow,
+    StateVector,
     SweepConfig,
     analytic_concurrence,
     read_rows_csv,
@@ -719,3 +720,53 @@ def test_oracle_check_counts_the_points_the_statevector_finds_alive():
     assert report.passed and report.n_points == alive
     long_grid = run_oracle_check(GRID_CONFIGS[2])
     assert long_grid.passed and long_grid.n_points == symm_ent.sweep.BLOCK_POINTS + 44
+
+
+# ------------------------------ statevector blocks and one-sided branches
+
+BOUNDARY_CONFIGS = [
+    # five outer qubits: outcome 0 dies at both grid ends, outcome 1 at theta = pi
+    SweepConfig(protocol="star", theta=GridSpec(0.0, TWO_PI, 21), n_outer=5, postselect=outcome,
+                backend="statevector")
+    for outcome in (0, 1)
+]
+
+
+@pytest.mark.parametrize("points", [1, 2, 3])
+@pytest.mark.parametrize("config", BOUNDARY_CONFIGS, ids=["dead-ends", "dead-middle"])
+def test_statevector_block_size_does_not_change_results(config, points, monkeypatch):
+    rows = rows_to_csv_text(run_sweep(config))
+    report = run_oracle_check(config)
+    assert report.passed and report.n_points == {0: 19, 1: 20}[config.postselect]
+    runs = []
+    run = StateVector.run_circuit
+    monkeypatch.setattr(StateVector, "run_circuit",
+                        lambda self, circuit: runs.append(circuit.grid) or run(self, circuit))
+    monkeypatch.setattr(symm_ent.sweep, "MAX_BLOCK_AMPLITUDES", points * 2**6)
+    blocks = [points] * (21 // points) + [21 % points] * (21 % points > 0)
+    assert rows_to_csv_text(run_sweep(config)) == rows
+    assert runs == blocks
+    assert run_oracle_check(config) == report
+    assert runs == blocks * 2
+
+
+@pytest.mark.parametrize("dead_on", [StateVector, MatrixProductState], ids=["sv", "mps"])
+def test_oracle_check_records_a_branch_alive_on_one_backend_only(dead_on, monkeypatch):
+    config = SweepConfig(protocol="star", theta=GridSpec(0.0, TWO_PI, 9), n_outer=3, postselect=0)
+    index = 3  # both backends run the nine points as one stack
+    a, b = np.sin(config.theta.values()[index] / 2), np.cos(config.theta.values()[index] / 2)
+    branch = a**6 + 3 * a**2 * b**4
+    single_rdm = dead_on.single_rdm
+
+    def dead_at_index(self, site):
+        rdms = single_rdm(self, site)
+        rdms[index] = 0.0
+        return rdms
+
+    monkeypatch.setattr(dead_on, "single_rdm", dead_at_index)
+    report = run_oracle_check(config)
+    # theta = 0 and 2 pi are dead on both backends, the point at index 3 on one
+    assert report.n_points == 6 and not report.passed
+    floor = symm_ent.sweep.BRANCH_PROBABILITY_FLOOR
+    assert abs(report.max_probability_deviation - (branch - floor)) < 1e-12
+    assert report.max_rdm_deviation < 1e-12
