@@ -7,6 +7,8 @@ fast path; and the closed-form pair states and concurrences the protocols
 produce, wired together behind a sweep/compare/cross-check layer and a CLI.
 """
 
+import types as _types
+
 from .concurrence import (
     XStateParams,
     extract_xstate,
@@ -54,44 +56,9 @@ from .sweep import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleParams",
-    "Circuit",
-    "CompareReport",
-    "ControlledNot",
-    "FAMILIES",
-    "GateOp",
-    "GridSpec",
-    "MatrixProductState",
-    "MAX_QUBITS",
-    "OracleReport",
-    "OutputRow",
-    "Rotation",
-    "StateVector",
-    "SVDResult",
-    "SweepConfig",
-    "XStateParams",
-    "analytic_concurrence",
-    "analytic_pair_rdm",
-    "build_linear",
-    "build_periodic",
-    "build_star",
-    "circuit_to_text",
-    "cx_matrix",
-    "extract_xstate",
-    "hermitian_eigs",
-    "linear_theta_opt",
-    "read_rows_csv",
-    "rotation_matrix",
-    "rows_from_csv_text",
-    "rows_to_csv_text",
-    "rows_to_json_text",
-    "run_compare",
-    "run_oracle_check",
-    "run_sweep",
-    "svd_truncate",
-    "unitary_params",
-    "wootters_concurrence",
-    "write_rows",
-    "xstate_concurrence",
-]
+# every public name imported above, and nothing else
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -39,8 +39,10 @@ single-point state keeps ``(l, 2, r)`` tensors and runs through the same
 code. ``single_rdm`` and ``postselect`` return stacks for a stacked
 state: a ``(P, 2, 2)`` array and one probability per point. ``pair_rdm``
 reads one grid point of a stacked state per call, after moving the shared
-center once for all of them. ``discarded_weight`` holds each point's
-total, and ``discarded_weight_total`` is the largest of them.
+center once for all of them, and reads a pair or a row of pairs that share
+their left site: one environment sweep from the left site closes every pair
+of the row (Schollwoeck, Ann. Phys. 326, 96, 2011). ``discarded_weight``
+holds each point's total, and ``discarded_weight_total`` is the largest.
 
 Real in, real out: the product state starts as float64 and every protocol
 gate is real, so a protocol run keeps float64 tensors throughout. The
@@ -458,20 +460,32 @@ class MatrixProductState:
         m = t.swapaxes(-3, -2).reshape(t.shape[:-3] + (2, -1))
         return m @ _dag(m)
 
-    def pair_rdm(self, i: int, j: int, point: int | None = None) -> np.ndarray:
+    def pair_rdm(self, i: int, j, point: int | None = None) -> np.ndarray:
         """4x4 reduced density matrix of (i, j), i < j, in basis |q_i q_j>.
 
+        ``j`` may also be a row: an ascending tuple of sites right of ``i``,
+        read as a ``(len(j), 4, 4)`` stack. Adjacent pairs reduce to the
+        two-site block at the center, which moves to ``i`` for every grid
+        point at once; distant pairs contract the transfer network between
+        them. One environment sweep from ``i`` closes every pair of a row on
+        its way, so a row costs what its farthest pair costs, and each of
+        its matrices is bitwise the read of that pair alone.
+
         A stacked state is read at the grid point with index ``point``, which
-        a single-point state does not take. The center moves to ``i`` for
-        every grid point at once, so reading all points of one pair moves
-        it at most once. Adjacent pairs reduce to the two-site block at the
-        center; distant pairs contract the transfer network between them
-        (cost O(distance)).
+        a single-point state does not take: ``perfbench/test_smoke.py`` pins
+        one call per grid point and row.
         """
+        row = isinstance(j, tuple)
+        sites = j if row else (j,)
         self._check_site(i)
-        self._check_site(j)
-        if not i < j:
-            raise ValueError(f"pair must be ordered i < j, got ({i}, {j})")
+        if not sites:
+            raise ValueError(f"row of pairs from site {i} names no right site")
+        left = i
+        for site in sites:
+            if site <= left:
+                raise ValueError(f"pair sites must ascend from i = {i}, got {site} after {left}")
+            left = site
+        self._check_site(left)  # the last site; the others lie between i and it
         if self.grid is None:
             if point is not None:
                 raise ValueError(f"point {point} given for a single-point state")
@@ -481,15 +495,19 @@ class MatrixProductState:
                 f"got {point}"
             )
         self._move_center_to(i)
-        t, *middle, tj = self.tensors[i - 1 : j]
+        t, *middle, tj = self.tensors[i - 1 : left]
         if point is not None:
             t, tj = t[point], tj[point]
             middle = [tm[point] for tm in middle]
+        # ndarray.conj() of a real tensor is the tensor itself, not a copy
         env = np.einsum("lpr,lqs->pqrs", t, t.conj())
-        for tm in middle:
+        rhos = []
+        for site, tm in enumerate(middle, start=i + 1):
+            if site in sites:
+                rhos.append(np.einsum("pqrs,rxt,syt->pxqy", env, tm, tm.conj()).reshape(4, 4))
             env = np.einsum("pqrs,rxt,sxu->pqtu", env, tm, tm.conj())
-        rho = np.einsum("pqrs,rxt,syt->pxqy", env, tj, tj.conj())
-        return rho.reshape(4, 4)
+        rho = np.einsum("pqrs,rxt,syt->pxqy", env, tj, tj.conj()).reshape(4, 4)
+        return np.array(rhos + [rho]) if row else rho
 
     def to_statevector(self) -> StateVector:
         """Contract the full chain into an exact statevector (oracle bridge)."""

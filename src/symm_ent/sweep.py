@@ -19,7 +19,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -417,16 +418,33 @@ def _prepare_block(
     return state, alive, probabilities
 
 
-def _pair_rdms(state: StateVector | MatrixProductState, pair: tuple[int, int]) -> np.ndarray:
-    """``pair``'s RDM at every grid point of a stacked state, as a ``(P, 4, 4)`` stack."""
+def _pair_rdms(
+    state: StateVector | MatrixProductState, pairs: tuple[tuple[int, int], ...]
+) -> np.ndarray:
+    """The RDMs of the ascending ``pairs`` at every grid point of a stacked
+    state, as a ``(len(pairs), P, 4, 4)`` stack. The MPS reads each row of
+    pairs that share a left site with one ``pair_rdm`` call per grid point."""
     if isinstance(state, StateVector):
-        return state.pair_rdm(*pair)
-    return np.array([state.pair_rdm(*pair, point=k) for k in range(state.grid)])
+        return np.array([state.pair_rdm(*pair) for pair in pairs])
+    # filled in place, in the state's dtype so real RDMs stay real
+    rdms = np.empty((len(pairs), state.grid, 4, 4), np.result_type(*state.tensors))
+    start = 0
+    for i, row in groupby(pairs, key=itemgetter(0)):
+        sites = tuple(j for _, j in row)
+        j = sites if len(sites) > 1 else sites[0]  # a one-pair row reads as a pair
+        stop = start + len(sites)
+        for k in range(state.grid):
+            rdms[start:stop, k] = state.pair_rdm(i, j, point=k)
+        start = stop
+    return rdms
 
 
 def _scored_points(plan: RunPlan):
     """Yield ``(theta, theta2, probability, scores)`` for every grid point
     whose state exists, ``scores`` holding one concurrence per plan pair."""
+    # scored one row of pairs at a time, as scoring a whole block costs
+    # memory; ascending rows keep the MPS center walk short
+    rows = [tuple(row) for _, row in groupby(plan.pairs, key=itemgetter(0))]
     for block in _blocks(plan.points, _block_points(plan.backend, plan.total)):
         state, alive, probabilities = _prepare_block(plan, block, plan.backend)
         if state is None:
@@ -436,8 +454,7 @@ def _scored_points(plan: RunPlan):
                 f"MPS sweep truncated (discarded weight {state.discarded_weight_total:.3e}); "
                 "protocol circuits must be exact"
             )
-        # ascending pair order keeps the MPS center walk short
-        scores = np.array([wootters_concurrence(_pair_rdms(state, pair)) for pair in plan.pairs])
+        scores = np.concatenate([wootters_concurrence(_pair_rdms(state, row)) for row in rows])
         probabilities = [None] * alive.size if probabilities is None else probabilities.tolist()
         for k, (index, probability) in enumerate(zip(alive.tolist(), probabilities)):
             theta, theta2 = block[index]
@@ -557,12 +574,7 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
         mps, mps_alive, p_mps = _prepare_block(plan, block, "mps")
         if mps is not None:
             max_weight = max(max_weight, mps.discarded_weight_total)
-            # filled in place (a list of the stacks would double the peak memory),
-            # in the state's dtype so real RDMs are scored in real arithmetic
-            dtype = np.result_type(*mps.tensors)
-            mps_rdms = np.empty((len(plan.pairs), mps_alive.size, 4, 4), dtype)
-            for rdms, pair in zip(mps_rdms, plan.pairs):
-                rdms[...] = _pair_rdms(mps, pair)
+            mps_rdms = _pair_rdms(mps, plan.pairs)
             mps_scores = np.array([wootters_concurrence(rdms) for rdms in mps_rdms])
         # each block point's index in the MPS stack, -1 where its MPS branch is dead
         in_mps = np.full(len(block), -1)
@@ -581,7 +593,7 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
                 gaps = np.concatenate([np.abs(p_sv[both] - p_mps[k]), p_sv[~both] - floor])
                 max_prob = max(max_prob, float(gaps.max(initial=0.0)))
             if k.size:
-                sv_rdms = np.array([sv.pair_rdm(*pair)[both] for pair in plan.pairs])
+                sv_rdms = _pair_rdms(sv, plan.pairs)[:, both]
                 max_rdm = max(max_rdm, float(np.max(np.abs(sv_rdms - mps_rdms[:, k]))))
                 sv_scores = wootters_concurrence(sv_rdms)
                 max_conc = max(max_conc, float(np.max(np.abs(sv_scores - mps_scores[:, k]))))

@@ -72,6 +72,20 @@ GOLDEN = [
         "90e831b127815f3d0250859386f0f790f800a7e2b99e982fa114a93c600d6353",
         id="oracle-check-star12-postselect0",
     ),
+    pytest.param(
+        # the MPS distant-pair read: rows of outer pairs sharing a left site
+        ("sweep", "--protocol", "star", "--n-outer", "6", "--postselect", "1",
+         "--backend", "mps", "--theta", GRID),
+        "9779aec1273a7ca393f6437bba2d240b3b0e4edf27b7e6c41c44b0905ae9f829",
+        id="star-postselect1-mps",
+    ),
+    pytest.param(
+        # unsorted explicit pairs, a shared left site, a row through the central qubit
+        ("sweep", "--protocol", "star", "--n-outer", "5", "--backend", "mps",
+         "--pairs", "1:4,1:2,2:5,1:6", "--theta", GRID),
+        "525ce098f18889d1d4e8e57da65eb485f7e4134a55c87c6739bd914a4a57c8fd",
+        id="star-explicit-pairs-mps",
+    ),
 ]
 
 

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symm_ent import (
     MatrixProductState,
@@ -14,6 +18,7 @@ from symm_ent import (
 from symm_ent.formulas import analytic_concurrence, unitary_params
 
 from oracles import haar_unitary
+from test_mps_properties import protocol_grids
 
 
 def random_two_site_unitary(rng) -> np.ndarray:
@@ -209,6 +214,57 @@ def test_pair_rdm_validation():
         mps.pair_rdm(3, 3)
     with pytest.raises(ValueError):
         mps.pair_rdm(3, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol_grids(), st.booleans(), st.data())
+def test_row_reads_are_bitwise_the_pair_reads(grid, haar, data):
+    """A row read returns, pair by pair, the very matrices that one-pair
+    reads return: on stacked and single-point states, real and complex."""
+    build, n, points, _ = grid
+    states = [
+        MatrixProductState(n).run_circuit(build(*map(tuple, zip(*points)))),
+        MatrixProductState(n).run_circuit(build(*points[0])),
+    ]
+    if haar:
+        # one Haar two-qubit gate on a distant or adjacent pair makes the state complex
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a = data.draw(st.integers(1, n - 1))
+        b = data.draw(st.integers(a + 1, n))
+        gate = haar_unitary(rng, 4)
+        for state in states:
+            state.apply_2q_long_range(gate, a, b)
+            assert np.result_type(*state.tensors) == np.complex128
+    for state in states:
+        i = data.draw(st.integers(1, n - 1))
+        sites = tuple(sorted(data.draw(st.sets(st.integers(i + 1, n), min_size=1))))
+        for point in range(state.grid) if state.grid else [None]:
+            row = state.pair_rdm(i, sites, point=point)
+            assert row.shape == (len(sites), 4, 4)
+            assert row.dtype == np.result_type(*state.tensors[i - 1 : sites[-1]])
+            for rho, j in zip(row, sites):
+                assert np.array_equal(rho, state.pair_rdm(i, j, point=point))
+
+
+@pytest.mark.parametrize(
+    "sites, message",
+    [
+        ((), "row of pairs from site 2 names no right site"),
+        ((4, 3), "got 3 after 4"),
+        ((3, 5, 5), "got 5 after 5"),
+        ((2,), "got 2 after 2"),
+        ((1, 3), "got 1 after 2"),
+        ((3, 6), "site 6 outside 1..5"),
+        ((0,), "got 0 after 2"),
+    ],
+    ids=["empty", "unsorted", "repeated", "equal-to-i", "left-of-i", "past-the-end", "zero"],
+)
+def test_row_read_rejects_a_bad_row(sites, message):
+    stacked = MatrixProductState(5).run_circuit(build_star(4, (0.3, 1.2)))
+    single = MatrixProductState(5).run_circuit(build_star(4, 0.3))
+    for state, point in ((stacked, 1), (single, None)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            state.pair_rdm(2, sites, point=point)
 
 
 def test_translation_invariance_of_bulk_pairs():

@@ -268,13 +268,16 @@ def test_dtype_follows_the_gates(case):
 )
 def test_stacked_protocol_runs_stay_float64(monkeypatch, config):
     """Every stacked state, pair-RDM stack and concurrence input of an MPS
-    sweep or oracle check of a protocol is float64."""
+    sweep or oracle check of a protocol is float64, on both backends."""
     seen = []
     pair_rdms, score = symm_ent.sweep._pair_rdms, symm_ent.sweep.wootters_concurrence
 
-    def recording_pair_rdms(state, pair):
-        seen.extend(t.dtype for t in state.tensors)
-        return pair_rdms(state, pair)
+    def recording_pair_rdms(state, pairs):
+        arrays = [state.amplitudes] if isinstance(state, StateVector) else state.tensors
+        seen.extend(t.dtype for t in arrays)
+        rdms = pair_rdms(state, pairs)
+        seen.append(rdms.dtype)
+        return rdms
 
     def recording_score(rho):
         seen.append(np.asarray(rho).dtype)

@@ -93,6 +93,17 @@ def test_sweep_bulk_center_with_analytic_column():
     assert max(r.abs_error for r in rows) < 1e-8
 
 
+def test_bulk_center_is_the_closed_form_at_a_thousand_qubits():
+    # the bulk pair's concurrence does not depend on the chain length, N = 1000 included
+    config = linear_config(n=1000, theta=GridSpec(0.0, TWO_PI, 51), pairs="bulk-center",
+                           backend="mps")
+    rows = run_sweep(config)
+    assert [(r.pair_left, r.pair_right) for r in rows] == [(500, 501)] * 51
+    for row in rows:
+        closed = analytic_concurrence("linear_bulk", unitary_params(row.theta))
+        assert abs(row.concurrence_numeric - closed) <= 1e-10
+
+
 def test_sweep_star_single_point_postselected():
     config = SweepConfig(
         protocol="star",
