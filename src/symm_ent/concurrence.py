@@ -70,30 +70,31 @@ class XStateParams:
     delta: float
 
 
-def _validate_density_matrices(rho) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Check a 4x4 matrix or a (..., 4, 4) stack; returns it flattened to
-    (n, 4, 4), together with its stack shape."""
+def _validate_density_matrices(rho) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Check and factor a 4x4 matrix or a (..., 4, 4) stack: eigenvalues (n, 4), eigenvectors
+    (n, 4, 4) and stack shape. ``hermitian_eigs`` checks finiteness and Hermiticity."""
     rho = as_float(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(
             f"expected a 4x4 density matrix or a (..., 4, 4) stack, got shape {rho.shape}"
         )
     stack_shape = rho.shape[:-2]
-    rho = rho.reshape(-1, 4, 4)
-    herm_dev = np.abs(rho - rho.conj().swapaxes(1, 2))
-    if np.maximum.reduce(herm_dev, axis=None, initial=0.0) > DM_TOL:
-        herm_dev = herm_dev.max(axis=(1, 2))
-        flat, where = first_flagged(herm_dev > DM_TOL, stack_shape)
-        raise ValueError(
-            f"invalid density matrix{where}: not Hermitian (deviation {herm_dev[flat]:.3e})"
-        )
-    trace_dev = np.abs(rho.trace(axis1=1, axis2=2) - 1.0)
+    vals, vecs = hermitian_eigs(rho)
+    trace_dev = np.abs(rho.reshape(-1, 4, 4).trace(axis1=1, axis2=2) - 1.0)
     if np.maximum.reduce(trace_dev, initial=0.0) > DM_TOL:
         flat, where = first_flagged(trace_dev > DM_TOL, stack_shape)
         raise ValueError(
             f"invalid density matrix{where}: trace deviates by {trace_dev[flat]:.3e}"
         )
-    return rho, stack_shape
+    vals, vecs = vals.reshape(-1, 4), vecs.reshape(-1, 4, 4)
+    smallest = vals[:, 0]
+    if np.minimum.reduce(smallest, initial=0.0) < -DM_TOL:
+        flat, where = first_flagged(smallest < -DM_TOL, stack_shape)
+        raise ValueError(
+            f"invalid density matrix{where}: eigenvalue {smallest[flat]:.3e} "
+            f"below -{DM_TOL:.0e}"
+        )
+    return vals, vecs, stack_shape
 
 
 def wootters_concurrence(rho) -> float | np.ndarray:
@@ -109,16 +110,7 @@ def wootters_concurrence(rho) -> float | np.ndarray:
     ``(..., 4, 4)`` stack, for which an array of shape ``rho.shape[:-2]`` is
     returned; each stacked value is bitwise equal to the one-matrix call.
     """
-    rho, stack_shape = _validate_density_matrices(rho)
-    vals, vecs = hermitian_eigs(rho.reshape(stack_shape + (4, 4)))
-    vals, vecs = vals.reshape(-1, 4), vecs.reshape(-1, 4, 4)
-    smallest = vals[:, 0]
-    if np.minimum.reduce(smallest, initial=0.0) < -DM_TOL:
-        flat, where = first_flagged(smallest < -DM_TOL, stack_shape)
-        raise ValueError(
-            f"invalid density matrix{where}: eigenvalue {smallest[flat]:.3e} "
-            f"below -{DM_TOL:.0e}"
-        )
+    vals, vecs, stack_shape = _validate_density_matrices(rho)
     # eigenvalues ascend, so the kept ones are the last ``rank`` of each
     # matrix; each rank is factored as its own stack, which keeps every
     # value bitwise equal to factoring its matrix alone

@@ -15,7 +15,8 @@ Every angle is either a float or a tuple of floats, one per point of an
 angle grid. A circuit whose rotations carry tuples describes one circuit
 per grid point; the MPS engine runs all of them in one call. Tuples keep
 ``Rotation`` hashable, so a gate engine can still validate each distinct
-gate once.
+gate once. ``Circuit.causal_cone`` keeps only the ops that can reach a set
+of sites: a run that reads a central chain pair needs about half the gates.
 """
 
 from __future__ import annotations
@@ -71,6 +72,21 @@ class Circuit:
                 if op.control == op.target:
                     raise ValueError("CX control and target must differ")
         object.__setattr__(self, "grid", _grid_size(self.ops))
+
+    def causal_cone(self, sites) -> Circuit:
+        """The circuit pruned to the past causal cone of ``sites``, same grid: walking
+        the ops backwards, an op is kept when it touches the growing set of sites, and its
+        sites join the set. A dropped op touches no site of ``sites`` and commutes past every
+        kept op after it, so the reduced state of ``sites`` is unchanged."""
+        reach, kept = set(sites), []
+        for op in reversed(self.ops):
+            touched = {op.site} if isinstance(op, Rotation) else {op.control, op.target}
+            if touched & reach:
+                reach |= touched
+                kept.append(op)
+        cone = Circuit(self.n_qubits, tuple(reversed(kept)))
+        object.__setattr__(cone, "grid", self.grid)
+        return cone
 
 
 def _grid_size(ops: tuple[GateOp, ...]) -> int | None:

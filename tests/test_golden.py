@@ -86,6 +86,19 @@ GOLDEN = [
         "525ce098f18889d1d4e8e57da65eb485f7e4134a55c87c6739bd914a4a57c8fd",
         id="star-explicit-pairs-mps",
     ),
+    pytest.param(
+        # the run reads one central pair, so the MPS runs only its causal cone
+        ("sweep", "--protocol", "linear", "--case", "4", "--n", "12", "--pairs", "bulk-center",
+         "--backend", "mps", "--theta", GRID),
+        "2428ac9b31ed7ca8a175ebfd4df241ce5c850520bbcf210fde76211631821d4b",
+        id="linear-bulk-center-cone-mps",
+    ),
+    pytest.param(
+        # both backends run the causal cone of the pair they read
+        ("oracle-check", "--protocol", "linear", "--n", "10", "--pairs", "5:6", "--theta", GRID),
+        "8aaa9270f978f5e23361095c49d921abaa1b42d430b7d6f4f8e52216e270ce19",
+        id="oracle-check-linear-cone",
+    ),
 ]
 
 

@@ -252,3 +252,26 @@ def test_circuit_rejects_angle_tuples_of_different_lengths():
 def test_circuit_to_text_rejects_angle_tuples():
     with pytest.raises(ValueError, match=r"Rotation\(site=2, theta=\(0.1, 0.2\)\) carries an"):
         circuit_to_text(build_linear(3, 4, (0.1, 0.2)))
+
+
+def test_causal_cone_keeps_the_ops_that_reach_the_sites_in_order():
+    thetas = (0.1, 0.2)
+    circuit = Circuit(
+        4,
+        (
+            Rotation(3, thetas),
+            ControlledNot(3, 4),
+            ControlledNot(1, 2),
+            Rotation(4, thetas),
+            ControlledNot(2, 3),
+        ),
+    )
+    # site 4 sees its own rotation and, through the CX from 3, the rotation of 3
+    assert circuit.causal_cone({4}).ops == circuit.ops[:2] + circuit.ops[3:4]
+    # the CX from 2 onto 3 brings in everything that reached 2 before it
+    assert circuit.causal_cone([3]).ops == circuit.ops[:3] + circuit.ops[4:]
+    assert circuit.causal_cone(range(1, 5)).ops == circuit.ops
+    # a cone without a rotation still stacks the circuit's grid
+    bare = circuit.causal_cone({1})
+    assert bare.ops == (ControlledNot(1, 2),) and bare.grid == 2
+    assert Circuit(4, bare.ops).grid is None

@@ -13,6 +13,7 @@ import symm_ent.cli
 import symm_ent.sweep
 from symm_ent import (
     FAMILIES,
+    ControlledNot,
     GridSpec,
     MatrixProductState,
     OutputRow,
@@ -29,6 +30,7 @@ from symm_ent import (
     unitary_params,
     write_rows,
 )
+from symm_ent.sweep import _block_circuit, _pair_rdms, _plan, _prepare_block
 
 TWO_PI = 2 * np.pi
 
@@ -781,3 +783,85 @@ def test_oracle_check_records_a_branch_alive_on_one_backend_only(dead_on, monkey
     floor = symm_ent.sweep.BRANCH_PROBABILITY_FLOOR
     assert abs(report.max_probability_deviation - (branch - floor)) < 1e-12
     assert report.max_rdm_deviation < 1e-12
+
+
+# ------------------------------------------------------------- causal cone
+
+
+@st.composite
+def cone_configs(draw):
+    """A run of any protocol variant on at most 10 qubits, reading a random
+    non-empty set of pairs, over a small random angle grid."""
+    variant = draw(
+        st.sampled_from(
+            ["star", "star-0", "star-1", "linear-1", "linear-2", "linear-3", "linear-4",
+             "periodic-grid", "periodic-offset"]
+        )
+    )
+    start = draw(st.floats(0.0, 3.0))
+    theta = GridSpec(start, start + draw(st.floats(0.5, 3.0)), draw(st.integers(2, 5)))
+    if variant.startswith("star"):
+        n_outer = draw(st.integers(1, 9))
+        total = n_outer + 1
+        kw = dict(n_outer=n_outer, postselect=None if variant == "star" else int(variant[-1]))
+    elif variant.startswith("linear"):
+        total = draw(st.integers(3, 10))
+        kw = dict(n=total, case=int(variant[-1]))
+    else:
+        total = draw(st.integers(4, 10))
+        if variant == "periodic-grid":
+            kw = dict(n=total, theta2=GridSpec(0.3, 2.9, draw(st.integers(2, 3))))
+        else:
+            kw = dict(n=total, theta2_offset=draw(st.floats(-3.0, 3.0)))
+    every_pair = [(i, j) for i in range(1, total) for j in range(i + 1, total + 1)]
+    pairs = draw(st.lists(st.sampled_from(every_pair), min_size=1, max_size=6, unique=True))
+    return SweepConfig(protocol=variant.split("-")[0], theta=theta, pairs=tuple(pairs), **kw)
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=cone_configs())
+def test_the_causal_cone_changes_no_read(config):
+    plan = _plan(config)
+    full = _block_circuit(plan.config, plan.points)
+    cone = full.causal_cone(plan.reads)
+    assert cone.grid == full.grid == len(plan.points)
+    assert full.causal_cone(range(1, plan.total + 1)).ops == full.ops
+    assert set(cone.ops) <= set(full.ops)
+    # the same plan reading every qubit runs the whole circuit
+    unpruned = replace(plan, reads=frozenset(range(1, plan.total + 1)))
+    for backend in ("statevector", "mps"):
+        state, alive, probabilities = _prepare_block(plan, plan.points, backend)
+        whole, whole_alive, whole_probabilities = _prepare_block(unpruned, plan.points, backend)
+        assert np.array_equal(alive, whole_alive)
+        if probabilities is not None:
+            assert np.abs(probabilities - whole_probabilities).max(initial=0.0) <= 1e-13
+        if state is not None:
+            deviation = np.abs(_pair_rdms(state, plan.pairs) - _pair_rdms(whole, plan.pairs))
+            assert deviation.max() <= 1e-13, backend
+
+
+def test_a_chain_read_at_its_center_runs_about_half_its_circuit():
+    plan = _plan(linear_config(n=60, pairs="bulk-center", backend="mps"))
+    full = _block_circuit(plan.config, plan.points)
+    cone = full.causal_cone(plan.reads)
+    assert plan.reads == {30, 31}
+    assert (len(cone.ops), len(full.ops)) == (62, 118)
+    assert sum(isinstance(op, ControlledNot) for op in cone.ops) == 31
+
+
+@pytest.mark.parametrize(
+    "n_outer, postselect",
+    [(n_outer, postselect) for n_outer in (1, 2, 3, 5, 11) for postselect in (None, 0, 1)
+     if n_outer > 1 or postselect is None],
+)
+def test_every_star_run_over_star_all_keeps_every_op(n_outer, postselect):
+    plan = _plan(
+        SweepConfig(protocol="star", theta=GridSpec(0.0, TWO_PI, 5), n_outer=n_outer,
+                    postselect=postselect)
+    )
+    full = _block_circuit(plan.config, plan.points)
+    assert full.causal_cone(plan.reads).ops == full.ops
+    # without post-selection, outer qubits read apart from qubit 1 and the
+    # central one see only the gates up to their own CX
+    if n_outer >= 5 and postselect is None:
+        assert len(full.causal_cone({4, 5}).ops) == 2 * (n_outer - 3)
