@@ -63,6 +63,14 @@ def first_flagged(bad: np.ndarray, stack_shape: tuple[int, ...]) -> tuple[int, s
     return flat, f" at stack index {index[0] if len(index) == 1 else index}"
 
 
+def as_index(value, label: str) -> int:
+    """A Python or numpy integer as an int; anything else, a bool too, is a
+    ValueError naming ``label``."""
+    if type(value) is int or isinstance(value, np.integer):
+        return int(value)
+    raise ValueError(f"{label} must be an integer, got {value!r}")
+
+
 def as_float(values) -> np.ndarray:
     """``values`` as a float64 array, or a complex128 one when complex; an
     array already of that dtype is returned as it is."""

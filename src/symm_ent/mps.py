@@ -39,10 +39,11 @@ single-point state keeps ``(l, 2, r)`` tensors and runs through the same
 code. ``single_rdm`` and ``postselect`` return stacks for a stacked
 state: a ``(P, 2, 2)`` array and one probability per point. ``pair_rdm``
 reads one grid point of a stacked state per call, after moving the shared
-center once for all of them, and reads a pair or a row of pairs that share
-their left site: one environment sweep from the left site closes every pair
-of the row (Schollwoeck, Ann. Phys. 326, 96, 2011). ``discarded_weight``
-holds each point's total, and ``discarded_weight_total`` is the largest.
+center to the left site once for all of them. An adjacent pair is the Gram
+matrix M M^dag of the two-site block M there; one environment sweep closes
+every distant pair of a row of pairs sharing that site (Schollwoeck, Ann.
+Phys. 326, 96, 2011). ``discarded_weight`` holds each point's total, and
+``discarded_weight_total`` is the largest.
 
 Real in, real out: the product state starts as float64 and every protocol
 gate is real, so a protocol run keeps float64 tensors throughout. The
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import first_flagged, require_unitary, svd_truncate
+from .linalg import as_index, first_flagged, require_unitary, svd_truncate
 from .protocols import Circuit, ControlledNot, Rotation, cx_matrix, rotation_matrix
 from .statevector import MAX_QUBITS, ZERO_PROBABILITY, StateVector
 
@@ -464,19 +465,19 @@ class MatrixProductState:
         """4x4 reduced density matrix of (i, j), i < j, in basis |q_i q_j>.
 
         ``j`` may also be a row: an ascending tuple of sites right of ``i``,
-        read as a ``(len(j), 4, 4)`` stack. Adjacent pairs reduce to the
-        two-site block at the center, which moves to ``i`` for every grid
-        point at once; distant pairs contract the transfer network between
-        them. One environment sweep from ``i`` closes every pair of a row on
-        its way, so a row costs what its farthest pair costs, and each of
-        its matrices is bitwise the read of that pair alone.
+        read as a ``(len(j), 4, 4)`` stack. The center moves to ``i`` for
+        every grid point at once. The adjacent pair (i, i + 1) is the Gram
+        matrix M M^dag of the two-site block M there, with no environment;
+        one environment sweep from ``i`` closes every distant pair of a row,
+        so a row costs what its farthest pair costs, and each of its
+        matrices is bitwise the read of that pair alone.
 
         A stacked state is read at the grid point with index ``point``, which
         a single-point state does not take: ``perfbench/test_smoke.py`` pins
         one call per grid point and row.
         """
-        row = isinstance(j, tuple)
-        sites = j if row else (j,)
+        i, row = as_index(i, "i"), isinstance(j, tuple)
+        sites = tuple(as_index(site, "j") for site in j) if row else (as_index(j, "j"),)
         self._check_site(i)
         if not sites:
             raise ValueError(f"row of pairs from site {i} names no right site")
@@ -489,25 +490,30 @@ class MatrixProductState:
         if self.grid is None:
             if point is not None:
                 raise ValueError(f"point {point} given for a single-point state")
-        elif point is None or not 0 <= point < self.grid:
+        elif point is None or not 0 <= as_index(point, "point") < self.grid:
             raise ValueError(
                 f"a state of {self.grid} grid points needs a point in 0..{self.grid - 1}, "
                 f"got {point}"
             )
         self._move_center_to(i)
-        t, *middle, tj = self.tensors[i - 1 : left]
-        if point is not None:
-            t, tj = t[point], tj[point]
-            middle = [tm[point] for tm in middle]
-        # ndarray.conj() of a real tensor is the tensor itself, not a copy
-        env = np.einsum("lpr,lqs->pqrs", t, t.conj())
+        t, *rest = (tm if point is None else tm[point] for tm in self.tensors[i - 1 : left])
         rhos = []
-        for site, tm in enumerate(middle, start=i + 1):
-            if site in sites:
-                rhos.append(np.einsum("pqrs,rxt,syt->pxqy", env, tm, tm.conj()).reshape(4, 4))
-            env = np.einsum("pqrs,rxt,sxu->pqtu", env, tm, tm.conj())
-        rho = np.einsum("pqrs,rxt,syt->pxqy", env, tj, tj.conj()).reshape(4, 4)
-        return np.array(rhos + [rho]) if row else rho
+        if sites[0] == i + 1:
+            # the block M[(p x), (l s)] of (i, i + 1) at the center: rho = M M^dag;
+            # ndarray.conj() of a real array is the array itself, not a copy
+            l, _, r = t.shape
+            block = (t.reshape(l * 2, r) @ rest[0].reshape(r, -1)).reshape(l, 4, -1)
+            block = block.transpose(1, 0, 2).reshape(4, -1)
+            rhos.append(block @ block.conj().T)
+        distant = sites[len(rhos) :]
+        if distant:
+            env = np.einsum("lpr,lqs->pqrs", t, t.conj())
+            for site, tm in enumerate(rest, start=i + 1):
+                if site in distant:
+                    rhos.append(np.einsum("pqrs,rxt,syt->pxqy", env, tm, tm.conj()).reshape(4, 4))
+                if site < left:
+                    env = np.einsum("pqrs,rxt,sxu->pqtu", env, tm, tm.conj())
+        return np.array(rhos) if row else rhos[0]
 
     def to_statevector(self) -> StateVector:
         """Contract the full chain into an exact statevector (oracle bridge)."""

@@ -23,12 +23,13 @@ from dataclasses import dataclass, fields, replace
 from itertools import chain, groupby
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import Iterator, get_args, get_type_hints
 
 import numpy as np
 
 from .concurrence import wootters_concurrence
 from .formulas import analytic_concurrence, unitary_params
+from .linalg import as_index
 from .mps import MatrixProductState
 from .protocols import (
     Circuit,
@@ -158,6 +159,7 @@ class OutputRow:
 COLUMNS = tuple(field.name for field in fields(OutputRow))
 CSV_HEADER = ",".join(COLUMNS)
 _row_values = attrgetter(*COLUMNS)
+_pair_values = attrgetter(*COLUMNS[2:7])  # pair_left..abs_error: not shared by a point's rows
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,7 @@ def _plan(config: SweepConfig) -> RunPlan:
     if config.backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {config.backend!r}")
     if config.protocol == "star":
-        if config.n_outer is None or config.n_outer < 1:
+        if config.n_outer is None or as_index(config.n_outer, "n_outer") < 1:
             raise ValueError("star protocol needs n_outer >= 1")
         if config.postselect not in (None, 0, 1):
             raise ValueError("postselect must be 0 or 1")
@@ -234,14 +236,14 @@ def _plan(config: SweepConfig) -> RunPlan:
         if config.n_outer is not None:
             raise ValueError("n_outer is only meaningful for the star protocol")
     if config.protocol == "linear":
-        if config.case not in (1, 2, 3, 4):
+        if as_index(config.case, "case") not in (1, 2, 3, 4):
             raise ValueError(f"case must be 1..4, got {config.case}")
-        if config.n < 3:
+        if as_index(config.n, "n") < 3:
             raise ValueError("linear protocol needs n >= 3")
     elif config.case != 4:
         raise ValueError(f"case is only meaningful for the linear protocol, got case={config.case}")
     if config.protocol == "periodic":
-        if config.n < 4:
+        if as_index(config.n, "n") < 4:
             raise ValueError("periodic protocol needs n >= 4")
         if (config.theta2 is None) == (config.theta2_offset is None):
             raise ValueError("periodic protocol needs exactly one of theta2 / theta2_offset")
@@ -316,7 +318,7 @@ def _resolve_pairs(config: SweepConfig) -> list[tuple[int, int]]:
         )
     first_as = {}
     for pair in selection:
-        i, j = int(pair[0]), int(pair[1])
+        i, j = as_index(pair[0], "site in pairs"), as_index(pair[1], "site in pairs")
         if i == j:
             raise ValueError(f"pair sites must differ, got ({i}, {j})")
         if not (1 <= i <= total and 1 <= j <= total):
@@ -447,8 +449,12 @@ def _pair_rdms(
 def _scored_points(plan: RunPlan):
     """Yield ``(theta, theta2, probability, scores)`` for every grid point
     whose state exists, ``scores`` holding one concurrence per plan pair."""
-    # scored one row of pairs at a time, as scoring a whole block costs
-    # memory; ascending rows keep the MPS center walk short
+    # scored one row of pairs at a time. One call per block took the peak RSS of
+    # a 60-qubit all-adjacent sweep (201 angles, perfbench chain-sweep, 2-core
+    # x86 host) from 40.3 to 45.4 MB (+13%) to save 0.01-0.03 s, and one call
+    # for the MPS scores of run_oracle_check did not speed up the star
+    # oracle-check (perfbench star-oracle). Ascending rows keep the MPS center
+    # walk short.
     rows = [tuple(row) for _, row in groupby(plan.pairs, key=itemgetter(0))]
     for block in _blocks(plan.points, _block_points(plan.backend, plan.total)):
         state, alive, probabilities = _prepare_block(plan, block, plan.backend)
@@ -468,7 +474,7 @@ def _scored_points(plan: RunPlan):
 
 def _point_rows(
     plan: RunPlan, theta: float, theta2: float | None, probability: float | None, scores
-) -> list[OutputRow]:
+) -> Iterator[OutputRow]:
     # one closed-form value per family; each formula ignores the size it does not use
     angles = unitary_params(theta, theta2)
     closed = dict.fromkeys(plan.families)
@@ -477,23 +483,12 @@ def _point_rows(
             closed[family] = analytic_concurrence(
                 family, angles, n_outer=plan.total - 1, chain_n=plan.total
             )
-    rows = []
+    outcome = plan.config.postselect
     for (i, j), family, numeric in zip(plan.pairs, plan.families, scores):
         analytic = closed[family]
-        rows.append(
-            OutputRow(
-                theta=theta,
-                theta2=theta2,
-                pair_left=i,
-                pair_right=j,
-                concurrence_numeric=numeric,
-                concurrence_analytic=analytic,
-                abs_error=None if analytic is None else abs(numeric - analytic),
-                postselect_outcome=plan.config.postselect,
-                postselect_probability=probability,
-            )
-        )
-    return rows
+        error = None if analytic is None else abs(numeric - analytic)
+        # positional: keyword construction of the frozen row costs ~2 us more per row
+        yield OutputRow(theta, theta2, i, j, numeric, analytic, error, outcome, probability)
 
 
 def run_sweep(config: SweepConfig) -> list[OutputRow]:
@@ -638,8 +633,20 @@ def _fmt(value) -> str:
 def rows_to_csv_text(rows: list[OutputRow]) -> str:
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
+    last = None
     for row in rows:
-        out.write(",".join(map(_fmt, _row_values(row))) + "\n")
+        # a run of rows holding the very same point objects shares their text;
+        # `is`, not ==, so a -0.0 after a 0.0, or a NaN, is formatted anew
+        if last is None or not (
+            row.theta is last.theta
+            and row.theta2 is last.theta2
+            and row.postselect_outcome is last.postselect_outcome
+            and row.postselect_probability is last.postselect_probability
+        ):
+            last = row
+            head = f"{_fmt(row.theta)},{_fmt(row.theta2)},"
+            tail = f",{_fmt(row.postselect_outcome)},{_fmt(row.postselect_probability)}\n"
+        out.write(head + ",".join(map(_fmt, _pair_values(row))) + tail)
     return out.getvalue()
 
 

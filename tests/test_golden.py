@@ -24,7 +24,7 @@ GOLDEN = [
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "2", "--n", "7", "--theta", GRID,
          "--backend", "mps"),
-        "e93d3d8b06d20930378e9e5beeb07a468fade6f5eac8d6fcfe2f2200c28da515",
+        "6ae46841cb7607ff7bf69fb8187a6e5eaa41f55573e9503220a14428689de2e4",
         id="linear-case2-mps",
     ),
     pytest.param(
@@ -35,13 +35,13 @@ GOLDEN = [
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "4", "--n", "8", "--theta", GRID,
          "--backend", "mps"),
-        "de600961781835582f1ac1e4a28da7876b642dc177f12a3b602fdaf27d455ee2",
+        "bab34c8428bff44cdfb0bfeeed877973aad52af727312dda7f0d6d8fd5df478f",
         id="linear-case4-mps",
     ),
     pytest.param(
         ("sweep", "--protocol", "periodic", "--n", "8", "--theta", GRID,
          "--theta2-offset", "0.4", "--backend", "mps"),
-        "5b6e1e6586c1a6fe226f3af7f4d48d50aa30335da4f33e590f20e6658041c35b",
+        "17f5329da9703bbc660cfbf918eb745e605664f102a34a95976561f7f7451f76",
         id="periodic-offset-mps",
     ),
     pytest.param(
@@ -62,41 +62,41 @@ GOLDEN = [
     pytest.param(
         ("oracle-check", "--protocol", "star", "--n-outer", "3", "--theta", GRID,
          "--postselect", "0"),
-        "f6d94cf85cdd327e7b63210ac1cb2c9dffabf1afa876b03825ff45c0d4a593d2",
+        "bc5237f642e5719fb5c41e0a6bf75c4b17f0c66225058a1de62695def8f0c648",
         id="oracle-check-star-postselect0",
     ),
     pytest.param(
         # 12 qubits: the statevector runs the 21 points in stacked blocks of 8
         ("oracle-check", "--protocol", "star", "--n-outer", "11", "--postselect", "0",
          "--theta", "0:6.283185307179586:21"),
-        "90e831b127815f3d0250859386f0f790f800a7e2b99e982fa114a93c600d6353",
+        "178ab85e6191bde3a8777c9bb59d425793ed089fcabb76a3ad18b9d8e0568d2a",
         id="oracle-check-star12-postselect0",
     ),
     pytest.param(
         # the MPS distant-pair read: rows of outer pairs sharing a left site
         ("sweep", "--protocol", "star", "--n-outer", "6", "--postselect", "1",
          "--backend", "mps", "--theta", GRID),
-        "9779aec1273a7ca393f6437bba2d240b3b0e4edf27b7e6c41c44b0905ae9f829",
+        "1d2b14ad040633eb9f327241d08cc007a0053209358e138f0f16189181fb3ccd",
         id="star-postselect1-mps",
     ),
     pytest.param(
         # unsorted explicit pairs, a shared left site, a row through the central qubit
         ("sweep", "--protocol", "star", "--n-outer", "5", "--backend", "mps",
          "--pairs", "1:4,1:2,2:5,1:6", "--theta", GRID),
-        "525ce098f18889d1d4e8e57da65eb485f7e4134a55c87c6739bd914a4a57c8fd",
+        "e77eb0eb1580fa0afb5037c35da16a2dff11b30b81390e767acf2e0476064a2d",
         id="star-explicit-pairs-mps",
     ),
     pytest.param(
         # the run reads one central pair, so the MPS runs only its causal cone
         ("sweep", "--protocol", "linear", "--case", "4", "--n", "12", "--pairs", "bulk-center",
          "--backend", "mps", "--theta", GRID),
-        "2428ac9b31ed7ca8a175ebfd4df241ce5c850520bbcf210fde76211631821d4b",
+        "e39edf4ff8e1208a723bd27c3a021ee83983b7de5dd660b13464cff191bd1431",
         id="linear-bulk-center-cone-mps",
     ),
     pytest.param(
         # both backends run the causal cone of the pair they read
         ("oracle-check", "--protocol", "linear", "--n", "10", "--pairs", "5:6", "--theta", GRID),
-        "8aaa9270f978f5e23361095c49d921abaa1b42d430b7d6f4f8e52216e270ce19",
+        "53c5c0dcad58849b3b7e8f23cd10bdbcd317ef573c1e0ecff9d28f360c58db19",
         id="oracle-check-linear-cone",
     ),
 ]

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symm_ent import (
@@ -17,7 +17,7 @@ from symm_ent import (
 )
 from symm_ent.formulas import analytic_concurrence, unitary_params
 
-from oracles import haar_unitary
+from oracles import brute_pair_rdm, haar_unitary
 from test_mps_properties import protocol_grids
 
 
@@ -244,6 +244,67 @@ def test_row_reads_are_bitwise_the_pair_reads(grid, haar, data):
             assert row.dtype == np.result_type(*state.tensors[i - 1 : sites[-1]])
             for rho, j in zip(row, sites):
                 assert np.array_equal(rho, state.pair_rdm(i, j, point=point))
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol_grids(), st.booleans(), st.data())
+def test_adjacent_reads_match_the_brute_force_partial_trace(grid, haar, data):
+    """Every adjacent read, the Gram matrix of the two-site block at the
+    center, lies within 1e-12 of the partial trace of the statevector by
+    basis-state enumeration, in the dtype of its tensors: on stacked and
+    single-point states, real and complex."""
+    build, n, points, _ = grid
+    assume(n <= 8)  # the enumeration visits 4**n basis pairs per read
+    points = list(dict.fromkeys(points))
+    stacked = MatrixProductState(n).run_circuit(build(*map(tuple, zip(*points))))
+    singles = [MatrixProductState(n).run_circuit(build(*point)) for point in points]
+    if haar:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a = data.draw(st.integers(1, n - 1))
+        b = data.draw(st.integers(a + 1, n))
+        gate = haar_unitary(rng, 4)
+        for state in [stacked, *singles]:
+            state.apply_2q_long_range(gate, a, b)
+            assert np.result_type(*state.tensors) == np.complex128
+    for k, single in enumerate(singles):
+        amplitudes = single.to_statevector().amplitudes
+        for i in range(1, n):
+            expected = brute_pair_rdm(amplitudes, n, i, i + 1)
+            for state, point in ((stacked, k), (single, None)):
+                rho = state.pair_rdm(i, i + 1, point=point)
+                assert rho.dtype == np.result_type(*state.tensors[i - 1 : i + 1])
+                assert np.abs(rho - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "i, j, message",
+    [
+        (2, [3, 4], "j must be an integer, got [3, 4]"),
+        (2, np.array([3, 4]), "j must be an integer, got array([3, 4])"),
+        (2, 3.5, "j must be an integer, got 3.5"),
+        (2, (3.0, 4), "j must be an integer, got 3.0"),
+        (2, True, "j must be an integer, got True"),
+        (2.0, 3, "i must be an integer, got 2.0"),
+        (False, 3, "i must be an integer, got False"),
+    ],
+    ids=["list", "array", "float", "float-in-row", "bool", "float-i", "bool-i"],
+)
+def test_pair_read_rejects_a_non_integer_site(i, j, message):
+    stacked = MatrixProductState(5).run_circuit(build_star(4, (0.3, 1.2)))
+    single = MatrixProductState(5).run_circuit(build_star(4, 0.3))
+    for state, point in ((stacked, 1), (single, None)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            state.pair_rdm(i, j, point=point)
+
+
+def test_pair_read_takes_numpy_integers_and_rejects_a_non_integer_point():
+    stacked = MatrixProductState(5).run_circuit(build_star(4, (0.3, 1.2)))
+    single = MatrixProductState(5).run_circuit(build_star(4, 0.3))
+    for point in (1.0, True):
+        with pytest.raises(ValueError, match=f"point must be an integer, got {point}"):
+            stacked.pair_rdm(2, 3, point=point)
+    assert np.array_equal(single.pair_rdm(np.int64(2), (np.int64(3), 4))[0], single.pair_rdm(2, 3))
+    assert np.array_equal(stacked.pair_rdm(2, 3, point=np.int64(1)), stacked.pair_rdm(2, 3, point=1))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -551,6 +552,30 @@ def test_arguments_the_protocol_ignores_are_rejected(given_fields, message):
     for run in (run_sweep, run_compare, run_oracle_check):
         with pytest.raises(ValueError, match=message):
             run(config)
+
+
+@pytest.mark.parametrize(
+    "given_fields, message",
+    [
+        (dict(pairs=((2.5, 3),)), "site in pairs must be an integer, got 2.5"),
+        (dict(pairs=((True, 3),)), "site in pairs must be an integer, got True"),
+        (dict(pairs=((2, "3"),)), "site in pairs must be an integer, got '3'"),
+        (dict(n=6.0), "n must be an integer, got 6.0"),
+        (dict(protocol="periodic", n=6.0, theta2_offset=0.4), "n must be an integer, got 6.0"),
+        (dict(protocol="star", n=None, n_outer=4.0, pairs=""), "n_outer must be an integer"),
+        (dict(protocol="star", n=None, n_outer=True, pairs=""), "n_outer must be an integer"),
+        (dict(case=True), "case must be an integer, got True"),
+    ],
+    ids=["float-site", "bool-site", "str-site", "float-n", "float-n-periodic", "float-n_outer",
+         "bool-n_outer", "bool-case"],
+)
+def test_non_integer_sizes_and_sites_are_rejected(given_fields, message):
+    config = linear_config(**given_fields)
+    for run in (run_sweep, run_compare, run_oracle_check):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(config)
+    # numpy integers are integers
+    assert run_sweep(linear_config(n=np.int64(6), pairs=((np.int64(2), 3),)))
 
 
 def test_duplicate_pairs_are_rejected():
