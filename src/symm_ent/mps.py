@@ -8,20 +8,24 @@ center one site is a pure QR basis change that leaves the represented state
 untouched; across a bond of dimension 1 the QR of the one-column matrix is
 its normalisation, so that is what the move does.
 
-Nearest-neighbor two-site gates follow the standard update: contract the
-two-site block at the center, apply the gate, split back with an SVD. Gates
-between distant sites (the star layout's controlled-NOTs) are applied
-exactly as a product-operator chain threaded through the intervening sites,
-followed by a recanonicalization pass over the touched window, so no swap
-network is needed.
+Every two-site gate is the one nearest-neighbor update: contract the
+two-site block at the center, apply the gate, split back with an SVD. A gate
+between distant sites (the star layout's controlled-NOTs) is routed with
+adjacent SWAP gates (Stoudenmire & White, New J. Phys. 12, 055026, 2010):
+``run_circuit`` keeps a qubit-to-site map, moves a CX target one site at a
+time next to its control and leaves it there, so the star's central qubit
+walks down the chain at one SWAP and one CX per outer qubit, and every split
+stays at bond dimension 2 or less. After the last op adjacent SWAPs return
+every qubit to its own site, so outside ``run_circuit`` qubit k is site k.
 
 The public gate methods validate their gate with ``require_unitary`` on
 every call, and ``apply_2q`` leaves the center on the side it occupied.
 ``run_circuit`` validates each distinct gate once per call (one check per
-rotation angle, one per CX orientation) and then applies the ops through
-unchecked kernels. It places the center by look-ahead: the split after a
-nearest-neighbor gate leaves the center on the side of the circuit's next
-two-site gate, so a staircase needs no center move between its gates.
+rotation angle, one per CX orientation on the sites it acts on; the fixed
+SWAP is never checked) and then applies the ops through unchecked kernels.
+It places the center by look-ahead: the split after a two-site gate, SWAPs
+included, leaves the center on the side of the next two-site gate, so a
+staircase or a route needs no center move between its gates.
 
 There is no truncation policy: every split is a rank-revealing SVD that
 drops only singular values below ``linalg.SINGULAR_VALUE_FLOOR`` (1e-14), so
@@ -76,17 +80,53 @@ def _norms(t: np.ndarray) -> np.ndarray:
     return np.linalg.norm(flat, axis=-1, keepdims=True)[..., None, None]
 
 
-def _operator_schmidt(gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a two-site gate into sum_k A_k (x) B_k with at most four terms.
+# the two-site gate |ab> -> |ba> that routes a qubit one site along the chain
+SWAP = np.eye(4)[[0, 2, 1, 3]]
 
-    Returns the ``(k, 2, 2)`` stacks of the A_k and of the B_k.
+
+def _route(ops, n_qubits: int) -> list[tuple[np.ndarray, int, bool]]:
+    """The ops as gates on sites, ``(gate, site, two_site)``; a two-site gate
+    acts on (site, site + 1).
+
+    A CX whose qubits are not on adjacent sites first swaps its target one
+    site at a time toward its control, and the target stays where it ends.
+    After the last op adjacent swaps return every qubit to its own site. Each
+    distinct gate is validated once; the CX orientation is read from the
+    sites it acts on.
     """
-    t = gate.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    res = svd_truncate(t, 4)
-    root = np.sqrt(res.singular_values)
-    left = (res.left_isometry * root).T.reshape(-1, 2, 2)
-    right = (res.right_isometry_dag * root[:, None]).reshape(-1, 2, 2)
-    return left, right
+    checked: dict[tuple, np.ndarray] = {}
+    steps: list[tuple[np.ndarray, int, bool]] = []
+    site_of = list(range(n_qubits + 1))  # site_of[q]: the site holding qubit q
+    qubit_at = list(range(n_qubits + 1))  # its inverse
+
+    def swap(lo: int) -> None:
+        a, b = qubit_at[lo], qubit_at[lo + 1]
+        qubit_at[lo], qubit_at[lo + 1] = b, a
+        site_of[a], site_of[b] = lo + 1, lo
+        steps.append((SWAP, lo, True))
+
+    for op in ops:
+        if isinstance(op, Rotation):
+            key = ("rotation", op.theta)
+            if key not in checked:
+                checked[key] = require_unitary(rotation_matrix(op.theta), 2)
+            steps.append((checked[key], site_of[op.site], False))
+        elif isinstance(op, ControlledNot):
+            control = site_of[op.control]
+            while abs(site_of[op.target] - control) > 1:
+                target = site_of[op.target]
+                swap(target - 1 if target > control else target)
+            target = site_of[op.target]
+            key = ("cx", control < target)
+            if key not in checked:
+                checked[key] = require_unitary(cx_matrix(control_first=key[1]), 4)
+            steps.append((checked[key], min(control, target), True))
+        else:
+            raise TypeError(f"unknown gate op {op!r}")
+    for qubit in range(1, n_qubits + 1):
+        while site_of[qubit] > qubit:
+            swap(site_of[qubit] - 1)
+    return steps
 
 
 class MatrixProductState:
@@ -104,9 +144,12 @@ class MatrixProductState:
 
     # ---------------------------------------------------------------- basics
 
-    def _check_site(self, site: int, label: str = "site") -> None:
+    def _check_site(self, site: int, label: str = "site") -> int:
+        """``site`` as an int in 1..n_qubits, or a ValueError naming ``label``."""
+        site = as_index(site, label)
         if not 1 <= site <= self.n_qubits:
             raise ValueError(f"{label} {site} outside 1..{self.n_qubits}")
+        return site
 
     def _single_point(self, what: str) -> None:
         if self.grid is not None:
@@ -228,21 +271,6 @@ class MatrixProductState:
             )
         self.center = c - 1
 
-    def _shift_left_truncated(self) -> None:
-        """Move the center left through a rank-revealing SVD, which drops the
-        zero Schmidt values a product-operator chain leaves on the bond."""
-        c = self.center
-        t = self.tensors[c - 1]
-        *lead, l, _, r = t.shape
-        u, s, vdag = self._split(t.reshape(*lead, l, 2 * r))
-        self.tensors[c - 1] = vdag.reshape(*lead, -1, 2, r)
-        prev = self.tensors[c - 2]
-        lp = prev.shape[-3]
-        self.tensors[c - 2] = (prev.reshape(*lead, lp * 2, l) @ (u * s[..., None, :])).reshape(
-            *lead, lp, 2, -1
-        )
-        self.center = c - 1
-
     def _split(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rank-revealing SVD ``block = U diag(s) V^dag`` of one matrix or a
         stack, returned as ``(U, s, V^dag)``; ``s`` is rescaled to the norm of
@@ -294,8 +322,7 @@ class MatrixProductState:
         required first.
         """
         g = self._checked(gate, 2)
-        self._check_site(site)
-        self._apply_1q(g, site)
+        self._apply_1q(g, self._check_site(site))
 
     @staticmethod
     def _checked(gate, dim: int) -> np.ndarray:
@@ -321,7 +348,7 @@ class MatrixProductState:
         or ``site + 1`` first.
         """
         g = self._checked(gate, 4)
-        self._check_site(site)
+        site = self._check_site(site)
         if site + 1 > self.n_qubits:
             raise ValueError(f"two-site gate at {site} exceeds the chain")
         if self.center not in (site, site + 1):
@@ -351,91 +378,55 @@ class MatrixProductState:
     def apply_2q_long_range(self, gate, i: int, j: int) -> None:
         """Apply a 4x4 unitary to the distant pair (i, j), i < j, exactly.
 
-        The gate is split into a sum of product operators, threaded through
-        the window [i, j] as a block-diagonal bond enlargement, and the window
-        is recanonicalized with rank-revealing SVDs. The center ends at ``i``.
+        Adjacent SWAPs move qubit ``i`` to site ``j - 1``, the gate acts on
+        the adjacent pair there, and the SWAPs move it back; every split is
+        the nearest-neighbor update. The center ends at ``i`` or ``i + 1``.
         """
         g = self._checked(gate, 4)
-        self._check_site(i)
-        self._check_site(j)
+        i, j = self._check_site(i, "i"), self._check_site(j, "j")
         if not i < j:
             raise ValueError(f"need i < j, got ({i}, {j})")
-        if j == i + 1:
-            self._move_center_next_to(i)
-            self._apply_2q(g, i, center_left=self.center == i)
-        else:
-            self._apply_2q_long_range(g, i, j)
+        swaps = [(SWAP, lo, True) for lo in range(i, j - 1)]
+        self._run([*swaps, (g, j - 1, True), *reversed(swaps)])
 
-    def _apply_2q_long_range(self, g: np.ndarray, i: int, j: int) -> None:
-        self._move_center_to(i)
-        a_stack, b_stack = _operator_schmidt(g)
-        k = a_stack.shape[0]
-        t = self.tensors[i - 1]
-        *lead, l, _, r = t.shape
-        self.tensors[i - 1] = np.einsum("kqp,...lpr->...lqrk", a_stack, t).reshape(
-            *lead, l, 2, r * k
-        )
-        eye = np.eye(k)
-        for m in range(i + 1, j):
-            t = self.tensors[m - 1]
-            *lead, lm, _, rm = t.shape
-            self.tensors[m - 1] = np.einsum("...lpr,kc->...lkprc", t, eye).reshape(
-                *lead, lm * k, 2, rm * k
-            )
-        t = self.tensors[j - 1]
-        *lead, lj, _, rj = t.shape
-        self.tensors[j - 1] = np.einsum("kqp,...lpr->...lkqr", b_stack, t).reshape(
-            *lead, lj * k, 2, rj
-        )
-        # window is no longer canonical: rebuild left-to-right, compress back
-        while self.center < j:
-            self._shift_right()
-        while self.center > i:
-            self._shift_left_truncated()
+    def _run(self, steps: list[tuple[np.ndarray, int, bool]]) -> None:
+        """Apply ``(gate, site, two_site)`` steps (see ``_route``) in order.
+
+        The split of a two-site gate leaves the center on the side of the
+        next two-site gate; after the last one it stays where it was.
+        """
+        # left site of the first two-site gate after each step (None: no more)
+        upcoming: list[int | None] = [None] * len(steps)
+        following = None
+        for k in range(len(steps) - 1, -1, -1):
+            upcoming[k] = following
+            if steps[k][2]:
+                following = steps[k][1]
+        for (g, site, two_site), target in zip(steps, upcoming):
+            if two_site:
+                self._move_center_next_to(site)
+                center_left = self.center == site if target is None else target <= site
+                self._apply_2q(g, site, center_left)
+            else:
+                self._apply_1q(g, site)
 
     def run_circuit(self, circuit: Circuit) -> "MatrixProductState":
-        """Apply all gates in listed order, shifting the center as needed.
+        """Apply all gates in listed order, routing distant CXs with adjacent
+        SWAPs and shifting the center as needed.
 
-        Each distinct gate is validated once per call. After a
-        nearest-neighbor gate the center is left on the side of the next
-        two-site gate; after the last one it stays where it was. A circuit
-        with angle tuples runs every grid point at once and leaves the state
-        stacked.
+        Each distinct gate is validated once per call. After a two-site gate
+        the center is left on the side of the next one; after the last one it
+        stays where it was. Every qubit is back on its own site on return. A
+        circuit with angle tuples runs every grid point at once and leaves the
+        state stacked.
         """
         if circuit.n_qubits != self.n_qubits:
             raise ValueError(
                 f"circuit is for {circuit.n_qubits} qubits, state has {self.n_qubits}"
             )
+        steps = _route(circuit.ops, self.n_qubits)
         self._stack(circuit.grid)
-        ops = circuit.ops
-        # left site of the first two-site gate after each op (None: no more)
-        upcoming: list[int | None] = [None] * len(ops)
-        following = None
-        for k in range(len(ops) - 1, -1, -1):
-            upcoming[k] = following
-            if isinstance(ops[k], ControlledNot):
-                following = min(ops[k].control, ops[k].target)
-        checked: dict[tuple, np.ndarray] = {}
-        for k, op in enumerate(ops):
-            if isinstance(op, Rotation):
-                key = ("rotation", op.theta)
-                if key not in checked:
-                    checked[key] = require_unitary(rotation_matrix(op.theta), 2)
-                self._apply_1q(checked[key], op.site)
-            elif isinstance(op, ControlledNot):
-                lo, hi = sorted((op.control, op.target))
-                key = ("cx", op.control < op.target)
-                if key not in checked:
-                    checked[key] = require_unitary(cx_matrix(control_first=key[1]), 4)
-                if hi == lo + 1:
-                    self._move_center_next_to(lo)
-                    target = upcoming[k]
-                    center_left = self.center == lo if target is None else target <= lo
-                    self._apply_2q(checked[key], lo, center_left)
-                else:
-                    self._apply_2q_long_range(checked[key], lo, hi)
-            else:
-                raise TypeError(f"unknown gate op {op!r}")
+        self._run(steps)
         return self
 
     # ------------------------------------------------------------ read layer
@@ -455,7 +446,7 @@ class MatrixProductState:
 
         Leaves the center on ``site``, where ``postselect`` needs it next.
         """
-        self._check_site(site)
+        site = self._check_site(site)
         self._move_center_to(site)
         t = self.tensors[site - 1]
         m = t.swapaxes(-3, -2).reshape(t.shape[:-3] + (2, -1))
@@ -476,9 +467,8 @@ class MatrixProductState:
         a single-point state does not take: ``perfbench/test_smoke.py`` pins
         one call per grid point and row.
         """
-        i, row = as_index(i, "i"), isinstance(j, tuple)
+        i, row = self._check_site(i, "i"), isinstance(j, tuple)
         sites = tuple(as_index(site, "j") for site in j) if row else (as_index(j, "j"),)
-        self._check_site(i)
         if not sites:
             raise ValueError(f"row of pairs from site {i} names no right site")
         left = i
@@ -486,7 +476,8 @@ class MatrixProductState:
             if site <= left:
                 raise ValueError(f"pair sites must ascend from i = {i}, got {site} after {left}")
             left = site
-        self._check_site(left)  # the last site; the others lie between i and it
+        if left > self.n_qubits:  # the last site; the others lie between i and it
+            raise ValueError(f"site {left} outside 1..{self.n_qubits}")
         if self.grid is None:
             if point is not None:
                 raise ValueError(f"point {point} given for a single-point state")
@@ -534,7 +525,7 @@ class MatrixProductState:
         because the projection happens at the center. A stacked state returns
         one probability per grid point; every point's branch must exist.
         """
-        self._check_site(site)
+        site = self._check_site(site)
         if outcome not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {outcome}")
         self._move_center_to(site)

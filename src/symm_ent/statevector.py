@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_float, first_flagged, require_unitary
+from .linalg import as_float, as_index, first_flagged, require_unitary
 from .protocols import Circuit, ControlledNot, Rotation, rotation_matrix
 
 MAX_QUBITS = 12
@@ -74,9 +74,12 @@ class StateVector:
         amps[0] = 1.0
         return cls(n_qubits, amps)
 
-    def _check_site(self, site: int, label: str = "site") -> None:
+    def _check_site(self, site: int, label: str = "site") -> int:
+        """``site`` as an int in 1..n_qubits, or a ValueError naming ``label``."""
+        site = as_index(site, label)
         if not 1 <= site <= self.n_qubits:
             raise ValueError(f"{label} {site} outside 1..{self.n_qubits}")
+        return site
 
     def _lead(self) -> tuple[int, ...]:
         """The grid axis, ``(P,)``, or ``()`` for a single-point state."""
@@ -112,8 +115,7 @@ class StateVector:
                 f"gate must be one 2x2 matrix, got shape {g.shape}; run a circuit with "
                 "angle tuples to apply one gate per grid point"
             )
-        self._check_site(site)
-        return self._apply_1q(g, site)
+        return self._apply_1q(g, self._check_site(site))
 
     def _apply_1q(self, g: np.ndarray, site: int) -> "StateVector":
         """``g`` is one 2x2 gate or a ``(P, 2, 2)`` stack, one per grid point."""
@@ -129,8 +131,8 @@ class StateVector:
 
     def apply_cx(self, control: int, target: int) -> "StateVector":
         """Flip ``target`` on the branch where ``control`` is 1."""
-        self._check_site(control, "control")
-        self._check_site(target, "target")
+        control = self._check_site(control, "control")
+        target = self._check_site(target, "target")
         if control == target:
             raise ValueError("control and target must differ")
         psi = self._grid()
@@ -187,14 +189,12 @@ class StateVector:
 
     def single_rdm(self, site: int) -> np.ndarray:
         """2x2 reduced density matrix of one qubit; a ``(P, 2, 2)`` stack for a stacked state."""
-        self._check_site(site)
-        return self._gram((site,))
+        return self._gram((self._check_site(site),))
 
     def pair_rdm(self, i: int, j: int) -> np.ndarray:
         """4x4 reduced density matrix of the ordered pair in basis |q_i q_j>;
         a ``(P, 4, 4)`` stack for a stacked state."""
-        self._check_site(i)
-        self._check_site(j)
+        i, j = self._check_site(i, "i"), self._check_site(j, "j")
         if i == j:
             raise ValueError("pair sites must differ")
         return self._gram((i, j))
@@ -206,7 +206,7 @@ class StateVector:
         branch probability, one per grid point for a stacked state; a branch
         below 1e-14 probability is an error naming its grid point.
         """
-        self._check_site(site)
+        site = self._check_site(site)
         if outcome not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {outcome}")
         lead = self._lead()

@@ -62,29 +62,35 @@ GOLDEN = [
     pytest.param(
         ("oracle-check", "--protocol", "star", "--n-outer", "3", "--theta", GRID,
          "--postselect", "0"),
-        "bc5237f642e5719fb5c41e0a6bf75c4b17f0c66225058a1de62695def8f0c648",
+        "19e046ab37d713d71f7aa1376bfcce490056a70d39d3bb37d21d6fa1216f4300",
         id="oracle-check-star-postselect0",
     ),
     pytest.param(
         # 12 qubits: the statevector runs the 21 points in stacked blocks of 8
         ("oracle-check", "--protocol", "star", "--n-outer", "11", "--postselect", "0",
          "--theta", "0:6.283185307179586:21"),
-        "178ab85e6191bde3a8777c9bb59d425793ed089fcabb76a3ad18b9d8e0568d2a",
+        "aa4abbb757967f34fbe6a43df7793c14ef5950f399f42759fbc6f10cd1ea4efd",
         id="oracle-check-star12-postselect0",
     ),
     pytest.param(
         # the MPS distant-pair read: rows of outer pairs sharing a left site
         ("sweep", "--protocol", "star", "--n-outer", "6", "--postselect", "1",
          "--backend", "mps", "--theta", GRID),
-        "1d2b14ad040633eb9f327241d08cc007a0053209358e138f0f16189181fb3ccd",
+        "66aeecd4cc2ffaf8b5a7dacfac6f46d6c5ede1a5f31cfe06b1b40a278b892561",
         id="star-postselect1-mps",
     ),
     pytest.param(
         # unsorted explicit pairs, a shared left site, a row through the central qubit
         ("sweep", "--protocol", "star", "--n-outer", "5", "--backend", "mps",
          "--pairs", "1:4,1:2,2:5,1:6", "--theta", GRID),
-        "e77eb0eb1580fa0afb5037c35da16a2dff11b30b81390e767acf2e0476064a2d",
+        "c127ac1774251d0ed1302f628b13bcb5101de4311d3bc786e2fd31c2f93a85a5",
         id="star-explicit-pairs-mps",
+    ),
+    pytest.param(
+        # the swap route: the central qubit walks down the chain and back home
+        ("sweep", "--protocol", "star", "--n-outer", "6", "--backend", "mps", "--theta", GRID),
+        "b593a4893a9a00d98a69d9e39914a4273f14825aa2518fd7db901624ccec34d4",
+        id="star-central-mps",
     ),
     pytest.param(
         # the run reads one central pair, so the MPS runs only its causal cone

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import symm_ent.mps
 from symm_ent import (
+    Circuit,
+    ControlledNot,
     MatrixProductState,
+    Rotation,
     StateVector,
     build_linear,
     build_periodic,
@@ -308,6 +312,46 @@ def test_pair_read_takes_numpy_integers_and_rejects_a_non_integer_point():
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda sv, mps: sv.pair_rdm(2.0, 3), "i must be an integer, got 2.0"),
+        (lambda sv, mps: sv.pair_rdm(2, 3.0), "j must be an integer, got 3.0"),
+        (lambda sv, mps: sv.single_rdm(True), "site must be an integer, got True"),
+        (lambda sv, mps: sv.postselect(4.0, 0), "site must be an integer, got 4.0"),
+        (lambda sv, mps: sv.apply_1q(rotation_matrix(0.3), 1.0), "site must be an integer"),
+        (lambda sv, mps: sv.apply_cx(1, 2.0), "target must be an integer, got 2.0"),
+        (lambda sv, mps: sv.apply_cx(False, 2), "control must be an integer, got False"),
+        (lambda sv, mps: mps.single_rdm(2.0), "site must be an integer, got 2.0"),
+        (lambda sv, mps: mps.postselect(True, 0), "site must be an integer, got True"),
+        (lambda sv, mps: mps.apply_1q(rotation_matrix(0.3), 2.0), "site must be an integer"),
+        (lambda sv, mps: mps.apply_2q(cx_matrix(), True), "site must be an integer, got True"),
+        (lambda sv, mps: mps.apply_2q_long_range(cx_matrix(), 1, 3.0),
+         "j must be an integer, got 3.0"),
+        (lambda sv, mps: mps.apply_2q_long_range(cx_matrix(), False, 3),
+         "i must be an integer, got False"),
+    ],
+    ids=["sv-pair-i", "sv-pair-j", "sv-single", "sv-postselect", "sv-1q", "sv-cx-target",
+         "sv-cx-control", "mps-single", "mps-postselect", "mps-1q", "mps-2q",
+         "mps-long-range-j", "mps-long-range-i"],
+)
+def test_backend_methods_reject_a_non_integer_site(call, message):
+    sv = StateVector.zeros(4).run_circuit(build_star(3, 0.7))
+    mps = MatrixProductState(4).run_circuit(build_star(3, 0.7))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(sv, mps)
+
+
+def test_backend_methods_take_numpy_integer_sites():
+    sv = StateVector.zeros(4).run_circuit(build_star(3, 0.7))
+    mps = MatrixProductState(4).run_circuit(build_star(3, 0.7))
+    two, four = np.int64(2), np.int32(4)
+    assert np.array_equal(sv.pair_rdm(two, four), sv.pair_rdm(2, 4))
+    assert np.array_equal(sv.apply_cx(two, four).amplitudes, sv.apply_cx(2, 4).amplitudes)
+    assert np.array_equal(mps.single_rdm(two), mps.copy().single_rdm(2))
+    assert mps.copy().postselect(four, 0) == mps.postselect(4, 0)
+
+
+@pytest.mark.parametrize(
     "sites, message",
     [
         ((), "row of pairs from site 2 names no right site"),
@@ -408,3 +452,92 @@ def test_stacked_postselect_names_the_dead_point():
     for theta, probability in zip((1.0, 2.0), probabilities):
         single = MatrixProductState(4).run_circuit(build_star(3, theta))
         assert abs(single.postselect(4, 0) - probability) < 1e-14
+
+
+# ------------------------------------------------------------ swap routing
+
+
+def _amplitudes(mps: MatrixProductState) -> np.ndarray:
+    """Every grid point's amplitude vector, contracted site by site, site 1
+    the most significant bit as in ``StateVector``."""
+    lead = mps.tensors[0].shape[:-3]
+    vec = np.ones(lead + (1, 1))
+    for t in mps.tensors:
+        l, r = t.shape[-3], t.shape[-1]
+        vec = (vec @ t.reshape(lead + (l, 2 * r))).reshape(lead + (-1, r))
+    return vec[..., 0]
+
+
+def _dense_2q(amplitudes: np.ndarray, n: int, gate: np.ndarray, a: int, b: int) -> np.ndarray:
+    """``gate`` applied to qubits (a, b), basis |q_a q_b>, of every amplitude vector."""
+    psi = amplitudes.reshape(amplitudes.shape[:-1] + (2,) * n)
+    axes = [psi.ndim - n + a - 1, psi.ndim - n + b - 1]
+    moved = np.moveaxis(psi, axes, [-2, -1])
+    out = (moved.reshape(moved.shape[:-2] + (4,)) @ gate.T).reshape(moved.shape)
+    return np.moveaxis(out, [-2, -1], axes).reshape(amplitudes.shape)
+
+
+@st.composite
+def routed_circuits(draw):
+    """Rotations and CXs on up to 8 qubits, one angle or one angle tuple per
+    rotation; many CXs share one qubit as control or target, so a routed
+    qubit is routed again from where it was left."""
+    n = draw(st.integers(3, 8))
+    points = draw(st.sampled_from([None, 1, 3]))
+    site = st.integers(1, n)
+    hub = st.just(draw(site))
+    angle = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+    theta = angle if points is None else st.tuples(*[angle] * points)
+    rotation = st.builds(Rotation, site, theta)
+    pair = st.tuples(site, site) | st.tuples(site, hub) | st.tuples(hub, site)
+    cx = pair.filter(lambda p: p[0] != p[1]).map(lambda p: ControlledNot(*p))
+    return Circuit(n, tuple(draw(st.lists(rotation | cx, min_size=1, max_size=24))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(routed_circuits(), st.booleans(), st.data())
+def test_routed_circuits_match_the_statevector(circuit, haar, data):
+    """Distant CXs in both orientations, with controls right of their
+    targets and repeated controls and targets, run through the swap route and
+    leave every qubit on its own site: on stacked and single-point states,
+    real and complex (a Haar gate through ``apply_2q_long_range`` before and
+    after the circuit), the MPS is the statevector to 1e-12."""
+    n = circuit.n_qubits
+    mps, amplitudes = MatrixProductState(n), StateVector.zeros(n).amplitudes
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for stage in ("before", "after"):
+        if stage == "after":
+            mps.run_circuit(circuit)
+            amplitudes = StateVector(n, amplitudes).run_circuit(circuit).amplitudes
+        if haar:
+            a = data.draw(st.integers(1, n - 1))
+            b = data.draw(st.integers(a + 1, n))
+            gate = haar_unitary(rng, 4)
+            mps.apply_2q_long_range(gate, a, b)
+            amplitudes = _dense_2q(amplitudes, n, gate, a, b)
+    assert mps.grid == circuit.grid
+    assert np.result_type(*mps.tensors) == (np.complex128 if haar else np.float64)
+    assert np.abs(_amplitudes(mps) - amplitudes).max() <= 1e-12
+    assert mps.canonical_deviation() <= 1e-12
+    assert mps.discarded_weight_total < 1e-14
+
+
+def test_star_run_is_linear_in_the_outer_qubits(monkeypatch):
+    # one CX per outer qubit and one SWAP out and one home per outer qubit
+    # past the first, each split at rank <= 2: O(n) work for the whole star
+    kept = []
+    original = symm_ent.mps.svd_truncate
+
+    def recording(matrix, max_rank):
+        result = original(matrix, max_rank)
+        kept.append(result.singular_values.shape[-1])
+        return result
+
+    monkeypatch.setattr(symm_ent.mps, "svd_truncate", recording)
+    for n_outer in range(1, 21):
+        for theta in (0.9, (0.9, 2.3, 4.0)):
+            kept.clear()
+            mps = MatrixProductState(n_outer + 1).run_circuit(build_star(n_outer, theta))
+            assert len(kept) <= 3 * n_outer
+            assert max(kept) <= 2
+            assert mps.discarded_weight_total < 1e-14
