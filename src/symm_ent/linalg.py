@@ -25,6 +25,9 @@ import numpy as np
 # Singular values below this absolute floor are treated as exact zeros before
 # rank counting, so roundoff cannot inflate the kept rank.
 SINGULAR_VALUE_FLOOR = 1e-14
+# elementwise tolerances of the Hermiticity and unitarity checks
+HERMITIAN_TOL = 1e-10
+UNITARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -131,12 +134,12 @@ def svd_truncate(matrix, max_rank: int) -> SVDResult:
     )
 
 
-def hermitian_eigs(matrix, herm_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigs(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (real, ascending) and eigenvectors of a Hermitian matrix.
 
     ``matrix`` is one ``(n, n)`` matrix or a ``(..., n, n)`` stack, factored
     in one call; each stacked result is bitwise equal to factoring that
-    matrix alone. Every input must be Hermitian within ``herm_tol``
+    matrix alone. Every input must be Hermitian within ``HERMITIAN_TOL``
     elementwise; it is symmetrized before factorization so the returned
     spectrum is exactly real.
 
@@ -149,12 +152,12 @@ def hermitian_eigs(matrix, herm_tol: float = 1e-10) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     adjoint = m.conj().swapaxes(-1, -2)
     deviation = np.abs(m - adjoint)
-    if deviation.max(initial=0.0) > herm_tol:
+    if deviation.max(initial=0.0) > HERMITIAN_TOL:
         deviation = deviation.max(axis=(-2, -1)).ravel()
-        flat, where = first_flagged(deviation > herm_tol, m.shape[:-2])
+        flat, where = first_flagged(deviation > HERMITIAN_TOL, m.shape[:-2])
         raise ValueError(
             f"matrix{where} is not Hermitian: max |M - M^dag| = {deviation[flat]:.3e} "
-            f"exceeds {herm_tol:.1e}"
+            f"exceeds {HERMITIAN_TOL:.1e}"
         )
     try:
         vals, vecs = np.linalg.eigh(0.5 * (m + adjoint))
@@ -163,20 +166,20 @@ def hermitian_eigs(matrix, herm_tol: float = 1e-10) -> tuple[np.ndarray, np.ndar
     return vals, vecs
 
 
-def require_unitary(matrix, dim: int, tol: float = 1e-12, label: str = "gate") -> np.ndarray:
-    """Validate that ``matrix`` is a ``dim x dim`` unitary within ``tol``.
+def require_unitary(matrix, dim: int) -> np.ndarray:
+    """Validate that the gate ``matrix`` is a ``dim x dim`` unitary within ``UNITARY_TOL``.
 
     ``matrix`` may also be a ``(..., dim, dim)`` stack, checked in one call;
     the first failing matrix is named by its stack index.
     """
     m = _as_matrix(matrix, stacked=True)
     if m.shape[-2:] != (dim, dim):
-        raise ValueError(f"{label} must be {dim}x{dim}, got shape {m.shape}")
+        raise ValueError(f"gate must be {dim}x{dim}, got shape {m.shape}")
     deviation = np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(dim)).max(axis=(-2, -1))
-    if deviation.max() > tol:
+    if deviation.max() > UNITARY_TOL:
         deviation = deviation.ravel()
-        flat, where = first_flagged(deviation > tol, m.shape[:-2])
+        flat, where = first_flagged(deviation > UNITARY_TOL, m.shape[:-2])
         raise ValueError(
-            f"{label}{where} is not unitary: max |G^dag G - I| = {deviation[flat]:.3e}"
+            f"gate{where} is not unitary: max |G^dag G - I| = {deviation[flat]:.3e}"
         )
     return m

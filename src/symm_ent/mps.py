@@ -526,7 +526,7 @@ class MatrixProductState:
         one probability per grid point; every point's branch must exist.
         """
         site = self._check_site(site)
-        if outcome not in (0, 1):
+        if as_index(outcome, "outcome") not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {outcome}")
         self._move_center_to(site)
         t = self.tensors[site - 1].copy()

@@ -180,22 +180,22 @@ def build_linear(n: int, case: int, theta: Angle) -> Circuit:
 def build_periodic(n: int, theta1: Angle, theta2: Angle) -> Circuit:
     """Case-4 chain ordering with two alternating rotation angles.
 
-    Site i is rotated by theta1 when n - 1 - i is even and by theta2 when it
-    is odd, so the first-acted site n - 1 always carries theta1. With
+    Site i is rotated by ``periodic_site_angle(n, i, theta1, theta2)``, so
+    the first-acted site n - 1 always carries theta1. With
     theta1 == theta2 the op list is identical to ``build_linear(n, 4, theta1)``.
     """
     if n < 4:
         raise ValueError(f"alternating chain protocol needs n >= 4, got {n}")
     ops: list[GateOp] = []
     for i in range(n - 1, 0, -1):
-        angle = theta1 if (n - 1 - i) % 2 == 0 else theta2
-        ops.append(Rotation(i, angle))
+        ops.append(Rotation(i, periodic_site_angle(n, i, theta1, theta2)))
         ops.append(ControlledNot(i, i + 1))
     return Circuit(n, tuple(ops))
 
 
-def periodic_site_angle(n: int, site: int, theta1: float, theta2: float) -> float:
-    """Angle that ``build_periodic`` assigns to ``site`` (sites 1..n-1 are rotated)."""
+def periodic_site_angle(n: int, site: int, theta1: Angle, theta2: Angle) -> Angle:
+    """Angle of ``site`` in the alternating protocol (sites 1..n-1 are rotated):
+    theta1 when n - 1 - site is even, theta2 when it is odd."""
     if not 1 <= site <= n - 1:
         raise ValueError(f"site {site} is not rotated by the alternating protocol on {n} qubits")
     return theta1 if (n - 1 - site) % 2 == 0 else theta2

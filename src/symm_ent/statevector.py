@@ -207,7 +207,7 @@ class StateVector:
         below 1e-14 probability is an error naming its grid point.
         """
         site = self._check_site(site)
-        if outcome not in (0, 1):
+        if as_index(outcome, "outcome") not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {outcome}")
         lead = self._lead()
         psi = self._grid()

@@ -82,6 +82,7 @@ class GridSpec:
     steps: int
 
     def __post_init__(self):
+        as_index(self.steps, "steps")
         if not all(map(math.isfinite, (self.start, self.stop, self.stop - self.start))):
             raise ValueError(f"grid bounds must be finite, got {self.start}..{self.stop}")
         if self.steps == 1:
@@ -224,8 +225,10 @@ def _plan(config: SweepConfig) -> RunPlan:
     if config.protocol == "star":
         if config.n_outer is None or as_index(config.n_outer, "n_outer") < 1:
             raise ValueError("star protocol needs n_outer >= 1")
-        if config.postselect not in (None, 0, 1):
-            raise ValueError("postselect must be 0 or 1")
+        if config.postselect is not None:
+            if as_index(config.postselect, "postselect") not in (0, 1):
+                raise ValueError("postselect must be 0 or 1")
+            config = replace(config, postselect=int(config.postselect))
         if config.n is not None:
             raise ValueError("n is not used by the star protocol, which is sized by n_outer")
     else:
@@ -451,10 +454,8 @@ def _scored_points(plan: RunPlan):
     whose state exists, ``scores`` holding one concurrence per plan pair."""
     # scored one row of pairs at a time. One call per block took the peak RSS of
     # a 60-qubit all-adjacent sweep (201 angles, perfbench chain-sweep, 2-core
-    # x86 host) from 40.3 to 45.4 MB (+13%) to save 0.01-0.03 s, and one call
-    # for the MPS scores of run_oracle_check did not speed up the star
-    # oracle-check (perfbench star-oracle). Ascending rows keep the MPS center
-    # walk short.
+    # x86 host) from 40.3 to 45.4 MB (+13%) to save 0.01-0.03 s. Ascending rows
+    # keep the MPS center walk short.
     rows = [tuple(row) for _, row in groupby(plan.pairs, key=itemgetter(0))]
     for block in _blocks(plan.points, _block_points(plan.backend, plan.total)):
         state, alive, probabilities = _prepare_block(plan, block, plan.backend)
@@ -505,8 +506,8 @@ def run_sweep(config: SweepConfig) -> list[OutputRow]:
     return [row for point in _scored_points(plan) for row in _point_rows(plan, *point)]
 
 
-def run_compare(config: SweepConfig, threshold: float = COMPARE_THRESHOLD) -> CompareReport:
-    """Compare swept concurrences against their closed forms, per family.
+def run_compare(config: SweepConfig) -> CompareReport:
+    """Compare swept concurrences against their closed forms, per family, at ``COMPARE_THRESHOLD``.
 
     A comparison whose every grid point was skipped (no post-selected branch
     exists) checked nothing and fails.
@@ -535,12 +536,12 @@ def run_compare(config: SweepConfig, threshold: float = COMPARE_THRESHOLD) -> Co
                 max_abs_error=worst.abs_error,
                 theta_at_max=worst.theta,
                 theta2_at_max=worst.theta2,
-                passed=worst.abs_error <= threshold,
+                passed=worst.abs_error <= COMPARE_THRESHOLD,
             )
         )
     return CompareReport(
         families=tuple(comparisons),
-        threshold=threshold,
+        threshold=COMPARE_THRESHOLD,
         passed=bool(comparisons) and all(c.passed for c in comparisons),
         rows=tuple(rows),
     )
@@ -556,9 +557,10 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
     minus ``BRANCH_PROBABILITY_FLOOR``, and that is what the probability
     deviation records for it. The MPS runs each block of up to
     ``BLOCK_POINTS`` grid points as one stacked circuit, and the statevector
-    runs that block in stacked sub-blocks of at most ``MAX_BLOCK_AMPLITUDES``
-    amplitudes; each sub-block is compared whole. A check that found no grid
-    point alive on both backends checked nothing and fails.
+    runs it in sub-blocks of at most ``MAX_BLOCK_AMPLITUDES`` amplitudes. Each
+    sub-block is compared in one pass: one intersection of the two alive lists,
+    one concurrence call scoring both backends there. A check that found no
+    grid point alive on both backends checked nothing and fails.
     """
     plan = _plan(config)
     if plan.total > MAX_QUBITS:
@@ -575,32 +577,23 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
         if mps is not None:
             max_weight = max(max_weight, mps.discarded_weight_total)
             mps_rdms = _pair_rdms(mps, plan.pairs)
-            mps_scores = np.array([wootters_concurrence(rdms) for rdms in mps_rdms])
-        # each block point's index in the MPS stack, -1 where its MPS branch is dead
-        in_mps = np.full(len(block), -1)
-        in_mps[mps_alive] = np.arange(mps_alive.size)
-        sv_dead = np.ones(len(block), dtype=bool)
         for start in range(0, len(block), sv_points):
-            sub_block = block[start : start + sv_points]
-            sv, sv_alive, p_sv = _prepare_block(plan, sub_block, "statevector")
-            sv_dead[start + sv_alive] = False
-            k = in_mps[start + sv_alive]
-            both = k >= 0
-            k = k[both]
-            n_checked += k.size
+            stop = start + sv_points
+            sv, sv_alive, p_sv = _prepare_block(plan, block[start:stop], "statevector")
+            # the MPS stack positions lo:hi hold the points of this sub-block
+            lo, hi = np.searchsorted(mps_alive, (start, stop))
+            _, m, s = np.intersect1d(mps_alive[lo:hi] - start, sv_alive, return_indices=True)
+            n_checked += s.size
             if p_sv is not None:
-                # a branch alive on the statevector only deviates by at least p - floor
-                gaps = np.concatenate([np.abs(p_sv[both] - p_mps[k]), p_sv[~both] - floor])
+                # a branch alive on one backend only deviates by at least p - floor
+                one_sided = np.concatenate([np.delete(p_sv, s), np.delete(p_mps[lo:hi], m)])
+                gaps = np.concatenate([np.abs(p_sv[s] - p_mps[lo + m]), one_sided - floor])
                 max_prob = max(max_prob, float(gaps.max(initial=0.0)))
-            if k.size:
-                sv_rdms = _pair_rdms(sv, plan.pairs)[:, both]
-                max_rdm = max(max_rdm, float(np.max(np.abs(sv_rdms - mps_rdms[:, k]))))
-                sv_scores = wootters_concurrence(sv_rdms)
-                max_conc = max(max_conc, float(np.max(np.abs(sv_scores - mps_scores[:, k]))))
-        # and so does a branch alive on the MPS only
-        mps_only = in_mps[sv_dead & (in_mps >= 0)]
-        if mps_only.size:
-            max_prob = max(max_prob, float((p_mps[mps_only] - floor).max()))
+            if s.size:
+                sv_rdms = _pair_rdms(sv, plan.pairs)[:, s]
+                max_rdm = max(max_rdm, float(np.max(np.abs(sv_rdms - mps_rdms[:, lo + m]))))
+                scores = wootters_concurrence(np.stack([sv_rdms, mps_rdms[:, lo + m]]))
+                max_conc = max(max_conc, float(np.max(np.abs(scores[0] - scores[1]))))
     passed = n_checked > 0 and (
         max_rdm <= RDM_THRESHOLD
         and max_conc <= CONCURRENCE_THRESHOLD

@@ -18,9 +18,11 @@ from symm_ent import (
     GridSpec,
     MatrixProductState,
     OutputRow,
+    Rotation,
     StateVector,
     SweepConfig,
     analytic_concurrence,
+    build_star,
     read_rows_csv,
     rows_from_csv_text,
     rows_to_csv_text,
@@ -58,6 +60,37 @@ def test_grid_spec_parsing():
         GridSpec(1.0, 0.0, 5)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("steps", [2.5, 3.0, True])
+def test_grid_spec_steps_must_be_an_integer(steps):
+    with pytest.raises(ValueError, match=re.escape(f"steps must be an integer, got {steps!r}")):
+        GridSpec(0.0, 1.0, steps)
+    assert np.array_equal(GridSpec(0.0, 1.0, np.int64(3)).values(), [0.0, 0.5, 1.0])
+
+
+def _postselect_at(boundary, outcome):
+    """Post-select outcome ``outcome`` of the central qubit of a 3-outer star at
+    ``boundary``: the run plan, or a run state of either backend."""
+    if boundary == "plan":
+        config = SweepConfig(protocol="star", theta=GridSpec.single(0.7), n_outer=3,
+                             postselect=outcome)
+        return _plan(config).config.postselect
+    if boundary == "statevector":
+        return StateVector.zeros(4).run_circuit(build_star(3, 0.7)).postselect(4, outcome)[1]
+    return MatrixProductState(4).run_circuit(build_star(3, 0.7)).postselect(4, outcome)
+
+
+@pytest.mark.parametrize("boundary, label", [("plan", "postselect"), ("statevector", "outcome"),
+                                             ("mps", "outcome")])
+def test_postselect_outcome_must_be_an_integer(boundary, label):
+    for outcome in (True, False, 1.0, np.float64(0.0)):
+        with pytest.raises(ValueError, match=re.escape(f"{label} must be an integer, got")):
+            _postselect_at(boundary, outcome)
+    accepted = _postselect_at(boundary, np.int64(1))
+    assert accepted == _postselect_at(boundary, 1)
+    if boundary == "plan":
+        assert type(accepted) is int  # a numpy outcome would not serialize to JSON
 
 
 @pytest.mark.parametrize("text", ["0:inf:3", "inf", "nan:1:3", "-1e308:1e308:3"])
@@ -808,6 +841,47 @@ def test_oracle_check_records_a_branch_alive_on_one_backend_only(dead_on, monkey
     floor = symm_ent.sweep.BRANCH_PROBABILITY_FLOOR
     assert abs(report.max_probability_deviation - (branch - floor)) < 1e-12
     assert report.max_rdm_deviation < 1e-12
+
+
+def _kill_points(monkeypatch, backend, dead):
+    """Make ``backend`` find the post-selected branch dead at every angle in ``dead``."""
+    run, single_rdm = backend.run_circuit, backend.single_rdm
+    block = []  # the angles of the block run last, which single_rdm reads next
+
+    def run_circuit(self, circuit):
+        block[:] = next(op.theta for op in circuit.ops if isinstance(op, Rotation))
+        return run(self, circuit)
+
+    def dead_single_rdm(self, site):
+        rdms = single_rdm(self, site)
+        rdms[np.isin(block, dead)] = 0.0
+        return rdms
+
+    monkeypatch.setattr(backend, "run_circuit", run_circuit)
+    monkeypatch.setattr(backend, "single_rdm", dead_single_rdm)
+
+
+@pytest.mark.parametrize("sv_points", [1, 2, 3])
+@pytest.mark.parametrize("mps_points", [4, 5])
+@pytest.mark.parametrize("steps", [9, 11, 13])
+def test_oracle_check_aligns_the_backends_across_block_boundaries(
+    steps, mps_points, sv_points, monkeypatch
+):
+    config = SweepConfig(protocol="star", theta=GridSpec(0.0, TWO_PI, steps), n_outer=3,
+                         postselect=0)
+    thetas = config.theta.values()
+    # theta = 0 and 2 pi are dead on both backends, two more points on each one
+    _kill_points(monkeypatch, StateVector, thetas[[2, steps - 3]])
+    _kill_points(monkeypatch, MatrixProductState, thetas[[4, steps - 2]])
+    whole = run_oracle_check(config)
+    assert whole.n_points == steps - 6 and not whole.passed
+    monkeypatch.setattr(symm_ent.sweep, "BLOCK_POINTS", mps_points)
+    monkeypatch.setattr(symm_ent.sweep, "MAX_BLOCK_AMPLITUDES", sv_points * 2**4)
+    blocked = run_oracle_check(config)
+    assert (blocked.n_points, blocked.passed) == (whole.n_points, whole.passed)
+    assert blocked.max_probability_deviation == whole.max_probability_deviation
+    assert blocked.max_rdm_deviation < 1e-12
+    assert blocked.max_concurrence_deviation < 1e-10
 
 
 # ------------------------------------------------------------- causal cone
