@@ -9,12 +9,7 @@ produce, wired together behind a sweep/compare/cross-check layer and a CLI.
 
 import types as _types
 
-from .concurrence import (
-    XStateParams,
-    extract_xstate,
-    wootters_concurrence,
-    xstate_concurrence,
-)
+from .concurrence import wootters_concurrence, xstate_concurrence
 from .formulas import (
     FAMILIES,
     AngleParams,

@@ -1,31 +1,25 @@
-"""Wootters concurrence for two-qubit density matrices.
+"""Wootters concurrence for two-qubit density matrices, routed per matrix.
 
-The spectrum of rho * rho_tilde is real and non-negative, and the
-concurrence needs its square roots. Extracting them from eigenvalues loses
-half the working precision wherever the spectrum touches zero (sqrt of a
-1e-16 eigenvalue is 1e-8), and the states this package produces sit exactly
-there. Instead the general path factors rho = L L^dag, forms the
-symmetric matrix B = L^T (sigma_y x sigma_y) L, and reads the square roots
-off as the singular values of B: the nonzero eigenvalues of rho * rho_tilde
-equal those of B^dag B, so sqrt(lambda_i) = sigma_i(B) exactly, with no
-squaring loss. A fast exact path is provided for X-shaped states (nonzero
-entries only on the diagonal and anti-diagonal), the form every protocol in
-this package produces.
+Every protocol pair state is an X state, nonzero only on the diagonal and
+anti-diagonal. A matrix whose other entries are all at most ``X_FLOOR``
+(1e-14, the singular-value floor's scale; NaN fails) is scored in closed
+form by ``xstate_concurrence``. An X state is the direct sum of its outer
+(rows and columns 0, 3) and inner (1, 2) 2x2 blocks, so that route checks
+it through ``hermitian_eigs`` on the stack of blocks: finiteness,
+Hermiticity and a LAPACK spectrum for the eigenvalue check, for two 2x2
+problems instead of a 4x4 eigendecomposition and an SVD.
 
-``wootters_concurrence`` also scores a whole ``(..., 4, 4)`` stack in one
-call: one stacked eigendecomposition, then one stacked product and SVD per
-kept rank. Every stacked value is bitwise equal to the one-matrix call,
-which is the same code applied to a stack of one.
-
-Real in, real out: sigma_y x sigma_y is real (its two factors of i cancel),
-so for a real rho the factor L, the product B and their factorizations are
-all real, and the whole score runs in float64. Every pair RDM the protocols
-produce is real. A complex rho is scored in complex128 by the same code.
+Any other matrix takes the general route: it factors rho = L L^dag and reads
+the square roots of the spectrum of rho * rho_tilde off as the singular
+values of B = L^T (sigma_y x sigma_y) L. Taking them from eigenvalues would
+lose half the precision where the spectrum touches zero (sqrt of a 1e-16
+eigenvalue is 1e-8). A ``(..., 4, 4)`` stack is scored in one call per
+route, and no route mixes matrices, so every stacked value is bitwise the
+one-matrix call. A real rho is scored in float64 throughout (sigma_y x
+sigma_y is real), a complex one in complex128.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,48 +30,31 @@ DM_TOL = 1e-10
 # eigenvalues of rho below this are dropped from the L factor; they perturb
 # the concurrence by at most a comparable amount
 RANK_CUT = 1e-14
+# entries off the X pattern up to this magnitude count as zeros; the closed
+# form ignores them, which moves the concurrence by a comparable amount
+X_FLOOR = 1e-14
 
-_SY_SY = np.array(
-    [
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [-1, 0, 0, 0],
-    ],
-    dtype=float,
-)
+# sigma_y x sigma_y: -1 at the outer corners, 1 at the inner ones
+_SY_SY = np.diag([-1.0, 1.0, 1.0, -1.0])[::-1].copy()
 
-# the diagonal and anti-diagonal, the entries an X state may have nonzero
-_X_PATTERN = (np.eye(4) + np.eye(4)[::-1]) > 0
+# flat positions of the outer block [[x, u], [u*, w]], the inner block
+# [[y, delta], [delta*, z]], then the eight entries off the X pattern; they
+# are gathered one row per position, so each reduction runs along the stack
+_X_ORDER = np.array([0, 3, 12, 15, 5, 6, 9, 10, 1, 2, 4, 7, 8, 11, 13, 14])
 
 
-@dataclass(frozen=True)
-class XStateParams:
-    """Entries of an X-shaped two-qubit state.
-
-    ``x, y, z, w`` are the diagonal entries in basis |00>, |01>, |10>, |11>;
-    ``u`` is the outer corner rho[0, 3] and ``delta`` the inner corner
-    rho[1, 2]. Both corners are real for every state this package generates
-    (all gates are real); complex corners would enter only through their
-    modulus and are not supported here.
-    """
-
-    x: float
-    y: float
-    z: float
-    w: float
-    u: float
-    delta: float
-
-
-def _validate_density_matrices(rho) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Check and factor a 4x4 matrix or a (..., 4, 4) stack: eigenvalues (n, 4), eigenvectors
-    (n, 4, 4) and stack shape. ``hermitian_eigs`` checks finiteness and Hermiticity."""
+def _as_stack(rho) -> np.ndarray:
     rho = as_float(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(
             f"expected a 4x4 density matrix or a (..., 4, 4) stack, got shape {rho.shape}"
         )
+    return rho
+
+
+def _validate_density_matrices(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check and factor a (..., 4, 4) stack: eigenvalues (n, 4), eigenvectors (n, 4, 4).
+    A bad matrix is named by its index in ``rho``."""
     stack_shape = rho.shape[:-2]
     vals, vecs = hermitian_eigs(rho)
     trace_dev = np.abs(rho.reshape(-1, 4, 4).trace(axis1=1, axis2=2) - 1.0)
@@ -94,23 +71,12 @@ def _validate_density_matrices(rho) -> tuple[np.ndarray, np.ndarray, tuple[int, 
             f"invalid density matrix{where}: eigenvalue {smallest[flat]:.3e} "
             f"below -{DM_TOL:.0e}"
         )
-    return vals, vecs, stack_shape
+    return vals, vecs
 
 
-def wootters_concurrence(rho) -> float | np.ndarray:
-    """Concurrence of a two-qubit density matrix, general method.
-
-    C = max(0, sqrt(l4) - sqrt(l3) - sqrt(l2) - sqrt(l1)) with l_i the
-    descending eigenvalues of rho * rho_tilde, rho_tilde the spin-flipped
-    complex conjugate (sigma_y x sigma_y) rho* (sigma_y x sigma_y). The
-    square roots are obtained directly as singular values (see module
-    docstring), which keeps the result accurate near concurrence zeros.
-
-    ``rho`` is one 4x4 matrix, for which a float is returned, or a
-    ``(..., 4, 4)`` stack, for which an array of shape ``rho.shape[:-2]`` is
-    returned; each stacked value is bitwise equal to the one-matrix call.
-    """
-    vals, vecs, stack_shape = _validate_density_matrices(rho)
+def _svd_concurrence(rho: np.ndarray) -> np.ndarray:
+    """The general route for a (..., 4, 4) stack: one value per matrix, flat."""
+    vals, vecs = _validate_density_matrices(rho)
     # eigenvalues ascend, so the kept ones are the last ``rank`` of each
     # matrix; each rank is factored as its own stack, which keeps every
     # value bitwise equal to factoring its matrix alone
@@ -126,46 +92,72 @@ def wootters_concurrence(rho) -> float | np.ndarray:
         roots = np.linalg.svd(symmetric_overlap, compute_uv=False)
         # subtract.reduce folds left: sqrt(l4) - sqrt(l3) - sqrt(l2) - sqrt(l1)
         concurrence[selected] = np.maximum(np.subtract.reduce(roots, axis=1), 0.0)
-    if not stack_shape:
-        return float(concurrence[0])
-    return concurrence.reshape(stack_shape)
+    return concurrence
 
 
-def extract_xstate(rho, tol: float = 1e-10) -> XStateParams:
-    """Read the six defining entries off an X-shaped density matrix.
+def wootters_concurrence(rho) -> float | np.ndarray:
+    """Concurrence of a two-qubit density matrix.
 
-    Every entry outside the diagonal and anti-diagonal must have magnitude at
-    most ``tol``, and every entry on them must be real within ``tol``;
-    otherwise the matrix is rejected.
+    C = max(0, sqrt(l4) - sqrt(l3) - sqrt(l2) - sqrt(l1)) with l_i the
+    descending eigenvalues of rho * rho_tilde, rho_tilde the spin-flipped
+    complex conjugate (sigma_y x sigma_y) rho* (sigma_y x sigma_y). An X
+    state (see module docstring) goes to ``xstate_concurrence``, any other
+    matrix to the singular-value route, which stays exact near zeros.
+
+    ``rho`` is one 4x4 matrix (a float is returned) or a ``(..., 4, 4)``
+    stack (an array of shape ``rho.shape[:-2]``, each value bitwise the
+    one-matrix call; a bad matrix is named by its stack index).
     """
-    rho = as_float(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    stray = float(np.abs(rho[~_X_PATTERN]).max())
-    if stray > tol:
-        raise ValueError(f"not an X state: off-pattern entry of magnitude {stray:.3e}")
-    imag_dev = float(np.abs(rho[_X_PATTERN].imag).max())
-    if imag_dev > tol:
-        raise ValueError(f"not an X state: complex entry with imaginary part {imag_dev:.3e}")
-    x, y, z, w = rho.diagonal().real.tolist()
-    return XStateParams(x, y, z, w, u=float(rho[0, 3].real), delta=float(rho[1, 2].real))
+    rho = _as_stack(rho)
+    off_x = np.abs(rho.reshape(-1, 16).T.take(_X_ORDER[8:], axis=0))
+    is_x = np.maximum.reduce(off_x, axis=0) <= X_FLOOR  # NaN fails
+    n_x = np.count_nonzero(is_x)
+    try:
+        if n_x == is_x.size:
+            return xstate_concurrence(rho)
+        if n_x == 0:
+            concurrence = _svd_concurrence(rho)
+        else:
+            flat = rho.reshape(-1, 4, 4)
+            concurrence = np.empty(is_x.shape)
+            concurrence[is_x] = xstate_concurrence(flat[is_x])
+            concurrence[~is_x] = _svd_concurrence(flat[~is_x])
+    except ValueError:
+        # a route names a bad matrix by its index in its own part of the stack
+        _validate_density_matrices(rho)
+        raise
+    stack_shape = rho.shape[:-2]
+    return concurrence.reshape(stack_shape) if stack_shape else float(concurrence[0])
 
 
-def _validate_xstate(p: XStateParams) -> None:
-    total = p.x + p.y + p.z + p.w
-    if abs(total - 1.0) > DM_TOL:
-        raise ValueError(f"X-state diagonal sums to {total}, not 1")
-    if min(p.x, p.y, p.z, p.w) < -DM_TOL:
-        raise ValueError("X-state has a negative diagonal entry")
-    if abs(p.u) > np.sqrt(max(p.x * p.w, 0.0)) + DM_TOL:
-        raise ValueError("X-state violates positivity: |u| > sqrt(x w)")
-    if abs(p.delta) > np.sqrt(max(p.y * p.z, 0.0)) + DM_TOL:
-        raise ValueError("X-state violates positivity: |delta| > sqrt(y z)")
+def xstate_concurrence(rho) -> float | np.ndarray:
+    """Exact concurrence of an X state: 2 max(0, |u| - sqrt(y z), |delta| - sqrt(x w)).
 
-
-def xstate_concurrence(p: XStateParams) -> float:
-    """Exact concurrence of an X-shaped state: 2 max(0, |u| - sqrt(yz), |delta| - sqrt(xw))."""
-    _validate_xstate(p)
-    branch_outer = abs(p.u) - np.sqrt(max(p.y * p.z, 0.0))
-    branch_inner = abs(p.delta) - np.sqrt(max(p.x * p.w, 0.0))
-    return float(2.0 * max(0.0, branch_outer, branch_inner))
+    x, y, z, w are the diagonal in basis |00>, |01>, |10>, |11>, u = rho[0, 3]
+    and delta = rho[1, 2]; complex corners enter through their modulus. Every
+    other entry must be at most ``X_FLOOR`` in magnitude. The state must be
+    finite, Hermitian, of trace 1 and without eigenvalues below -``DM_TOL``,
+    checked on its two 2x2 blocks, with the messages of ``wootters_concurrence``.
+    Takes one matrix or a stack and returns like ``wootters_concurrence``.
+    """
+    rho = _as_stack(rho)
+    entries = rho.reshape(-1, 16).T.take(_X_ORDER, axis=0)
+    stray = np.maximum.reduce(np.abs(entries[8:]), axis=0)
+    if not np.maximum.reduce(stray, initial=0.0) <= X_FLOOR:
+        index, where = first_flagged(~(stray <= X_FLOOR), rho.shape[:-2])
+        raise ValueError(f"not an X state{where}: off-pattern entry {stray[index]:.3e}")
+    try:
+        block_vals, _ = hermitian_eigs(entries[:8].T.reshape(-1, 2, 2, 2))
+        trace_dev = np.abs(entries[0] + entries[4] + entries[7] + entries[3] - 1.0)
+        valid = trace_dev.max(initial=0.0) <= DM_TOL and block_vals.min(initial=0.0) >= -DM_TOL
+    except ValueError:
+        valid = False
+    if not valid:
+        # the 4x4 checks name the bad matrix and its defect. They fail wherever
+        # the blocks' checks do, except on a spectrum within roundoff of -DM_TOL
+        _validate_density_matrices(rho)
+    real = entries.real
+    # (|u|, |delta|) less (sqrt(y z), sqrt(x w))
+    branches = np.abs(entries[1:6:4]) - np.sqrt(np.maximum(real[4::-4] * real[7::-4], 0.0))
+    concurrence, stack_shape = 2.0 * branches.max(axis=0, initial=0.0), rho.shape[:-2]
+    return concurrence.reshape(stack_shape) if stack_shape else float(concurrence[0])

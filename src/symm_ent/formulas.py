@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concurrence import XStateParams, extract_xstate, xstate_concurrence
+from .concurrence import xstate_concurrence
 
 FAMILIES = (
     "star_central",
@@ -164,9 +164,9 @@ def analytic_concurrence(
     _check_family(family, angles)
     a, b = angles.a, angles.b
     if family == "star_central":
-        return xstate_concurrence(XStateParams(*_star_central_entries(angles, n_outer)))
+        return xstate_concurrence(_x_matrix(*_star_central_entries(angles, n_outer)))
     if family in ("star_ring_0", "star_ring_1"):
-        return xstate_concurrence(extract_xstate(analytic_pair_rdm(family, angles)))
+        return xstate_concurrence(analytic_pair_rdm(family, angles))
     if family == "linear_bulk":
         theta = angles.theta
         base = 0.125 * (-2.0 + 2.0 * math.cos(2.0 * theta))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from itertools import chain, groupby
 from operator import attrgetter, itemgetter
@@ -69,6 +70,13 @@ BLOCK_POINTS = 256
 # pairs, took 0.90 s at 2**15 and 0.82 s at 2**16 (one point at a time: 1.78 s).
 MAX_BLOCK_AMPLITUDES = 2**15
 
+
+def _check_real(value, label: str) -> None:
+    """Reject anything but a real number, a bool too, with a ValueError naming ``label``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{label} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Inclusive angle grid; a single point is encoded as steps == 1.
@@ -83,6 +91,8 @@ class GridSpec:
 
     def __post_init__(self):
         as_index(self.steps, "steps")
+        _check_real(self.start, "grid start")
+        _check_real(self.stop, "grid stop")
         if not all(map(math.isfinite, (self.start, self.stop, self.stop - self.start))):
             raise ValueError(f"grid bounds must be finite, got {self.start}..{self.stop}")
         if self.steps == 1:
@@ -250,8 +260,10 @@ def _plan(config: SweepConfig) -> RunPlan:
             raise ValueError("periodic protocol needs n >= 4")
         if (config.theta2 is None) == (config.theta2_offset is None):
             raise ValueError("periodic protocol needs exactly one of theta2 / theta2_offset")
-        if config.theta2_offset is not None and not math.isfinite(config.theta2_offset):
-            raise ValueError(f"theta2_offset must be finite, got {config.theta2_offset}")
+        if config.theta2_offset is not None:
+            _check_real(config.theta2_offset, "theta2_offset")
+            if not math.isfinite(config.theta2_offset):
+                raise ValueError(f"theta2_offset must be finite, got {config.theta2_offset}")
     elif config.theta2 is not None or config.theta2_offset is not None:
         raise ValueError("theta2 is only meaningful for the periodic protocol")
     if not config.pairs:

@@ -137,3 +137,21 @@ def one_matrix_wootters(rho: np.ndarray) -> float:
     sigma = np.linalg.svd(factor.T @ sy_sy @ factor, compute_uv=False)
     roots[: sigma.size] = sigma
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+
+
+def one_matrix_xstate(rho: np.ndarray) -> float:
+    """Closed-form concurrence of one X-shaped 4x4 matrix, written out.
+
+    The reference for the X route of the concurrence layer:
+    2 max(0, |rho_03| - sqrt(rho_11 rho_22), |rho_12| - sqrt(rho_00 rho_33)),
+    in the library's order of operations, so stacked values must match it
+    bit for bit. The corner moduli go through numpy's array ``abs``, as in the
+    library: Python's scalar ``abs`` of a complex number can round the other
+    way in the last bit. Input validation is left to the library.
+    """
+    rho = np.asarray(rho)
+    x, y, z, w = (float(v.real) for v in np.diagonal(rho))
+    u, delta = np.abs(np.array([rho[0, 3], rho[1, 2]])).tolist()
+    outer = u - np.sqrt(max(y * z, 0.0))
+    inner = delta - np.sqrt(max(x * w, 0.0))
+    return float(2.0 * max(0.0, outer, inner))

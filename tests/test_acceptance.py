@@ -29,10 +29,9 @@ from symm_ent import (
     wootters_concurrence,
     xstate_concurrence,
 )
-from symm_ent.concurrence import extract_xstate
 from symm_ent.protocols import periodic_site_angle
 
-from oracles import haar_unitary, random_density_matrix, random_x_state
+from oracles import haar_unitary, one_matrix_wootters, random_density_matrix, random_x_state
 
 TWO_PI = 2 * math.pi
 CHAIN_SIZES = (20, 40, 60)
@@ -335,8 +334,8 @@ def test_criterion_10_property_suites(rng):
     """Randomized invariants: X fast path, local-unitary invariance, SVD checks."""
     for _ in range(1000):
         rho = random_x_state(rng)
-        fast = xstate_concurrence(extract_xstate(rho))
-        assert abs(fast - wootters_concurrence(rho)) <= 1e-10
+        fast = xstate_concurrence(rho)
+        assert abs(fast - one_matrix_wootters(rho)) <= 1e-10
     for _ in range(100):
         rho = random_density_matrix(rng, rank=int(rng.integers(1, 5)))
         u = np.kron(haar_unitary(rng), haar_unitary(rng))

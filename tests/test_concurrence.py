@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symm_ent.concurrence
 from symm_ent import (
+    MatrixProductState,
     StateVector,
-    XStateParams,
     build_linear,
-    extract_xstate,
+    build_periodic,
+    build_star,
     rotation_matrix,
     unitary_params,
     wootters_concurrence,
@@ -15,7 +17,13 @@ from symm_ent import (
 )
 from symm_ent.formulas import analytic_concurrence, analytic_pair_rdm
 
-from oracles import haar_unitary, one_matrix_wootters, random_density_matrix, random_x_state
+from oracles import (
+    haar_unitary,
+    one_matrix_wootters,
+    one_matrix_xstate,
+    random_density_matrix,
+    random_x_state,
+)
 
 
 def bell_projector() -> np.ndarray:
@@ -65,64 +73,74 @@ def test_invalid_density_matrices_rejected():
         wootters_concurrence(bad)
 
 
-def test_extract_xstate_bell():
-    params = extract_xstate(bell_projector())
-    assert params == XStateParams(x=0.5, y=0.0, z=0.0, w=0.5, u=0.5, delta=0.0)
+def general_route(rho):
+    """``wootters_concurrence`` with every matrix sent down the singular-value route."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symm_ent.concurrence, "X_FLOOR", -1.0)
+        return wootters_concurrence(rho)
 
 
-def test_extract_xstate_bulk_entries():
-    theta = 1.3
-    a, b = np.sin(theta / 2), np.cos(theta / 2)
-    params = extract_xstate(analytic_pair_rdm("linear_bulk", unitary_params(theta)))
-    assert abs(params.x - (a**6 + b**6)) < 1e-14
-    assert abs(params.y - a**2 * b**2) < 1e-14
-    assert abs(params.z - a**2 * b**2) < 1e-14
-    assert abs(params.w - a**2 * b**2) < 1e-14
-    assert abs(params.u - (a**5 * b + a * b**5)) < 1e-14
-    assert abs(params.delta - 2 * (a**5 * b**3 + a**3 * b**5)) < 1e-14
+def x_matrix(x, y, z, w, u, delta) -> np.ndarray:
+    conj = np.conj
+    return np.array([[x, 0, 0, u], [0, y, delta, 0], [0, conj(delta), z, 0], [conj(u), 0, 0, w]])
 
 
-def test_extract_xstate_rejects_structure_violation():
+def test_xstate_concurrence_rejects_non_x_states():
     rho = bell_projector()
     rho[0, 1] = rho[1, 0] = 0.1
     with pytest.raises(ValueError, match="not an X state"):
-        extract_xstate(rho, tol=1e-10)
-    rho = bell_projector()
-    rho[0, 3] = 0.5j
-    rho[3, 0] = -0.5j
-    with pytest.raises(ValueError, match="imaginary"):
-        extract_xstate(rho, tol=1e-10)
+        xstate_concurrence(rho)
+    stack = np.array([bell_projector()] * 3)
+    stack[2, 2, 0] = stack[2, 0, 2] = 2e-14
+    message = r"not an X state at stack index 2: off-pattern entry 2\.000e-14"
+    with pytest.raises(ValueError, match=message):
+        xstate_concurrence(stack)
+    stack[2, 2, 0] = stack[2, 0, 2] = np.nan
+    with pytest.raises(ValueError, match="not an X state at stack index 2"):
+        xstate_concurrence(stack)
+    # entries at the floor count as zeros, for both functions
+    stack[2, 2, 0] = stack[2, 0, 2] = 1e-14
+    assert _same_bits(xstate_concurrence(stack), wootters_concurrence(stack))
+    assert _same_bits(xstate_concurrence(stack), np.ones(3))
 
 
 def test_xstate_concurrence_bell():
-    assert abs(xstate_concurrence(extract_xstate(bell_projector())) - 1.0) < 1e-14
+    assert abs(xstate_concurrence(bell_projector()) - 1.0) < 1e-14
 
 
 def test_xstate_star_central_one_sided_form():
     # on [0, pi] the central-pair family has u >= delta >= 0 and
     # sqrt(x w) = u, sqrt(y z) = delta, so C = 2 (u - delta)
     for theta in np.linspace(0.0, np.pi, 21):
-        params = extract_xstate(analytic_pair_rdm("star_central", unitary_params(theta)))
-        assert params.u >= params.delta - 1e-14
-        assert abs(np.sqrt(params.x * params.w) - params.u) < 1e-14
-        assert abs(np.sqrt(params.y * params.z) - params.delta) < 1e-14
-        expected = max(0.0, 2.0 * (params.u - params.delta))
-        assert abs(xstate_concurrence(params) - expected) < 1e-14
+        rho = analytic_pair_rdm("star_central", unitary_params(theta))
+        (x, y, z, w), u, delta = np.diag(rho), rho[0, 3], rho[1, 2]
+        assert u >= delta - 1e-14
+        assert abs(np.sqrt(x * w) - u) < 1e-14
+        assert abs(np.sqrt(y * z) - delta) < 1e-14
+        expected = max(0.0, 2.0 * (u - delta))
+        assert abs(xstate_concurrence(rho) - expected) < 1e-14
 
 
 def test_xstate_fast_path_matches_general(rng):
     for _ in range(1000):
         rho = random_x_state(rng)
-        fast = xstate_concurrence(extract_xstate(rho))
-        general = wootters_concurrence(rho)
+        fast = xstate_concurrence(rho)
+        general = general_route(rho)
         assert abs(fast - general) < 1e-10
 
 
 def test_xstate_params_validation():
-    with pytest.raises(ValueError, match="sums"):
-        xstate_concurrence(XStateParams(0.5, 0.0, 0.0, 0.4, 0.0, 0.0))
-    with pytest.raises(ValueError, match="positivity"):
-        xstate_concurrence(XStateParams(0.25, 0.25, 0.25, 0.25, 0.4, 0.0))
+    with pytest.raises(ValueError, match="trace"):
+        xstate_concurrence(x_matrix(0.5, 0.0, 0.0, 0.4, 0.0, 0.0))
+    with pytest.raises(ValueError, match="eigenvalue"):
+        xstate_concurrence(x_matrix(0.25, 0.25, 0.25, 0.25, 0.4, 0.0))
+    with pytest.raises(ValueError, match="eigenvalue"):
+        xstate_concurrence(x_matrix(0.25, 0.25, 0.25, 0.25, 0.0, 0.4j))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        xstate_concurrence(x_matrix(0.5, 0.0, 0.0, 0.5, 0.5, 0.0) + np.diag([0, 0, 0, 1e-9j]))
+    stack = np.array([bell_projector(), np.diag([np.nan, 1, 0, 0]), bell_projector()])
+    with pytest.raises(ValueError, match=r"at stack index \(1, 0\).*non-finite"):
+        xstate_concurrence(stack.reshape(3, 1, 4, 4))
 
 
 def test_local_unitary_invariance(rng):
@@ -147,8 +165,7 @@ def test_xpath_agrees_on_protocol_states():
             sv = StateVector.zeros(6).run_circuit(build_linear(6, case, theta))
             for i in range(1, 6):
                 rho = sv.pair_rdm(i, i + 1)
-                fast = xstate_concurrence(extract_xstate(rho, tol=1e-10))
-                assert abs(fast - wootters_concurrence(rho)) < 1e-10
+                assert abs(xstate_concurrence(rho) - general_route(rho)) < 1e-10
 
 
 def test_general_path_is_exact_near_zeros():
@@ -189,6 +206,7 @@ def _stack_member(kind: str, rng: np.random.Generator) -> np.ndarray:
 
 
 STACK_KINDS = ("pure", "x", "product", "diagonal", "rank1", "rank2", "rank3", "rank4")
+X_KINDS = ("x", "diagonal")
 
 
 @settings(max_examples=200, deadline=None)
@@ -205,9 +223,20 @@ def test_stacked_concurrence_is_bitwise_the_one_matrix_call(kinds, seed, two_dim
     stacked = wootters_concurrence(stack)
     flat = stack.reshape(-1, 4, 4)
     one_by_one = np.array([wootters_concurrence(rho) for rho in flat]).reshape(stack.shape[:-2])
-    reference = np.array([one_matrix_wootters(rho) for rho in flat]).reshape(stack.shape[:-2])
+    reference = _references(kinds, flat).reshape(stack.shape[:-2])
     assert _same_bits(stacked, one_by_one)
     assert _same_bits(stacked, reference)
+
+
+def _references(kinds, flat) -> np.ndarray:
+    """The written-out one-matrix value of each member: the closed form for the
+    X-shaped kinds, the singular-value route for the rest."""
+    return np.array(
+        [
+            (one_matrix_xstate if kind in X_KINDS else one_matrix_wootters)(rho)
+            for kind, rho in zip(kinds, flat)
+        ]
+    )
 
 
 def _real_stack_member(kind: str, rng: np.random.Generator) -> np.ndarray:
@@ -240,7 +269,7 @@ def test_real_stacked_concurrence_is_bitwise_the_one_matrix_call(kinds, seed, tw
     stacked = wootters_concurrence(stack)
     flat = stack.reshape(-1, 4, 4)
     one_by_one = np.array([wootters_concurrence(rho) for rho in flat]).reshape(stack.shape[:-2])
-    reference = np.array([one_matrix_wootters(rho) for rho in flat]).reshape(stack.shape[:-2])
+    reference = _references(kinds, flat).reshape(stack.shape[:-2])
     assert _same_bits(stacked, one_by_one)
     assert _same_bits(stacked, reference)
     # the complex route to the same matrices gives the same values up to roundoff
@@ -251,22 +280,24 @@ def test_real_stacked_concurrence_is_bitwise_the_one_matrix_call(kinds, seed, tw
     "given, kept", [(np.float64, np.float64), (np.int64, np.float64), (np.complex128, np.complex128)]
 )
 def test_concurrence_works_in_the_kind_of_its_input(monkeypatch, given, kept):
-    import symm_ent.concurrence
-
     seen = []
     eigs, svd = symm_ent.concurrence.hermitian_eigs, np.linalg.svd
     monkeypatch.setattr(
         symm_ent.concurrence, "hermitian_eigs", lambda m: seen.append(m.dtype) or eigs(m)
     )
     monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: seen.append(m.dtype) or svd(m, **kw))
+    # X-shaped: the X route factors the 2x2 blocks and needs no SVD
     product = np.diag([1, 0, 0, 0]).astype(given)
     bell = np.zeros((4, 4), dtype=given)
     bell[::3, ::3] = 1
     assert wootters_concurrence(product) == 0.0
-    assert seen == [kept, kept]
+    assert seen == [kept]
     assert abs(wootters_concurrence(bell.astype(kept) / 2) - 1.0) < 1e-12
+    assert seen[1:] == [kept]
+    # |++><++| has no zero entry: the general route, one eigendecomposition and one SVD
+    plus = np.full((4, 4), 0.25, dtype=kept)
+    assert wootters_concurrence(plus) < 1e-12
     assert seen[2:] == [kept, kept]
-    assert extract_xstate(bell / 2) == XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 
 
 def test_stack_shapes(rng):
@@ -303,3 +334,102 @@ def test_bad_matrix_in_a_stack_is_named(rng, bad, message):
     with pytest.raises(ValueError, match=message) as single:
         wootters_concurrence(bad)
     assert "stack index" not in str(single.value)
+
+
+# ------------------------------------------------------------- the X route
+
+
+def _x_draw(kind: str, rng: np.random.Generator) -> np.ndarray:
+    """A random X state of one kind, with real or complex corners."""
+    weights = rng.random(4) + 1e-3
+    if kind == "rank-deficient":
+        weights *= rng.random(4) < 0.7
+        weights[int(rng.integers(4))] += 0.5
+    x, y, z, w = weights / weights.sum()
+    complex_corners = rng.random() < 0.5
+
+    def corner(limit: float) -> complex:
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi)) if complex_corners else rng.choice((-1, 1))
+        return limit * phase
+
+    if kind == "diagonal":
+        u = delta = 0.0
+    elif kind == "rank-deficient":
+        # every corner at its positivity limit: each block is singular
+        u, delta = corner(np.sqrt(x * w)), corner(np.sqrt(y * z))
+    elif kind == "zero-boundary":
+        # |u| = sqrt(y z), where the outer branch is zero, and |delta| below it
+        if y * z > x * w:
+            x, y, z, w = y, x, w, z
+        u, delta = corner(np.sqrt(y * z)), corner(rng.random() * np.sqrt(y * z))
+    else:
+        u, delta = corner(rng.random() * np.sqrt(x * w)), corner(rng.random() * np.sqrt(y * z))
+    rho = x_matrix(x, y, z, w, u, delta)
+    return rho if complex_corners else rho.real
+
+
+X_DRAWS = ("generic", "diagonal", "rank-deficient", "zero-boundary")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(X_DRAWS), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_x_route_agrees_with_the_general_route(kinds, seed):
+    # draws are generic within each kind: the general route itself loses
+    # accuracy on a spectrum that sits just above its rank cut (2.6e-14 seen
+    # at an eigenvalue near 1e-13), which the closed form does not
+    rng = np.random.default_rng(seed)
+    for rho in (_x_draw(kind, rng) for kind in kinds):
+        assert abs(wootters_concurrence(rho) - general_route(rho)) <= 1e-14
+        assert wootters_concurrence(rho) == xstate_concurrence(rho) == one_matrix_xstate(rho)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(X_DRAWS + STACK_KINDS), min_size=2, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixed_stack_gives_each_member_its_one_matrix_value(kinds, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.array(
+        [(_x_draw if kind in X_DRAWS else _stack_member)(kind, rng) for kind in kinds]
+    ).astype(complex)
+    stacked = wootters_concurrence(stack)
+    assert _same_bits(stacked, [wootters_concurrence(rho) for rho in stack])
+    x_route = [kind in X_DRAWS + X_KINDS for kind in kinds]
+    if any(x_route):
+        assert _same_bits(stacked[x_route], xstate_concurrence(stack[x_route]))
+
+
+def _protocol_rdms():
+    """(label, stack of pair RDMs) for every protocol family."""
+    thetas = tuple(np.linspace(0.0, 2 * np.pi, 13).tolist())
+    # shifted off the angles where a post-selected branch vanishes (0 and pi)
+    star = StateVector.zeros(5).run_circuit(build_star(4, tuple(t + 0.1 for t in thetas[:-1])))
+    yield "star", np.array([star.pair_rdm(i, j) for i in range(1, 5) for j in range(i + 1, 6)])
+    for outcome in (0, 1):
+        ring, _ = star.postselect(5, outcome)
+        rdms = [ring.pair_rdm(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+        yield f"ring {outcome}", np.array(rdms)
+    for case in (1, 2, 3, 4):
+        chain = StateVector.zeros(7).run_circuit(build_linear(7, case, thetas))
+        yield f"linear case {case}", np.array([chain.pair_rdm(i, i + 1) for i in range(1, 7)])
+    periodic = StateVector.zeros(8).run_circuit(build_periodic(8, thetas, thetas[::-1]))
+    yield "periodic", np.array([periodic.pair_rdm(i, i + 1) for i in range(1, 8)])
+    # the MPS reads carry roundoff off the X pattern
+    rdms = []
+    for theta in thetas:
+        mps = MatrixProductState(12).run_circuit(build_linear(12, 4, theta))
+        rdms.extend(mps.pair_rdm(i, i + 1) for i in range(1, 12))
+    yield "linear case 4 (MPS)", np.array(rdms)
+
+
+def test_protocol_rdms_agree_on_the_general_route():
+    for label, rdms in _protocol_rdms():
+        scores = wootters_concurrence(rdms)
+        assert np.abs(scores - general_route(rdms)).max() <= 1e-14, label
+        # cases 1 and 3 leave every pair but the end one off the X pattern
+        if label not in ("linear case 1", "linear case 3"):
+            assert _same_bits(scores, xstate_concurrence(rdms)), label

@@ -18,91 +18,91 @@ GRID = "0:6.283185307179586:9"
 GOLDEN = [
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "1", "--n", "6", "--theta", GRID),
-        "85b22df21a6de3046655f99102a1e98c7994c2c6c12cb5fbb2efbd2acce50443",
+        "272e026521517ece40c7ec35a929d6f0fc1c033e9c53eb11a851188262fa0eea",
         id="linear-case1",
     ),
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "2", "--n", "7", "--theta", GRID,
          "--backend", "mps"),
-        "6ae46841cb7607ff7bf69fb8187a6e5eaa41f55573e9503220a14428689de2e4",
+        "239cbeb07c12cc34f1fbfc31e1d3c000435468e823c8bfa7cf768dfa3f3e7336",
         id="linear-case2-mps",
     ),
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "3", "--n", "6", "--theta", GRID),
-        "c17a18f1b2a3f56aa91e9b3d274f9195c4123d20bef0768bb33ecc8b95d8a08e",
+        "a236d9e5ad4af504d37d4f275158ee53687e44d3979a973285aa750c6658507b",
         id="linear-case3",
     ),
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "4", "--n", "8", "--theta", GRID,
          "--backend", "mps"),
-        "bab34c8428bff44cdfb0bfeeed877973aad52af727312dda7f0d6d8fd5df478f",
+        "84f28f1a353820e8384cecf17e3d910134ba456027fa9cadde449af7b48988a9",
         id="linear-case4-mps",
     ),
     pytest.param(
         ("sweep", "--protocol", "periodic", "--n", "8", "--theta", GRID,
          "--theta2-offset", "0.4", "--backend", "mps"),
-        "17f5329da9703bbc660cfbf918eb745e605664f102a34a95976561f7f7451f76",
+        "bf46011a2bd559fc7a6e4e51030211f20f2ad561423e8d3fce9b6ec241f49d9e",
         id="periodic-offset-mps",
     ),
     pytest.param(
         ("sweep", "--protocol", "star", "--n-outer", "4", "--theta", GRID),
-        "fc267c937467b9993c9a9c5e668612899cef574f19db84f653d04284cf2139cd",
+        "ec0141ff39ce3f4cd319664a69acbcd2cec9f4875489d3dfe6241aa65f847f96",
         id="star",
     ),
     pytest.param(
         ("sweep", "--protocol", "star", "--n-outer", "4", "--theta", GRID, "--postselect", "1"),
-        "6fc776343b01d88dcc3aba52bd42826a0a6c26dcd94a60f96df0bac4ef105fdc",
+        "93c0417350d11f6ad9ee0b1e296ce94709fa3e966b2d96fc78a6083d33b294c8",
         id="star-postselect1",
     ),
     pytest.param(
         ("compare", "--protocol", "linear", "--n", "8", "--theta", GRID),
-        "2d6428f6e33f9e8aec4e1cd930c4123cdd0e9f2a6ea99b3fb676e23664927e5a",
+        "4285945f2159cc0a7a82c6f987f3c568e195b25cee783a15445c2ef0f239bc90",
         id="compare-linear",
     ),
     pytest.param(
         ("oracle-check", "--protocol", "star", "--n-outer", "3", "--theta", GRID,
          "--postselect", "0"),
-        "19e046ab37d713d71f7aa1376bfcce490056a70d39d3bb37d21d6fa1216f4300",
+        "0632b9ab981cbd3ce39f86969df4a0118ed3643c46ef4208e23d9cf90eeb0e35",
         id="oracle-check-star-postselect0",
     ),
     pytest.param(
         # 12 qubits: the statevector runs the 21 points in stacked blocks of 8
         ("oracle-check", "--protocol", "star", "--n-outer", "11", "--postselect", "0",
          "--theta", "0:6.283185307179586:21"),
-        "aa4abbb757967f34fbe6a43df7793c14ef5950f399f42759fbc6f10cd1ea4efd",
+        "557d7c5f0009845a9f2c1c6f5dde504732ecf389f0b59bb2d35e3803a8eaf03f",
         id="oracle-check-star12-postselect0",
     ),
     pytest.param(
         # the MPS distant-pair read: rows of outer pairs sharing a left site
         ("sweep", "--protocol", "star", "--n-outer", "6", "--postselect", "1",
          "--backend", "mps", "--theta", GRID),
-        "66aeecd4cc2ffaf8b5a7dacfac6f46d6c5ede1a5f31cfe06b1b40a278b892561",
+        "40b3d3f4a5f48939be8f5c5ad4971f5aa060e2b444c53df0074691da161c78fc",
         id="star-postselect1-mps",
     ),
     pytest.param(
         # unsorted explicit pairs, a shared left site, a row through the central qubit
         ("sweep", "--protocol", "star", "--n-outer", "5", "--backend", "mps",
          "--pairs", "1:4,1:2,2:5,1:6", "--theta", GRID),
-        "c127ac1774251d0ed1302f628b13bcb5101de4311d3bc786e2fd31c2f93a85a5",
+        "ee5bc962ec62a40273b918bb6dbb67e59c31263e27eac83345695528cdd59407",
         id="star-explicit-pairs-mps",
     ),
     pytest.param(
         # the swap route: the central qubit walks down the chain and back home
         ("sweep", "--protocol", "star", "--n-outer", "6", "--backend", "mps", "--theta", GRID),
-        "b593a4893a9a00d98a69d9e39914a4273f14825aa2518fd7db901624ccec34d4",
+        "d5a33863d971191dc066ad5ba96ec039c8e97a9f40c393daf85264edc765df49",
         id="star-central-mps",
     ),
     pytest.param(
         # the run reads one central pair, so the MPS runs only its causal cone
         ("sweep", "--protocol", "linear", "--case", "4", "--n", "12", "--pairs", "bulk-center",
          "--backend", "mps", "--theta", GRID),
-        "e39edf4ff8e1208a723bd27c3a021ee83983b7de5dd660b13464cff191bd1431",
+        "27b2cb70022642589ea831c83d0f8c9ba841c32f8b2d3ca7b2c0cbdbdf7b81a2",
         id="linear-bulk-center-cone-mps",
     ),
     pytest.param(
         # both backends run the causal cone of the pair they read
         ("oracle-check", "--protocol", "linear", "--n", "10", "--pairs", "5:6", "--theta", GRID),
-        "53c5c0dcad58849b3b7e8f23cd10bdbcd317ef573c1e0ecff9d28f360c58db19",
+        "057ae2ef39b324faff0ed6bc01054f8cb458c9fe06f30b9ee242fb10feda863f",
         id="oracle-check-linear-cone",
     ),
 ]

@@ -99,6 +99,26 @@ def test_grid_spec_rejects_non_finite(text):
         GridSpec.parse(text)
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ((True, 2.0), "grid start must be a real number, got True"),
+        (("0", "1"), "grid start must be a real number, got '0'"),
+        ((0.0, np.True_), "grid stop must be a real number, got np.True_"),
+    ],
+)
+def test_grid_spec_bounds_must_be_real(bounds, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GridSpec(*bounds, 3)
+    assert np.array_equal(GridSpec(np.int64(0), np.float64(1.0), 3).values(), [0.0, 0.5, 1.0])
+
+
+def test_theta2_offset_must_be_real():
+    config = SweepConfig(protocol="periodic", theta=GridSpec.single(1.0), n=6, theta2_offset=True)
+    with pytest.raises(ValueError, match="theta2_offset must be a real number, got True"):
+        run_sweep(config)
+
+
 def test_theta2_offset_must_be_finite():
     config = SweepConfig(
         protocol="periodic", theta=GridSpec.single(1.0), n=6, theta2_offset=float("inf")
