@@ -28,7 +28,6 @@ from .protocols import (
     build_linear,
     build_periodic,
     build_star,
-    circuit_to_text,
     cx_matrix,
     rotation_matrix,
 )

@@ -74,6 +74,17 @@ def as_index(value, label: str) -> int:
     raise ValueError(f"{label} must be an integer, got {value!r}")
 
 
+def as_site(site, n: int, label: str = "site") -> int:
+    """``site`` as an int in 1..n; anything else is a ValueError naming ``label``.
+
+    Every pair read checks its sites here, so a valid site costs this one call.
+    """
+    if (type(site) is int or isinstance(site, np.integer)) and 1 <= site <= n:
+        return int(site)
+    site = as_index(site, label)  # raises for a non-integer
+    raise ValueError(f"{label} {site} outside 1..{n}")
+
+
 def as_float(values) -> np.ndarray:
     """``values`` as a float64 array, or a complex128 one when complex; an
     array already of that dtype is returned as it is."""
@@ -183,3 +194,15 @@ def require_unitary(matrix, dim: int) -> np.ndarray:
             f"gate{where} is not unitary: max |G^dag G - I| = {deviation[flat]:.3e}"
         )
     return m
+
+
+def require_single_gate(gate, dim: int) -> np.ndarray:
+    """Validate one ``dim x dim`` unitary, as a backend's public gate methods
+    take it; a grid's gates come from running a circuit with angle tuples."""
+    g = require_unitary(gate, dim)
+    if g.ndim != 2:
+        raise ValueError(
+            f"gate must be one {dim}x{dim} matrix, got shape {g.shape}; "
+            "run a circuit with angle tuples to apply one gate per grid point"
+        )
+    return g

@@ -55,6 +55,12 @@ public gate methods also take complex gates; the tensors a complex gate
 touches are promoted to complex128 by numpy's own type promotion, and the
 rest stay as they are.
 
+The public surface is what the sweeps use: ``run_circuit`` and the gate
+methods, ``single_rdm``, ``pair_rdm``, ``postselect`` and ``keep_points``,
+and the health readings ``norm``, ``canonical_deviation``,
+``max_bond_dimension`` and ``discarded_weight_total``. Sizes and sites are
+integers; anything else is a ValueError naming the argument.
+
 Instances are mutated in place by gates and sweeps; distinct sweeps must own
 distinct instances.
 """
@@ -63,9 +69,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_index, first_flagged, require_unitary, svd_truncate
+from .linalg import (
+    as_index,
+    as_site,
+    first_flagged,
+    require_single_gate,
+    require_unitary,
+    svd_truncate,
+)
 from .protocols import Circuit, ControlledNot, Rotation, cx_matrix, rotation_matrix
-from .statevector import MAX_QUBITS, ZERO_PROBABILITY, StateVector
+from .statevector import ZERO_PROBABILITY
 
 
 def _dag(m: np.ndarray) -> np.ndarray:
@@ -132,6 +145,7 @@ def _route(ops, n_qubits: int) -> list[tuple[np.ndarray, int, bool]]:
 class MatrixProductState:
     def __init__(self, n_qubits: int):
         """Product state |0...0> with all bonds of dimension 1, center at site 1."""
+        n_qubits = as_index(n_qubits, "n_qubits")
         if n_qubits < 2:
             raise ValueError(f"MPS backend needs at least 2 qubits, got {n_qubits}")
         zero = np.zeros((1, 2, 1))
@@ -143,19 +157,6 @@ class MatrixProductState:
         self.discarded_weight = np.zeros(())  # per grid point: shape (), or (P,)
 
     # ---------------------------------------------------------------- basics
-
-    def _check_site(self, site: int, label: str = "site") -> int:
-        """``site`` as an int in 1..n_qubits, or a ValueError naming ``label``."""
-        site = as_index(site, label)
-        if not 1 <= site <= self.n_qubits:
-            raise ValueError(f"{label} {site} outside 1..{self.n_qubits}")
-        return site
-
-    def _single_point(self, what: str) -> None:
-        if self.grid is not None:
-            raise ValueError(
-                f"{what} needs a single-point state; this one stacks {self.grid} grid points"
-            )
 
     def _stack(self, grid: int | None) -> None:
         """Give every tensor a leading axis of ``grid`` copies; a no-op for
@@ -185,37 +186,14 @@ class MatrixProductState:
         return float(self.discarded_weight.max())
 
     @property
-    def bond_dimensions(self) -> list[int]:
-        """Dimensions of the n - 1 internal bonds."""
-        return [t.shape[-1] for t in self.tensors[:-1]]
-
-    @property
     def max_bond_dimension(self) -> int:
-        return max(self.bond_dimensions)
-
-    def copy(self) -> "MatrixProductState":
-        dup = MatrixProductState(self.n_qubits)
-        dup.tensors = [t.copy() for t in self.tensors]
-        dup.center = self.center
-        dup.grid = self.grid
-        dup.discarded_weight = self.discarded_weight.copy()
-        return dup
+        """Largest of the n - 1 internal bond dimensions."""
+        return max(t.shape[-1] for t in self.tensors[:-1])
 
     def norm(self) -> float | np.ndarray:
         """Norm of the state; one per grid point for a stacked state."""
         norms = _norms(self.tensors[self.center - 1])[..., 0, 0, 0]
         return float(norms) if self.grid is None else norms
-
-    def overlap(self, other: "MatrixProductState") -> complex:
-        """Inner product <self|other> of two single-point states."""
-        self._single_point("overlap")
-        other._single_point("overlap")
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("overlap needs equal qubit counts")
-        env = np.ones((1, 1), dtype=complex)
-        for mine, theirs in zip(self.tensors, other.tensors):
-            env = np.einsum("ab,apr,bps->rs", env, mine.conj(), theirs)
-        return complex(env[0, 0])
 
     def canonical_deviation(self) -> float:
         """Max deviation from the expected isometry conditions and unit norm,
@@ -283,23 +261,6 @@ class MatrixProductState:
         s = s * np.divide(norm_block, norm_s, out=np.ones_like(norm_s), where=norm_s > 0.0)
         return res.left_isometry, s, res.right_isometry_dag
 
-    def shift_center(self, direction: str) -> None:
-        """Move the orthogonality center one site left or right.
-
-        The represented state is unchanged; the vacated tensor becomes an
-        isometry in the direction it was left behind.
-        """
-        if direction == "right":
-            if self.center >= self.n_qubits:
-                raise ValueError("center is already at the right boundary")
-            self._shift_right()
-        elif direction == "left":
-            if self.center <= 1:
-                raise ValueError("center is already at the left boundary")
-            self._shift_left()
-        else:
-            raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-
     def _move_center_to(self, site: int) -> None:
         while self.center < site:
             self._shift_right()
@@ -321,20 +282,8 @@ class MatrixProductState:
         Preserves canonical structure wherever the center is, so no shift is
         required first.
         """
-        g = self._checked(gate, 2)
-        self._apply_1q(g, self._check_site(site))
-
-    @staticmethod
-    def _checked(gate, dim: int) -> np.ndarray:
-        """Validate one ``dim x dim`` gate; a grid's gates come from
-        ``run_circuit`` with angle tuples."""
-        g = require_unitary(gate, dim)
-        if g.ndim != 2:
-            raise ValueError(
-                f"gate must be one {dim}x{dim} matrix, got shape {g.shape}; "
-                "run a circuit with angle tuples to apply one gate per grid point"
-            )
-        return g
+        g = require_single_gate(gate, 2)
+        self._apply_1q(g, as_site(site, self.n_qubits))
 
     def _apply_1q(self, g: np.ndarray, site: int) -> None:
         self.tensors[site - 1] = g[..., None, :, :] @ self.tensors[site - 1]
@@ -347,8 +296,8 @@ class MatrixProductState:
         before the gate. The caller must have shifted the center to ``site``
         or ``site + 1`` first.
         """
-        g = self._checked(gate, 4)
-        site = self._check_site(site)
+        g = require_single_gate(gate, 4)
+        site = as_site(site, self.n_qubits)
         if site + 1 > self.n_qubits:
             raise ValueError(f"two-site gate at {site} exceeds the chain")
         if self.center not in (site, site + 1):
@@ -382,8 +331,8 @@ class MatrixProductState:
         the adjacent pair there, and the SWAPs move it back; every split is
         the nearest-neighbor update. The center ends at ``i`` or ``i + 1``.
         """
-        g = self._checked(gate, 4)
-        i, j = self._check_site(i, "i"), self._check_site(j, "j")
+        g = require_single_gate(gate, 4)
+        i, j = as_site(i, self.n_qubits, "i"), as_site(j, self.n_qubits, "j")
         if not i < j:
             raise ValueError(f"need i < j, got ({i}, {j})")
         swaps = [(SWAP, lo, True) for lo in range(i, j - 1)]
@@ -431,22 +380,12 @@ class MatrixProductState:
 
     # ------------------------------------------------------------ read layer
 
-    def schmidt_values(self, bond: int) -> np.ndarray:
-        """Schmidt coefficients across the bond between sites ``bond`` and ``bond + 1``."""
-        self._single_point("schmidt_values")
-        if not 1 <= bond <= self.n_qubits - 1:
-            raise ValueError(f"bond {bond} outside 1..{self.n_qubits - 1}")
-        self._move_center_to(bond)
-        t = self.tensors[bond - 1]
-        l, _, r = t.shape
-        return np.linalg.svd(t.reshape(l * 2, r), compute_uv=False)
-
     def single_rdm(self, site: int) -> np.ndarray:
         """2x2 reduced density matrix of one qubit, read at the center.
 
         Leaves the center on ``site``, where ``postselect`` needs it next.
         """
-        site = self._check_site(site)
+        site = as_site(site, self.n_qubits)
         self._move_center_to(site)
         t = self.tensors[site - 1]
         m = t.swapaxes(-3, -2).reshape(t.shape[:-3] + (2, -1))
@@ -467,7 +406,7 @@ class MatrixProductState:
         a single-point state does not take: ``perfbench/test_smoke.py`` pins
         one call per grid point and row.
         """
-        i, row = self._check_site(i, "i"), isinstance(j, tuple)
+        i, row = as_site(i, self.n_qubits, "i"), isinstance(j, tuple)
         sites = tuple(as_index(site, "j") for site in j) if row else (as_index(j, "j"),)
         if not sites:
             raise ValueError(f"row of pairs from site {i} names no right site")
@@ -506,18 +445,6 @@ class MatrixProductState:
                     env = np.einsum("pqrs,rxt,sxu->pqtu", env, tm, tm.conj())
         return np.array(rhos) if row else rhos[0]
 
-    def to_statevector(self) -> StateVector:
-        """Contract the full chain into an exact statevector (oracle bridge)."""
-        self._single_point("to_statevector")
-        if self.n_qubits > MAX_QUBITS:
-            raise ValueError(
-                f"full contraction is capped at {MAX_QUBITS} qubits, state has {self.n_qubits}"
-            )
-        vec = self.tensors[0][0]  # (2, r)
-        for t in self.tensors[1:]:
-            vec = np.tensordot(vec, t, axes=(vec.ndim - 1, 0))
-        return StateVector(self.n_qubits, vec[..., 0].ravel())
-
     def postselect(self, site: int, outcome: int) -> float:
         """Project ``site`` onto ``outcome``, renormalize, return the probability.
 
@@ -525,7 +452,7 @@ class MatrixProductState:
         because the projection happens at the center. A stacked state returns
         one probability per grid point; every point's branch must exist.
         """
-        site = self._check_site(site)
+        site = as_site(site, self.n_qubits)
         if as_index(outcome, "outcome") not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {outcome}")
         self._move_center_to(site)

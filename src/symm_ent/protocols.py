@@ -17,6 +17,10 @@ per grid point; the MPS engine runs all of them in one call. Tuples keep
 ``Rotation`` hashable, so a gate engine can still validate each distinct
 gate once. ``Circuit.causal_cone`` keeps only the ops that can reach a set
 of sites: a run that reads a central chain pair needs about half the gates.
+
+Sizes, cases and sites are integers, Python or numpy: the builders and
+``Circuit`` reject anything else, a bool too, with a ValueError naming the
+argument, so an engine never runs a gate on a site it was not given.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Union
 
 import numpy as np
 
+from .linalg import as_index, as_site
 
 Angle = Union[float, tuple[float, ...]]
 
@@ -58,19 +63,14 @@ class Circuit:
     grid: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"circuit needs at least one qubit, got {self.n_qubits}")
+        n = as_index(self.n_qubits, "n_qubits")
+        if n < 1:
+            raise ValueError(f"circuit needs at least one qubit, got {n}")
         for op in self.ops:
             if isinstance(op, Rotation):
-                if not 1 <= op.site <= self.n_qubits:
-                    raise ValueError(f"rotation site {op.site} outside 1..{self.n_qubits}")
-            else:
-                if not (1 <= op.control <= self.n_qubits and 1 <= op.target <= self.n_qubits):
-                    raise ValueError(
-                        f"CX sites ({op.control}, {op.target}) outside 1..{self.n_qubits}"
-                    )
-                if op.control == op.target:
-                    raise ValueError("CX control and target must differ")
+                as_site(op.site, n, "rotation site")
+            elif as_site(op.control, n, "CX control") == as_site(op.target, n, "CX target"):
+                raise ValueError("CX control and target must differ")
         object.__setattr__(self, "grid", _grid_size(self.ops))
 
     def causal_cone(self, sites) -> Circuit:
@@ -137,7 +137,7 @@ def build_star(n_outer: int, theta: Angle) -> Circuit:
     Qubits 1..n_outer are the outer ring, qubit n_outer + 1 is central. Gates
     are applied outer qubit n_outer first, qubit 1 last, 2 * n_outer ops total.
     """
-    if n_outer < 1:
+    if as_index(n_outer, "n_outer") < 1:
         raise ValueError(f"star protocol needs n_outer >= 1, got {n_outer}")
     central = n_outer + 1
     ops: list[GateOp] = []
@@ -158,9 +158,9 @@ def build_linear(n: int, case: int, theta: Angle) -> Circuit:
     Cases 2 and 4 entangle every nearest-neighbor pair; cases 1 and 3 leave
     only their final-acted end pair entangled.
     """
-    if n < 3:
+    if as_index(n, "n") < 3:
         raise ValueError(f"chain protocol needs n >= 3, got {n}")
-    if case == 1:
+    if as_index(case, "case") == 1:
         sequence = [(i, i - 1) for i in range(n, 1, -1)]
     elif case == 2:
         sequence = [(i, i - 1) for i in range(2, n + 1)]
@@ -184,7 +184,7 @@ def build_periodic(n: int, theta1: Angle, theta2: Angle) -> Circuit:
     the first-acted site n - 1 always carries theta1. With
     theta1 == theta2 the op list is identical to ``build_linear(n, 4, theta1)``.
     """
-    if n < 4:
+    if as_index(n, "n") < 4:
         raise ValueError(f"alternating chain protocol needs n >= 4, got {n}")
     ops: list[GateOp] = []
     for i in range(n - 1, 0, -1):
@@ -199,21 +199,3 @@ def periodic_site_angle(n: int, site: int, theta1: Angle, theta2: Angle) -> Angl
     if not 1 <= site <= n - 1:
         raise ValueError(f"site {site} is not rotated by the alternating protocol on {n} qubits")
     return theta1 if (n - 1 - site) % 2 == 0 else theta2
-
-
-def circuit_to_text(circuit: Circuit) -> str:
-    """Line-based debug dump: deterministic, one op per line.
-
-    Only single-point circuits have a dump; an angle tuple is a ValueError.
-    """
-    lines = [f"QUBITS {circuit.n_qubits}"]
-    for op in circuit.ops:
-        if isinstance(op, Rotation):
-            if isinstance(op.theta, tuple):
-                raise ValueError(
-                    f"circuit_to_text dumps one grid point; {op!r} carries an angle tuple"
-                )
-            lines.append(f"U {op.site} {op.theta:.17g}")
-        else:
-            lines.append(f"CX {op.control} {op.target}")
-    return "\n".join(lines) + "\n"

@@ -27,7 +27,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_float, as_index, first_flagged, require_unitary
+from .linalg import (
+    as_float,
+    as_index,
+    as_site,
+    first_flagged,
+    require_single_gate,
+    require_unitary,
+)
 from .protocols import Circuit, ControlledNot, Rotation, rotation_matrix
 
 MAX_QUBITS = 12
@@ -35,7 +42,7 @@ ZERO_PROBABILITY = 1e-14
 
 
 def _check_size(n_qubits: int) -> None:
-    if not 1 <= n_qubits <= MAX_QUBITS:
+    if not 1 <= as_index(n_qubits, "n_qubits") <= MAX_QUBITS:
         raise ValueError(f"statevector backend supports 1..{MAX_QUBITS} qubits, got {n_qubits}")
 
 
@@ -74,13 +81,6 @@ class StateVector:
         amps[0] = 1.0
         return cls(n_qubits, amps)
 
-    def _check_site(self, site: int, label: str = "site") -> int:
-        """``site`` as an int in 1..n_qubits, or a ValueError naming ``label``."""
-        site = as_index(site, label)
-        if not 1 <= site <= self.n_qubits:
-            raise ValueError(f"{label} {site} outside 1..{self.n_qubits}")
-        return site
-
     def _lead(self) -> tuple[int, ...]:
         """The grid axis, ``(P,)``, or ``()`` for a single-point state."""
         return self.amplitudes.shape[:-1]
@@ -109,13 +109,8 @@ class StateVector:
 
         One gate acts on every grid point of a stacked state.
         """
-        g = require_unitary(gate, 2)
-        if g.ndim != 2:
-            raise ValueError(
-                f"gate must be one 2x2 matrix, got shape {g.shape}; run a circuit with "
-                "angle tuples to apply one gate per grid point"
-            )
-        return self._apply_1q(g, self._check_site(site))
+        g = require_single_gate(gate, 2)
+        return self._apply_1q(g, as_site(site, self.n_qubits))
 
     def _apply_1q(self, g: np.ndarray, site: int) -> "StateVector":
         """``g`` is one 2x2 gate or a ``(P, 2, 2)`` stack, one per grid point."""
@@ -131,8 +126,8 @@ class StateVector:
 
     def apply_cx(self, control: int, target: int) -> "StateVector":
         """Flip ``target`` on the branch where ``control`` is 1."""
-        control = self._check_site(control, "control")
-        target = self._check_site(target, "target")
+        control = as_site(control, self.n_qubits, "control")
+        target = as_site(target, self.n_qubits, "target")
         if control == target:
             raise ValueError("control and target must differ")
         psi = self._grid()
@@ -189,12 +184,12 @@ class StateVector:
 
     def single_rdm(self, site: int) -> np.ndarray:
         """2x2 reduced density matrix of one qubit; a ``(P, 2, 2)`` stack for a stacked state."""
-        return self._gram((self._check_site(site),))
+        return self._gram((as_site(site, self.n_qubits),))
 
     def pair_rdm(self, i: int, j: int) -> np.ndarray:
         """4x4 reduced density matrix of the ordered pair in basis |q_i q_j>;
         a ``(P, 4, 4)`` stack for a stacked state."""
-        i, j = self._check_site(i, "i"), self._check_site(j, "j")
+        i, j = as_site(i, self.n_qubits, "i"), as_site(j, self.n_qubits, "j")
         if i == j:
             raise ValueError("pair sites must differ")
         return self._gram((i, j))
@@ -206,7 +201,7 @@ class StateVector:
         branch probability, one per grid point for a stacked state; a branch
         below 1e-14 probability is an error naming its grid point.
         """
-        site = self._check_site(site)
+        site = as_site(site, self.n_qubits)
         if as_index(outcome, "outcome") not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {outcome}")
         lead = self._lead()

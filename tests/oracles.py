@@ -82,6 +82,18 @@ def case1_state_amplitudes(n: int, theta: float) -> np.ndarray:
     return np.concatenate([branch_a, branch_b])
 
 
+def mps_amplitudes(state) -> np.ndarray:
+    """Every grid point's amplitude vector of a ``MatrixProductState``,
+    contracted site by site over ``state.tensors``, site 1 the most
+    significant bit as in ``StateVector``."""
+    lead = state.tensors[0].shape[:-3]
+    vec = np.ones(lead + (1, 1))
+    for t in state.tensors:
+        l, r = t.shape[-3], t.shape[-1]
+        vec = (vec @ t.reshape(lead + (l, 2 * r))).reshape(lead + (-1, r))
+    return vec[..., 0]
+
+
 def reverse_qubits(amplitudes: np.ndarray, n: int) -> np.ndarray:
     return amplitudes.reshape((2,) * n).transpose(tuple(reversed(range(n)))).ravel()
 

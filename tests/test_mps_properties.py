@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symm_ent.linalg
 import symm_ent.mps
 import symm_ent.sweep
 from symm_ent import (
@@ -32,6 +33,8 @@ from symm_ent import (
 )
 from symm_ent.sweep import GridSpec, SweepConfig
 
+from oracles import mps_amplitudes
+
 
 @st.composite
 def circuits(draw):
@@ -49,14 +52,15 @@ def circuits(draw):
 def test_random_circuits_match_statevector(circuit):
     mps = MatrixProductState(circuit.n_qubits).run_circuit(circuit)
     sv = StateVector.zeros(circuit.n_qubits).run_circuit(circuit)
-    assert np.abs(mps.to_statevector().amplitudes - sv.amplitudes).max() <= 1e-12
+    assert np.abs(mps_amplitudes(mps) - sv.amplitudes).max() <= 1e-12
     assert mps.canonical_deviation() <= 1e-12
     assert mps.discarded_weight_total < 1e-14
 
 
 @pytest.fixture
 def unitary_checks(monkeypatch):
-    """Dimensions of every ``require_unitary`` call the MPS engine makes."""
+    """Dimensions of every ``require_unitary`` call the MPS engine makes,
+    directly or through ``require_single_gate``."""
     calls = []
     original = symm_ent.mps.require_unitary
 
@@ -65,6 +69,7 @@ def unitary_checks(monkeypatch):
         return original(matrix, dim, *args, **kwargs)
 
     monkeypatch.setattr(symm_ent.mps, "require_unitary", counting)
+    monkeypatch.setattr(symm_ent.linalg, "require_unitary", counting)
     return calls
 
 
@@ -233,7 +238,7 @@ def test_dtype_follows_the_gates(case):
             mps.run_circuit(circuit)
             sv = sv.run_circuit(circuit)
     kind = np.complex128 if any(isinstance(op, tuple) for op in ops) else np.float64
-    amplitudes = mps.to_statevector().amplitudes
+    amplitudes = mps_amplitudes(mps)
     assert amplitudes.dtype == kind and sv.amplitudes.dtype == kind
     assert np.result_type(*mps.tensors) == kind
     assert np.abs(amplitudes - sv.amplitudes).max() <= 1e-12

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from symm_ent import (
     build_linear,
     build_periodic,
     build_star,
-    circuit_to_text,
     cx_matrix,
     rotation_matrix,
     wootters_concurrence,
@@ -212,14 +213,28 @@ def test_circuit_validation():
         Circuit(2, (ControlledNot(1, 1),))
 
 
-def test_circuit_to_text_deterministic():
-    circuit = build_linear(3, 4, np.pi / 3)
-    text = circuit_to_text(circuit)
-    assert text == circuit_to_text(build_linear(3, 4, np.pi / 3))
-    lines = text.strip().split("\n")
-    assert lines[0] == "QUBITS 3"
-    assert lines[1].startswith("U 2 ") and lines[2] == "CX 2 3"
-    assert len(lines) == 1 + len(circuit.ops)
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: StateVector.zeros(True), "n_qubits must be an integer, got True"),
+        (lambda: StateVector.zeros(3.0), "n_qubits must be an integer, got 3.0"),
+        (lambda: StateVector(2.0, np.eye(4)[0]), "n_qubits must be an integer, got 2.0"),
+        (lambda: MatrixProductState(3.0), "n_qubits must be an integer, got 3.0"),
+        (lambda: Circuit(2.0, ()), "n_qubits must be an integer, got 2.0"),
+        (lambda: Circuit(3, (Rotation(True, 0.1),)), "rotation site must be an integer, got True"),
+        (lambda: Circuit(3, (ControlledNot(1, 2.0),)), "CX target must be an integer, got 2.0"),
+        (lambda: Circuit(3, (ControlledNot(True, 2),)), "CX control must be an integer, got True"),
+        (lambda: build_linear(5.0, 4, 0.3), "n must be an integer, got 5.0"),
+        (lambda: build_linear(5, 4.0, 0.3), "case must be an integer, got 4.0"),
+        (lambda: build_periodic(5.0, 0.3, 0.4), "n must be an integer, got 5.0"),
+        (lambda: build_star(2.0, 0.3), "n_outer must be an integer, got 2.0"),
+    ],
+    ids=["sv-bool", "sv-float", "sv-amplitudes", "mps-float", "circuit-size", "rotation-site",
+         "cx-target", "cx-control", "linear-n", "linear-case", "periodic-n", "star-n-outer"],
+)
+def test_sizes_and_sites_must_be_integers(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_builders_take_one_angle_per_grid_point():
@@ -247,11 +262,6 @@ def test_circuit_rejects_angle_tuples_of_different_lengths():
         Circuit(2, (Rotation(1, ()),))
     # a float angle is shared by every grid point
     assert Circuit(2, (Rotation(1, (0.1, 0.2)), Rotation(2, 0.3))).grid == 2
-
-
-def test_circuit_to_text_rejects_angle_tuples():
-    with pytest.raises(ValueError, match=r"Rotation\(site=2, theta=\(0.1, 0.2\)\) carries an"):
-        circuit_to_text(build_linear(3, 4, (0.1, 0.2)))
 
 
 def test_causal_cone_keeps_the_ops_that_reach_the_sites_in_order():
