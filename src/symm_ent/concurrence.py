@@ -6,8 +6,8 @@ anti-diagonal. A matrix whose other entries are all at most ``X_FLOOR``
 form by ``xstate_concurrence``. An X state is the direct sum of its outer
 (rows and columns 0, 3) and inner (1, 2) 2x2 blocks, so that route checks
 it through ``hermitian_eigs`` on the stack of blocks: finiteness,
-Hermiticity and a LAPACK spectrum for the eigenvalue check, for two 2x2
-problems instead of a 4x4 eigendecomposition and an SVD.
+Hermiticity and LAPACK eigenvalues (no eigenvectors) for the eigenvalue
+check, for two 2x2 problems instead of a 4x4 eigendecomposition and an SVD.
 
 Any other matrix takes the general route: it factors rho = L L^dag and reads
 the square roots of the spectrum of rho * rho_tilde off as the singular
@@ -147,7 +147,7 @@ def xstate_concurrence(rho) -> float | np.ndarray:
         index, where = first_flagged(~(stray <= X_FLOOR), rho.shape[:-2])
         raise ValueError(f"not an X state{where}: off-pattern entry {stray[index]:.3e}")
     try:
-        block_vals, _ = hermitian_eigs(entries[:8].T.reshape(-1, 2, 2, 2))
+        block_vals = hermitian_eigs(entries[:8].T.reshape(-1, 2, 2, 2), vectors=False)
         trace_dev = np.abs(entries[0] + entries[4] + entries[7] + entries[3] - 1.0)
         valid = trace_dev.max(initial=0.0) <= DM_TOL and block_vals.min(initial=0.0) >= -DM_TOL
     except ValueError:

@@ -283,7 +283,8 @@ def test_concurrence_works_in_the_kind_of_its_input(monkeypatch, given, kept):
     seen = []
     eigs, svd = symm_ent.concurrence.hermitian_eigs, np.linalg.svd
     monkeypatch.setattr(
-        symm_ent.concurrence, "hermitian_eigs", lambda m: seen.append(m.dtype) or eigs(m)
+        symm_ent.concurrence, "hermitian_eigs",
+        lambda m, **kw: seen.append(m.dtype) or eigs(m, **kw),
     )
     monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: seen.append(m.dtype) or svd(m, **kw))
     # X-shaped: the X route factors the 2x2 blocks and needs no SVD

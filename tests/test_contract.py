@@ -2,8 +2,9 @@
 
 Small random sweep configurations (every protocol at n <= 8, random pair
 subsets in either orientation, post-selection none / 0 / 1, grids of 1-9
-points with a theta2 grid or an offset) run with random small block sizes,
-and the two backends, the CLI and the checks must tell one story: the
+points with a theta2 grid or an offset) run with random small block sizes
+and a random small crossover for the closed-form SVD of two-row stacks, so
+both SVD routes run, and the two backends, the CLI and the checks must tell one story: the
 statevector and the MPS give the same rows, the CLI prints exactly the
 rows ``run_sweep`` returns, and the oracle and closed-form checks pass on
 every point that has a state.
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symm_ent.cli
+import symm_ent.linalg
 import symm_ent.sweep
 from symm_ent.sweep import (
     BACKENDS,
@@ -88,11 +90,12 @@ def _argv(config: SweepConfig, fmt: str) -> list[str]:
 
 
 @settings(max_examples=40, deadline=None)
-@given(sweep_configs(), st.integers(1, 4), st.integers(1, 2**10), st.sampled_from(["csv", "json"]))
-def test_backends_cli_and_checks_agree(config, block_points, block_amplitudes, fmt):
+@given(sweep_configs(), st.integers(1, 4), st.integers(1, 2**10), st.integers(1, 4),
+       st.sampled_from(["csv", "json"]))
+def test_backends_cli_and_checks_agree(config, block_points, block_amplitudes, min_stack, fmt):
     with patch.object(symm_ent.sweep, "BLOCK_POINTS", block_points), patch.object(
         symm_ent.sweep, "MAX_BLOCK_AMPLITUDES", block_amplitudes
-    ):
+    ), patch.object(symm_ent.linalg, "CLOSED_FORM_MIN_STACK", min_stack):
         exact = run_sweep(replace(config, backend="statevector"))
         mps = run_sweep(replace(config, backend="mps"))
         assert list(map(KEY, exact)) == list(map(KEY, mps))

@@ -105,6 +105,22 @@ GOLDEN = [
         "057ae2ef39b324faff0ed6bc01054f8cb458c9fe06f30b9ee242fb10feda863f",
         id="oracle-check-linear-cone",
     ),
+    pytest.param(
+        # 65 points: every split is a real two-row stack above the crossover,
+        # factored in closed form; the grid ends give exact zero rows
+        ("sweep", "--protocol", "linear", "--case", "4", "--n", "8", "--theta",
+         "0:6.283185307179586:65", "--backend", "mps"),
+        "b0e65615f7a557b81cd4ca9d15b5e4e43df9960e56da1aeae24a2eb9c830f226",
+        id="linear-case4-mps-closed-form-split",
+    ),
+    pytest.param(
+        # the swap route over 65 points: its 4x4 blocks go to LAPACK, its
+        # two-row blocks to the closed form
+        ("sweep", "--protocol", "star", "--n-outer", "4", "--postselect", "0",
+         "--backend", "mps", "--theta", "0:6.283185307179586:65"),
+        "1fa6d0ac3536ce43f83eea7e417a709f145f84ff7ee98c736ff6a34f83ccc1d5",
+        id="star-postselect0-mps-mixed-split",
+    ),
 ]
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symm_ent import SVDResult, hermitian_eigs, svd_truncate
+from symm_ent.linalg import CLOSED_FORM_MIN_STACK
 
 
 def reconstruct(res: SVDResult) -> np.ndarray:
@@ -62,6 +63,13 @@ def test_svd_input_validation():
         svd_truncate(np.eye(2), max_rank=0)
     with pytest.raises(ValueError):
         svd_truncate(np.array([[np.nan, 0], [0, 1]]), max_rank=1)
+    assert svd_truncate(np.eye(3), max_rank=np.int64(2)).rank == 2
+
+
+@pytest.mark.parametrize("max_rank", [2.5, 2.0, True, False, "2", None, np.float64(2.0)])
+def test_max_rank_must_be_an_integer(max_rank):
+    with pytest.raises(ValueError, match="max_rank must be an integer"):
+        svd_truncate(np.eye(3), max_rank=max_rank)
 
 
 def test_eigs_identity():
@@ -105,6 +113,14 @@ def test_absolute_floor_boundary_at_zero_tol():
     # exactly the values at or above the 1e-14 floor are kept
     assert svd_truncate(np.diag([1.0, 1e-14]), max_rank=2).rank == 2
     assert svd_truncate(np.diag([1.0, np.nextafter(1e-14, 0.0)]), max_rank=2).rank == 1
+    # and on stacks that take the closed form, in either orientation
+    for small, rank in ((1e-14, 2), (np.nextafter(1e-14, 0.0), 1)):
+        for cols in (2, 4):
+            m = np.zeros((CLOSED_FORM_MIN_STACK, 2, cols))
+            m[:, 0, 0], m[:, 1, 1] = 1.0, small
+            for stack in (m, m.swapaxes(-1, -2)):
+                res = svd_truncate(stack, max_rank=2)
+                assert res.rank == rank and np.all(res.singular_values[:, 0] == 1.0)
 
 
 def test_stacked_eigs_are_bitwise_the_per_matrix_call(rng):
@@ -121,6 +137,16 @@ def test_stacked_eigs_are_bitwise_the_per_matrix_call(rng):
         assert ref_vecs.tobytes() == vecs[index].tobytes()
     empty_vals, empty_vecs = hermitian_eigs(np.zeros((0, 4, 4)))
     assert empty_vals.shape == (0, 4) and empty_vecs.shape == (0, 4, 4)
+    # the eigenvalues-only mode, real and complex: bitwise the per-matrix call
+    # and LAPACK's values-only driver
+    for herm in (stack, stack.real):
+        only = hermitian_eigs(herm, vectors=False)
+        assert only.shape == (3, 5, 6) and only.dtype == np.float64
+        for index in np.ndindex(3, 5):
+            assert hermitian_eigs(herm[index], vectors=False).tobytes() == only[index].tobytes()
+            ref = np.linalg.eigvalsh(0.5 * (herm[index] + herm[index].conj().T))
+            assert ref.tobytes() == only[index].tobytes()
+    assert hermitian_eigs(np.zeros((0, 4, 4)), vectors=False).shape == (0, 4)
 
 
 def test_stacked_eigs_name_the_bad_matrix():
@@ -208,3 +234,79 @@ def test_kernels_work_in_the_kind_of_their_input(rng, given, kept):
     assert require_unitary(swap, 2).dtype == kept
     assert require_unitary(np.stack([swap] * 3), 2).dtype == kept
 
+
+
+# Stacks of real two-row (or two-column) matrices, one kind per case. Each
+# kind's matrices sit at the even stack positions and generic ones at the odd
+# positions, so the stack keeps rank 2 and every completed vector is visible.
+TWO_ROW_KINDS = {
+    "generic": lambda rng, shape: rng.normal(size=shape),
+    "zero row": lambda rng, shape: rng.normal(size=shape) * [[1.0], [0.0]],
+    "zero first row": lambda rng, shape: rng.normal(size=shape) * [[0.0], [1.0]],
+    "all zero": lambda rng, shape: np.zeros(shape),
+    "parallel rows": lambda rng, shape: np.outer([1.0, rng.normal()], rng.normal(size=shape[1])),
+    "rank 1 one column": lambda rng, shape: np.outer(rng.normal(size=2), np.eye(shape[1])[0]),
+    "orthonormal rows": lambda rng, shape: np.linalg.qr(rng.normal(size=shape[::-1]))[0].T,
+    "entries 1e+150": lambda rng, shape: 1e150 * rng.normal(size=shape),
+    "entries 1e-150": lambda rng, shape: 1e-150 * rng.normal(size=shape),
+    # squares of these underflow: only the closed form's prescale keeps them
+    "entries 1e-200": lambda rng, shape: 1e-200 * rng.normal(size=shape),
+}
+
+
+def _two_row_stack(rng, kind, points, rows, cols):
+    matrices = [
+        TWO_ROW_KINDS["generic" if k % 2 else kind](rng, (2, max(rows, cols)))
+        for k in range(points)
+    ]
+    stack = np.array(matrices)
+    return stack if rows == 2 else stack.swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("points", [CLOSED_FORM_MIN_STACK - 1, CLOSED_FORM_MIN_STACK])
+@pytest.mark.parametrize("rows, cols", [(2, 4), (4, 2), (2, 2)])
+@pytest.mark.parametrize("kind", sorted(TWO_ROW_KINDS))
+def test_two_row_stacks_factor_to_roundoff(rng, kind, rows, cols, points):
+    # Just below the crossover LAPACK factors the stack, from it the closed
+    # form. LAPACK is held to 4e-15 only: its isometries and reconstructions
+    # are up to 1.3e-15 off on these draws.
+    tol = 1e-15 if points >= CLOSED_FORM_MIN_STACK else 4e-15
+    m = _two_row_stack(rng, kind, points, rows, cols)
+    res = svd_truncate(m, max_rank=2)
+    u, s, vdag = res.left_isometry, res.singular_values, res.right_isometry_dag
+    assert res.rank == 2 and u.shape == (points, rows, 2) and vdag.shape == (points, 2, cols)
+    assert np.abs(u.swapaxes(-1, -2) @ u - np.eye(2)).max() <= tol
+    assert np.abs(vdag @ vdag.swapaxes(-1, -2) - np.eye(2)).max() <= tol
+    biggest = np.abs(m).max(axis=(-2, -1))
+    rebuilt = (u * s[:, None, :]) @ vdag
+    assert np.all(np.abs(rebuilt - m).max(axis=(-2, -1)) <= tol * biggest)
+    assert np.all(s >= 0.0) and np.all(s[:, 1] <= s[:, 0] * (1 + np.finfo(float).eps))
+    assert not res.discarded_weight.any()
+    # LAPACK's own values carry up to ~1e-15 max|M| of roundoff on 2x4 matrices
+    lapack = np.linalg.svd(m, compute_uv=False)
+    assert np.all(np.abs(s - lapack).max(axis=-1) <= 1e-15 * biggest)
+
+
+@pytest.mark.parametrize(
+    "shape, dtype, calls",
+    [
+        ((CLOSED_FORM_MIN_STACK, 2, 4), np.float64, 0),
+        ((CLOSED_FORM_MIN_STACK, 4, 2), np.float64, 0),
+        ((2, CLOSED_FORM_MIN_STACK, 2, 2), np.int64, 0),
+        ((CLOSED_FORM_MIN_STACK, 2, 4), np.complex128, 1),
+        ((CLOSED_FORM_MIN_STACK, 4, 4), np.float64, 1),
+        ((CLOSED_FORM_MIN_STACK - 1, 2, 4), np.float64, 1),
+        ((2, 4), np.float64, 1),
+        ((CLOSED_FORM_MIN_STACK, 2, 1), np.float64, 1),
+    ],
+)
+def test_svd_route(rng, monkeypatch, shape, dtype, calls):
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: seen.append(m.shape) or svd(m, **kw))
+    m = rng.integers(-3, 4, size=shape).astype(dtype)
+    res = svd_truncate(m, max_rank=min(shape[-2:]))
+    assert len(seen) == calls
+    rebuilt = (res.left_isometry * res.singular_values[..., None, :]) @ res.right_isometry_dag
+    # singular integer draws lose their values below the 1e-14 floor
+    assert np.abs(rebuilt - m).max() <= 1e-13
