@@ -129,17 +129,23 @@ def one_matrix_wootters(rho: np.ndarray) -> float:
     """Wootters concurrence of one 4x4 matrix, one factorization per call.
 
     The reference for the stacked concurrence layer: the same arithmetic in
-    the same order (symmetrized eigh, eigenvalues above 1e-14 kept, singular
-    values of L^T (sigma_y x sigma_y) L), applied to a single matrix, so the
+    the same order (symmetrized eigh; the Cholesky factor L when every
+    eigenvalue reaches 1e-12, otherwise V sqrt(Lambda) over the eigenvalues
+    above 1e-14; singular values of L^T (sigma_y x sigma_y) L), applied to a
+    single matrix, so the
     stacked values must match it bit for bit. Like the library it works in
     the kind of its input: float64 for a real matrix, complex128 for a
     complex one. Input validation is left to the library.
     """
     rho = np.asarray(rho)
     rho = rho.astype(np.result_type(rho, np.float64))
-    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    keep = vals > 1e-14
-    factor = vecs[:, keep] * np.sqrt(vals[keep])
+    hermitian = 0.5 * (rho + rho.conj().T)
+    vals, vecs = np.linalg.eigh(hermitian)
+    if vals[0] >= 1e-12:
+        factor = np.linalg.cholesky(hermitian)
+    else:
+        keep = vals > 1e-14
+        factor = vecs[:, keep] * np.sqrt(vals[keep])
     if factor.shape[1] == 0:
         return 0.0
     sy_sy = np.array(
