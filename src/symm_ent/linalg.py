@@ -196,7 +196,8 @@ def svd_truncate(matrix, max_rank: int) -> SVDResult:
 
     significant = np.count_nonzero(s >= SINGULAR_VALUE_FLOOR, axis=-1)
     keep = max(1, min(max_rank, int(significant.max(initial=0))))
-    squares = s * s
+    # squares relative to the largest value: entries above 1e154 would overflow
+    squares = np.square(np.divide(s, s[..., :1], out=np.zeros_like(s), where=s[..., :1] > 0))
     total = squares.sum(axis=-1)
     dropped = squares[..., keep:].sum(axis=-1)
     # a zero matrix keeps its single zero value and discards nothing

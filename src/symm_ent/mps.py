@@ -42,12 +42,12 @@ them needs, and each operation handles all of them in one numpy call. A
 single-point state keeps ``(l, 2, r)`` tensors and runs through the same
 code. ``single_rdm`` and ``postselect`` return stacks for a stacked
 state: a ``(P, 2, 2)`` array and one probability per point. ``pair_rdm``
-reads one grid point of a stacked state per call, after moving the shared
-center to the left site once for all of them. An adjacent pair is the Gram
-matrix M M^dag of the two-site block M there; one environment sweep closes
-every distant pair of a row of pairs sharing that site (Schollwoeck, Ann.
-Phys. 326, 96, 2011). ``discarded_weight`` holds each point's total, and
-``discarded_weight_total`` is the largest.
+contracts a row of pairs sharing a left site for the whole grid at once,
+with the center there: an adjacent pair is the Gram matrix M M^dag of the
+two-site block M, one environment sweep closes every distant pair
+(Schollwoeck, Ann. Phys. 326, 96, 2011), and the row is kept, so a sweep's
+per-point reads (one call per point and row) are slices of one contraction.
+``discarded_weight`` holds each point's total, ``discarded_weight_total`` the largest.
 
 Real in, real out: the product state starts as float64 and every protocol
 gate is real, so a protocol run keeps float64 tensors throughout. The
@@ -91,6 +91,29 @@ def _norms(t: np.ndarray) -> np.ndarray:
     against the stack."""
     flat = t.reshape(t.shape[:-3] + (-1,))
     return np.linalg.norm(flat, axis=-1, keepdims=True)[..., None, None]
+
+
+def _row_rdms(tensors: list[np.ndarray], i: int, sites: tuple[int, ...]) -> np.ndarray:
+    """The RDMs of (i, j), j in ``sites``, as a ``(len(sites), ..., 4, 4)`` stack
+    over the whole grid, from the tensors of i..sites[-1] with the center at i."""
+    t, *rest = tensors
+    *lead, l, _, r = t.shape
+    rhos = []
+    if sites[0] == i + 1:
+        # rho = M M^dag of the block M[(p x), (l s)]; _dag of a real M is a view
+        block = t.reshape(*lead, l * 2, r) @ rest[0].reshape(*lead, r, -1)
+        block = block.reshape(*lead, l, 4, -1).swapaxes(-3, -2).reshape(*lead, 4, -1)
+        rhos.append(block @ _dag(block))
+    distant = sites[len(rhos) :]
+    if distant:
+        env = np.einsum("...lpr,...lqs->...pqrs", t, t.conj())
+        for site, tm in enumerate(rest, start=i + 1):
+            if site in distant:
+                rho = np.einsum("...pqrs,...rxt,...syt->...pxqy", env, tm, tm.conj())
+                rhos.append(rho.reshape(*lead, 4, 4))
+            if site < sites[-1]:
+                env = np.einsum("...pqrs,...rxt,...sxu->...pqtu", env, tm, tm.conj())
+    return np.array(rhos)
 
 
 # the two-site gate |ab> -> |ba> that routes a qubit one site along the chain
@@ -155,6 +178,7 @@ class MatrixProductState:
         self.center = 1
         self.grid: int | None = None  # grid points stacked, None for one state
         self.discarded_weight = np.zeros(())  # per grid point: shape (), or (P,)
+        self._row = (0, (), (), None)  # the last row read: i, sites, tensors, RDMs
 
     # ---------------------------------------------------------------- basics
 
@@ -395,16 +419,17 @@ class MatrixProductState:
         """4x4 reduced density matrix of (i, j), i < j, in basis |q_i q_j>.
 
         ``j`` may also be a row: an ascending tuple of sites right of ``i``,
-        read as a ``(len(j), 4, 4)`` stack. The center moves to ``i`` for
-        every grid point at once. The adjacent pair (i, i + 1) is the Gram
-        matrix M M^dag of the two-site block M there, with no environment;
-        one environment sweep from ``i`` closes every distant pair of a row,
-        so a row costs what its farthest pair costs, and each of its
-        matrices is bitwise the read of that pair alone.
+        read as a ``(len(j), 4, 4)`` stack. With the center moved to ``i``,
+        the adjacent pair (i, i + 1) is the Gram matrix M M^dag of the
+        two-site block M there and one environment sweep closes every distant
+        pair, so each matrix of a row is bitwise the read of its pair alone.
 
-        A stacked state is read at the grid point with index ``point``, which
-        a single-point state does not take: ``perfbench/test_smoke.py`` pins
-        one call per grid point and row.
+        A stacked state is read at the grid point ``point``, which a
+        single-point state does not take. The row is contracted for every
+        point at once and kept with the tensors it read, which alone fix it
+        while the center is at ``i``; no operation writes into a tensor, so a
+        call that finds the same row and tensor objects returns a read-only
+        slice. The call stays per point: perfbench pins one per point and row.
         """
         i, row = as_site(i, self.n_qubits, "i"), isinstance(j, tuple)
         sites = tuple(as_index(site, "j") for site in j) if row else (as_index(j, "j"),)
@@ -426,24 +451,13 @@ class MatrixProductState:
                 f"got {point}"
             )
         self._move_center_to(i)
-        t, *rest = (tm if point is None else tm[point] for tm in self.tensors[i - 1 : left])
-        rhos = []
-        if sites[0] == i + 1:
-            # the block M[(p x), (l s)] of (i, i + 1) at the center: rho = M M^dag;
-            # ndarray.conj() of a real array is the array itself, not a copy
-            l, _, r = t.shape
-            block = (t.reshape(l * 2, r) @ rest[0].reshape(r, -1)).reshape(l, 4, -1)
-            block = block.transpose(1, 0, 2).reshape(4, -1)
-            rhos.append(block @ block.conj().T)
-        distant = sites[len(rhos) :]
-        if distant:
-            env = np.einsum("lpr,lqs->pqrs", t, t.conj())
-            for site, tm in enumerate(rest, start=i + 1):
-                if site in distant:
-                    rhos.append(np.einsum("pqrs,rxt,syt->pxqy", env, tm, tm.conj()).reshape(4, 4))
-                if site < left:
-                    env = np.einsum("pqrs,rxt,sxu->pqtu", env, tm, tm.conj())
-        return np.array(rhos) if row else rhos[0]
+        tensors, memo = self.tensors[i - 1 : left], self._row
+        if memo[:2] != (i, sites) or any(a is not b for a, b in zip(memo[2], tensors)):
+            self._row = memo = (i, sites, tensors, _row_rdms(tensors, i, sites))
+        rdms = memo[3] if point is None else memo[3][:, point]
+        rdms = rdms if row else rdms[0]
+        rdms.flags.writeable = False  # a view of the kept row
+        return rdms
 
     def postselect(self, site: int, outcome: int) -> float:
         """Project ``site`` onto ``outcome``, renormalize, return the probability.

@@ -445,7 +445,8 @@ def _pair_rdms(
 ) -> np.ndarray:
     """The RDMs of the ascending ``pairs`` at every grid point of a stacked
     state, as a ``(len(pairs), P, 4, 4)`` stack. The MPS reads each row of
-    pairs that share a left site with one ``pair_rdm`` call per grid point."""
+    pairs that share a left site with one ``pair_rdm`` call per grid point, as
+    the benchmark pins; all but the first slice the row's whole-block stack."""
     if isinstance(state, StateVector):
         return np.array([state.pair_rdm(*pair) for pair in pairs])
     # filled in place, in the state's dtype so real RDMs stay real
@@ -453,10 +454,9 @@ def _pair_rdms(
     start = 0
     for i, row in groupby(pairs, key=itemgetter(0)):
         sites = tuple(j for _, j in row)
-        j = sites if len(sites) > 1 else sites[0]  # a one-pair row reads as a pair
         stop = start + len(sites)
         for k in range(state.grid):
-            rdms[start:stop, k] = state.pair_rdm(i, j, point=k)
+            rdms[start:stop, k] = state.pair_rdm(i, sites, point=k)
         start = stop
     return rdms
 

@@ -94,6 +94,38 @@ def mps_amplitudes(state) -> np.ndarray:
     return vec[..., 0]
 
 
+def pair_rdm_at_point(state, i: int, j, point: int | None = None) -> np.ndarray:
+    """``MatrixProductState.pair_rdm(i, j, point=point)`` contracted over the
+    tensors of that one grid point alone, with the center already at ``i``.
+
+    The reference for the library's whole-grid row read: the same arithmetic
+    in the same order (the Gram matrix M M^dag of the two-site block for the
+    adjacent pair, one environment sweep from ``i`` for the distant ones), on
+    one point's ``(l, 2, r)`` tensors, so every matrix must match bit for bit.
+    Input validation is left to the library.
+    """
+    assert state.center == i, f"the center is at {state.center}, not at {i}"
+    row = isinstance(j, tuple)
+    sites = j if row else (j,)
+    left = sites[-1]
+    t, *rest = (tm if point is None else tm[point] for tm in state.tensors[i - 1 : left])
+    rhos = []
+    if sites[0] == i + 1:
+        l, _, r = t.shape
+        block = (t.reshape(l * 2, r) @ rest[0].reshape(r, -1)).reshape(l, 4, -1)
+        block = block.transpose(1, 0, 2).reshape(4, -1)
+        rhos.append(block @ block.conj().T)
+    distant = sites[len(rhos) :]
+    if distant:
+        env = np.einsum("lpr,lqs->pqrs", t, t.conj())
+        for site, tm in enumerate(rest, start=i + 1):
+            if site in distant:
+                rhos.append(np.einsum("pqrs,rxt,syt->pxqy", env, tm, tm.conj()).reshape(4, 4))
+            if site < left:
+                env = np.einsum("pqrs,rxt,sxu->pqtu", env, tm, tm.conj())
+    return np.array(rhos) if row else rhos[0]
+
+
 def reverse_qubits(amplitudes: np.ndarray, n: int) -> np.ndarray:
     return amplitudes.reshape((2,) * n).transpose(tuple(reversed(range(n)))).ravel()
 

@@ -310,3 +310,34 @@ def test_svd_route(rng, monkeypatch, shape, dtype, calls):
     rebuilt = (res.left_isometry * res.singular_values[..., None, :]) @ res.right_isometry_dag
     # singular integer draws lose their values below the 1e-14 floor
     assert np.abs(rebuilt - m).max() <= 1e-13
+
+
+
+@pytest.mark.parametrize(
+    "stack, calls", [(4, 1), (CLOSED_FORM_MIN_STACK, 0)], ids=["lapack", "closed-form"]
+)
+@pytest.mark.parametrize("rank", [2, 1])
+def test_discarded_weight_of_huge_entries_is_finite(rng, monkeypatch, stack, calls, rank):
+    """Entries of 1e300, far above the 1e154 whose square overflows, give the
+    discarded weight of the same matrices at unit scale, with no floating-point
+    warning, on both SVD routes."""
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: seen.append(m.shape) or svd(m, **kw))
+    m = rng.normal(size=(stack, 2, 4))
+    if rank == 1:
+        m = rng.normal(size=(stack, 2, 1)) * rng.normal(size=(stack, 1, 4))
+    with np.errstate(all="raise"):
+        unit = svd_truncate(m, max_rank=1).discarded_weight
+        huge = svd_truncate(m * 1e300, max_rank=1)
+    assert len(seen) == 2 * calls
+    assert huge.discarded_weight.shape == (stack,) and np.isfinite(huge.discarded_weight).all()
+    if rank == 2:
+        assert unit.min() > 1e-6
+        assert np.abs(huge.discarded_weight - unit).max() <= 1e-12 * unit.max()
+    else:
+        # one value per matrix carries it all: rank 1 is kept whole
+        assert huge.discarded_weight.max() <= 1e-28
+        u, v = huge.left_isometry, huge.right_isometry_dag
+        rebuilt = (u * huge.singular_values[..., None, :]) @ v
+        assert np.abs(rebuilt / 1e300 - m).max() <= 1e-14 * np.abs(m).max()

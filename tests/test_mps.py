@@ -7,22 +7,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import symm_ent.mps
+import symm_ent.sweep
 from symm_ent import (
     Circuit,
     ControlledNot,
+    GridSpec,
     MatrixProductState,
     Rotation,
     StateVector,
+    SweepConfig,
     build_linear,
     build_periodic,
     build_star,
     cx_matrix,
     rotation_matrix,
+    run_sweep,
     wootters_concurrence,
 )
 from symm_ent.formulas import analytic_concurrence, unitary_params
 
-from oracles import brute_pair_rdm, haar_unitary, mps_amplitudes
+from oracles import brute_pair_rdm, haar_unitary, mps_amplitudes, pair_rdm_at_point
 from test_mps_properties import protocol_grids
 
 
@@ -215,7 +219,8 @@ def test_pair_rdm_validation():
 @given(protocol_grids(), st.booleans(), st.data())
 def test_row_reads_are_bitwise_the_pair_reads(grid, haar, data):
     """A row read returns, pair by pair, the very matrices that one-pair
-    reads return: on stacked and single-point states, real and complex."""
+    reads return, and both are bitwise the contraction of that grid point
+    alone: on stacked and single-point states, real and complex."""
     build, n, points, _ = grid
     states = [
         MatrixProductState(n).run_circuit(build(*map(tuple, zip(*points)))),
@@ -237,8 +242,115 @@ def test_row_reads_are_bitwise_the_pair_reads(grid, haar, data):
             row = state.pair_rdm(i, sites, point=point)
             assert row.shape == (len(sites), 4, 4)
             assert row.dtype == np.result_type(*state.tensors[i - 1 : sites[-1]])
+            assert np.array_equal(row, pair_rdm_at_point(state, i, sites, point))
             for rho, j in zip(row, sites):
                 assert np.array_equal(rho, state.pair_rdm(i, j, point=point))
+                assert np.array_equal(rho, pair_rdm_at_point(state, i, j, point))
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol_grids(), st.booleans(), st.data())
+def test_interleaved_reads_are_bitwise_the_per_point_oracle(grid, haar, data):
+    """Reads of a few rows, as rows and as their first pair, at every grid
+    point in a random order, each read bitwise the contraction of that point
+    alone and read-only, on the state and on a deep copy of it: the kept row
+    is switched, reused and refilled."""
+    build, n, points, _ = grid
+    state = MatrixProductState(n).run_circuit(build(*map(tuple, zip(*points))))
+    if haar:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a = data.draw(st.integers(1, n - 1))
+        state.apply_2q_long_range(haar_unitary(rng, 4), a, data.draw(st.integers(a + 1, n)))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(1, n - 1))
+        rows.append((i, tuple(sorted(data.draw(st.sets(st.integers(i + 1, n), min_size=1))))))
+    reads = [(i, j, point) for i, sites in rows for j in (sites, sites[0])
+             for point in range(state.grid)]
+    for i, j, point in data.draw(st.permutations(reads)):
+        rho = state.pair_rdm(i, j, point=point)
+        assert not rho.flags.writeable
+        assert np.array_equal(rho, pair_rdm_at_point(state, i, j, point))
+    # a deep copy carries a writeable copy of the kept row; its reads stay read-only
+    assert not copy.deepcopy(state).pair_rdm(i, j, point=point).flags.writeable
+
+
+def _counting_rows(monkeypatch) -> list:
+    """Record the sites of every whole-grid row contraction."""
+    rows = []
+    contract = symm_ent.mps._row_rdms
+    monkeypatch.setattr(symm_ent.mps, "_row_rdms",
+                        lambda tensors, *row: rows.append(row) or contract(tensors, *row))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "operation, contractions, changes",
+    [
+        (lambda s: s.apply_1q(rotation_matrix(0.7), 3), 2, True),
+        (lambda s: s.apply_2q(cx_matrix(control_first=True), 2), 2, True),
+        (lambda s: s.run_circuit(Circuit(6, (Rotation(4, 0.9), ControlledNot(2, 5)))), 2, True),
+        (lambda s: s.postselect(3, 0), 2, True),
+        (lambda s: s.keep_points([2, 0, 1]), 2, True),
+        (lambda s: (s._move_center_to(6), s._move_center_to(1)), 2, False),
+        (lambda s: s.apply_1q(rotation_matrix(0.7), 6), 1, False),
+    ],
+    ids=["apply_1q", "apply_2q", "run_circuit", "postselect", "keep_points", "center-shift",
+         "gate-past-the-row"],
+)
+def test_a_read_after_an_operation_reads_the_new_state(
+    operation, contractions, changes, monkeypatch
+):
+    """Every operation that replaces a tensor of the row, a center shift
+    too, makes the next read contract the row again, bitwise the per-point
+    oracle on the new tensors; a gate on a site past the row leaves the row's
+    tensors, and so its RDMs, as they were, and the kept row is reused."""
+    state = MatrixProductState(6).run_circuit(build_linear(6, 4, (0.3, 1.1, 2.0)))
+    rows = _counting_rows(monkeypatch)
+    before = np.array([state.pair_rdm(2, (3, 5), point=k) for k in range(3)])
+    assert np.array_equal(state.pair_rdm(2, (3, 5), point=1), before[1])
+    assert rows == [(2, (3, 5))]
+    operation(state)
+    after = np.array([state.pair_rdm(2, (3, 5), point=k) for k in range(3)])
+    assert len(rows) == contractions
+    for k in range(3):
+        assert np.array_equal(after[k], pair_rdm_at_point(state, 2, (3, 5), k))
+        if changes:
+            assert not np.allclose(after[k], before[k], rtol=0.0, atol=1e-6)
+        else:
+            assert np.abs(after[k] - before[k]).max() <= 1e-15
+
+
+def test_kept_points_read_as_they_were():
+    state = MatrixProductState(6).run_circuit(build_linear(6, 4, (0.3, 1.1, 2.0)))
+    before = [state.pair_rdm(2, (3, 5), point=k) for k in range(3)]
+    state.keep_points([2, 0])
+    assert np.array_equal(state.pair_rdm(2, (3, 5), point=0), before[2])
+    assert np.array_equal(state.pair_rdm(2, (3, 5), point=1), before[0])
+
+
+def test_a_sweep_contracts_each_row_once_per_block(monkeypatch):
+    """``_pair_rdms`` calls ``pair_rdm`` once per grid point and row, and
+    only the first call of each row in a block contracts it."""
+    calls = []
+    read = MatrixProductState.pair_rdm
+    monkeypatch.setattr(MatrixProductState, "pair_rdm",
+                        lambda self, *args, **kw: calls.append(args) or read(self, *args, **kw))
+    rows = _counting_rows(monkeypatch)
+    monkeypatch.setattr(symm_ent.sweep, "BLOCK_POINTS", 4)
+    for config in (
+        SweepConfig("linear", GridSpec(0.0, 2 * np.pi, 9), n=8, pairs="all-adjacent",
+                    backend="mps"),
+        SweepConfig("star", GridSpec(0.0, 2 * np.pi, 9), n_outer=4, pairs="star-all",
+                    backend="mps"),
+    ):
+        calls.clear()
+        rows.clear()
+        run_sweep(config)
+        n_rows = len({i for i, _ in symm_ent.sweep._plan(config).pairs})
+        assert n_rows > 1
+        assert len(calls) == 9 * n_rows
+        assert len(rows) == 3 * n_rows  # blocks of 4, 4 and 1 points
 
 
 @settings(max_examples=60, deadline=None)
