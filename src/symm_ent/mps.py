@@ -44,9 +44,9 @@ code. ``single_rdm`` and ``postselect`` return stacks for a stacked
 state: a ``(P, 2, 2)`` array and one probability per point. ``pair_rdm``
 contracts a row of pairs sharing a left site for the whole grid at once,
 with the center there: an adjacent pair is the Gram matrix M M^dag of the
-two-site block M, one environment sweep closes every distant pair
-(Schollwoeck, Ann. Phys. 326, 96, 2011), and the row is kept, so a sweep's
-per-point reads (one call per point and row) are slices of one contraction.
+two-site block M, one environment sweep of transfer-matrix matmuls closes
+every distant pair (Schollwoeck, Ann. Phys. 326, 96, 2011), and the row is
+kept, so a sweep's per-point reads (one call per point and row) are slices.
 ``discarded_weight`` holds each point's total, ``discarded_weight_total`` the largest.
 
 Real in, real out: the product state starts as float64 and every protocol
@@ -93,6 +93,11 @@ def _norms(t: np.ndarray) -> np.ndarray:
     return np.linalg.norm(flat, axis=-1, keepdims=True)[..., None, None]
 
 
+def _regroup(g: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Each matrix [(r x), (s y)] of a stack, r, s < a and x, y < b, as [(r s), (x y)]."""
+    return g.reshape(*g.shape[:-2], a, b, a, b).swapaxes(-3, -2).reshape(*g.shape[:-2], a * a, -1)
+
+
 def _row_rdms(tensors: list[np.ndarray], i: int, sites: tuple[int, ...]) -> np.ndarray:
     """The RDMs of (i, j), j in ``sites``, as a ``(len(sites), ..., 4, 4)`` stack
     over the whole grid, from the tensors of i..sites[-1] with the center at i."""
@@ -106,13 +111,16 @@ def _row_rdms(tensors: list[np.ndarray], i: int, sites: tuple[int, ...]) -> np.n
         rhos.append(block @ _dag(block))
     distant = sites[len(rhos) :]
     if distant:
-        env = np.einsum("...lpr,...lqs->...pqrs", t, t.conj())
+        m = t.reshape(*lead, l, 2 * r).swapaxes(-1, -2)
+        env = _regroup(m @ _dag(m), 2, r)  # env[(p q), (r s)]: site i's ket and bra, the bond's
         for site, tm in enumerate(rest, start=i + 1):
-            if site in distant:
-                rho = np.einsum("...pqrs,...rxt,...syt->...pxqy", env, tm, tm.conj())
-                rhos.append(rho.reshape(*lead, 4, 4))
-            if site < sites[-1]:
-                env = np.einsum("...pqrs,...rxt,...sxu->...pqtu", env, tm, tm.conj())
+            a, _, b = tm.shape[-3:]
+            if site in distant:  # close with W[(r s), (x y)] = (M M^dag)[(r x), (s y)]
+                m = tm.reshape(*lead, a * 2, b)
+                rhos.append(_regroup(env @ _regroup(m @ _dag(m), a, 2), 2, 2))
+            if site < sites[-1]:  # step with T[(r s), (t u)] = sum_x A[r x t] A*[s x u]
+                m = tm.swapaxes(-2, -1).reshape(*lead, a * b, 2)
+                env = env @ _regroup(m @ _dag(m), a, b)
     return np.array(rhos)
 
 
@@ -421,8 +429,9 @@ class MatrixProductState:
         ``j`` may also be a row: an ascending tuple of sites right of ``i``,
         read as a ``(len(j), 4, 4)`` stack. With the center moved to ``i``,
         the adjacent pair (i, i + 1) is the Gram matrix M M^dag of the
-        two-site block M there and one environment sweep closes every distant
-        pair, so each matrix of a row is bitwise the read of its pair alone.
+        two-site block M there; one sweep of transfer-matrix matmuls (env @ T
+        past a site, env @ W to close a pair there) closes every distant pair,
+        so each matrix of a row is bitwise the read of its pair alone.
 
         A stacked state is read at the grid point ``point``, which a
         single-point state does not take. The row is contracted for every

@@ -175,11 +175,10 @@ class StateVector:
 
     def _gram(self, sites: tuple[int, ...]) -> np.ndarray:
         """Reduced density matrix of ``sites`` in basis |q_sites...>, per grid point."""
-        lead = len(self._lead())
-        moved = np.moveaxis(
-            self._grid(), [lead + s - 1 for s in sites], list(range(lead, lead + len(sites)))
-        )
-        m = moved.reshape(self._lead() + (2 ** len(sites), -1))
+        psi, lead = self._grid(), self._lead()
+        front = [len(lead) + s - 1 for s in sites]
+        rest = [ax for ax in range(len(lead), psi.ndim) if ax not in front]
+        m = psi.transpose([*range(len(lead)), *front, *rest]).reshape(lead + (2 ** len(sites), -1))
         return m @ m.conj().swapaxes(-1, -2)
 
     def single_rdm(self, site: int) -> np.ndarray:

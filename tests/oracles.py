@@ -94,36 +94,70 @@ def mps_amplitudes(state) -> np.ndarray:
     return vec[..., 0]
 
 
+def _point_row(state, i: int, j, point: int | None):
+    """Checks shared by the per-point references: the center is at ``i``;
+    returns the row's sites and the tensors of i..sites[-1] at ``point``."""
+    assert state.center == i, f"the center is at {state.center}, not at {i}"
+    sites = j if isinstance(j, tuple) else (j,)
+    tensors = [tm if point is None else tm[point] for tm in state.tensors[i - 1 : sites[-1]]]
+    return sites, tensors
+
+
+def _regroup(g: np.ndarray, a: int, b: int) -> np.ndarray:
+    """[(r x), (s y)] -> [(r s), (x y)] for r, s < a and x, y < b."""
+    return g.reshape(a, b, a, b).transpose(0, 2, 1, 3).reshape(a * a, b * b)
+
+
 def pair_rdm_at_point(state, i: int, j, point: int | None = None) -> np.ndarray:
     """``MatrixProductState.pair_rdm(i, j, point=point)`` contracted over the
     tensors of that one grid point alone, with the center already at ``i``.
 
     The reference for the library's whole-grid row read: the same arithmetic
     in the same order (the Gram matrix M M^dag of the two-site block for the
-    adjacent pair, one environment sweep from ``i`` for the distant ones), on
-    one point's ``(l, 2, r)`` tensors, so every matrix must match bit for bit.
-    Input validation is left to the library.
+    adjacent pair; for the distant ones an environment matrix env[(p q), (r s)]
+    from the Gram matrix of site i, closed at a site by env @ W with
+    W = M M^dag of its (l 2, r) matrix and stepped past it by env @ T with T
+    the Gram matrix of its (l r, 2) matrix, both regrouped), on one point's
+    ``(l, 2, r)`` tensors, so every matrix must match bit for bit. Input
+    validation is left to the library.
     """
-    assert state.center == i, f"the center is at {state.center}, not at {i}"
-    row = isinstance(j, tuple)
-    sites = j if row else (j,)
-    left = sites[-1]
-    t, *rest = (tm if point is None else tm[point] for tm in state.tensors[i - 1 : left])
+    sites, (t, *rest) = _point_row(state, i, j, point)
+    l, _, r = t.shape
     rhos = []
     if sites[0] == i + 1:
-        l, _, r = t.shape
         block = (t.reshape(l * 2, r) @ rest[0].reshape(r, -1)).reshape(l, 4, -1)
         block = block.transpose(1, 0, 2).reshape(4, -1)
         rhos.append(block @ block.conj().T)
     distant = sites[len(rhos) :]
     if distant:
-        env = np.einsum("lpr,lqs->pqrs", t, t.conj())
+        m = t.reshape(l, 2 * r).T
+        env = _regroup(m @ m.conj().T, 2, r)
         for site, tm in enumerate(rest, start=i + 1):
+            a, _, b = tm.shape
             if site in distant:
-                rhos.append(np.einsum("pqrs,rxt,syt->pxqy", env, tm, tm.conj()).reshape(4, 4))
-            if site < left:
-                env = np.einsum("pqrs,rxt,sxu->pqtu", env, tm, tm.conj())
-    return np.array(rhos) if row else rhos[0]
+                m = tm.reshape(a * 2, b)
+                rhos.append(_regroup(env @ _regroup(m @ m.conj().T, a, 2), 2, 2))
+            if site < sites[-1]:
+                m = tm.transpose(0, 2, 1).reshape(a * b, 2)
+                env = env @ _regroup(m @ m.conj().T, a, b)
+    return np.array(rhos) if isinstance(j, tuple) else rhos[0]
+
+
+def pair_rdm_einsum(state, i: int, j, point: int | None = None) -> np.ndarray:
+    """``pair_rdm_at_point`` by an independent route: every pair, adjacent
+    ones too, through three-operand ``einsum`` contractions of a rank-4
+    environment env[p, q, r, s] (site i's ket and bra legs, then the bond's),
+    with no Gram matrix, no regrouping and no matmul. Agrees with the library
+    to roundoff, not bitwise."""
+    sites, (t, *rest) = _point_row(state, i, j, point)
+    rhos = []
+    env = np.einsum("lpr,lqs->pqrs", t, t.conj())
+    for site, tm in enumerate(rest, start=i + 1):
+        if site in sites:
+            rhos.append(np.einsum("pqrs,rxt,syt->pxqy", env, tm, tm.conj()).reshape(4, 4))
+        if site < sites[-1]:
+            env = np.einsum("pqrs,rxt,sxu->pqtu", env, tm, tm.conj())
+    return np.array(rhos) if isinstance(j, tuple) else rhos[0]
 
 
 def reverse_qubits(amplitudes: np.ndarray, n: int) -> np.ndarray:

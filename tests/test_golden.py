@@ -76,20 +76,20 @@ GOLDEN = [
         # the MPS distant-pair read: rows of outer pairs sharing a left site
         ("sweep", "--protocol", "star", "--n-outer", "6", "--postselect", "1",
          "--backend", "mps", "--theta", GRID),
-        "40b3d3f4a5f48939be8f5c5ad4971f5aa060e2b444c53df0074691da161c78fc",
+        "24f35b9365f76f9d08a504a412a9464e81ffc173e9c6b2521bfa71c18154ac70",
         id="star-postselect1-mps",
     ),
     pytest.param(
         # unsorted explicit pairs, a shared left site, a row through the central qubit
         ("sweep", "--protocol", "star", "--n-outer", "5", "--backend", "mps",
          "--pairs", "1:4,1:2,2:5,1:6", "--theta", GRID),
-        "ee5bc962ec62a40273b918bb6dbb67e59c31263e27eac83345695528cdd59407",
+        "52fdaf9ba9703177092db627c4addf16d50e18dfe3b46c3a66c02afa74c77219",
         id="star-explicit-pairs-mps",
     ),
     pytest.param(
         # the swap route: the central qubit walks down the chain and back home
         ("sweep", "--protocol", "star", "--n-outer", "6", "--backend", "mps", "--theta", GRID),
-        "d5a33863d971191dc066ad5ba96ec039c8e97a9f40c393daf85264edc765df49",
+        "ecf0f3e8789845bcbde21f79898a98b88a6a02109bfe15a516ac36981139d65e",
         id="star-central-mps",
     ),
     pytest.param(
@@ -118,7 +118,7 @@ GOLDEN = [
         # two-row blocks to the closed form
         ("sweep", "--protocol", "star", "--n-outer", "4", "--postselect", "0",
          "--backend", "mps", "--theta", "0:6.283185307179586:65"),
-        "1fa6d0ac3536ce43f83eea7e417a709f145f84ff7ee98c736ff6a34f83ccc1d5",
+        "00d86ba5ee4f7f98aeecc64285eb4d8753cc9dcb6770ace6921d5228dc07ba28",
         id="star-postselect0-mps-mixed-split",
     ),
 ]

@@ -26,7 +26,13 @@ from symm_ent import (
 )
 from symm_ent.formulas import analytic_concurrence, unitary_params
 
-from oracles import brute_pair_rdm, haar_unitary, mps_amplitudes, pair_rdm_at_point
+from oracles import (
+    brute_pair_rdm,
+    haar_unitary,
+    mps_amplitudes,
+    pair_rdm_at_point,
+    pair_rdm_einsum,
+)
 from test_mps_properties import protocol_grids
 
 
@@ -273,6 +279,47 @@ def test_interleaved_reads_are_bitwise_the_per_point_oracle(grid, haar, data):
         assert np.array_equal(rho, pair_rdm_at_point(state, i, j, point))
     # a deep copy carries a writeable copy of the kept row; its reads stay read-only
     assert not copy.deepcopy(state).pair_rdm(i, j, point=point).flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol_grids(), st.integers(0, 2), st.data())
+def test_row_reads_match_the_einsum_contraction(grid, haar_gates, data):
+    """Every row read and one-pair read lies within 1e-14 of the three-operand
+    einsum contraction of that grid point alone, an independent route: on
+    single-point states, one-point grids and stacks, real and complex (up to
+    two Haar two-qubit gates on random pairs, which take bonds to 4 and past)."""
+    build, n, points, _ = grid
+    states = [
+        MatrixProductState(n).run_circuit(build(*points[0])),
+        MatrixProductState(n).run_circuit(build(*map(tuple, zip(*points[:1])))),
+        MatrixProductState(n).run_circuit(build(*map(tuple, zip(*points)))),
+    ]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for _ in range(haar_gates):
+        a = data.draw(st.integers(1, n - 1))
+        b = data.draw(st.integers(a + 1, n))
+        gate = haar_unitary(rng, 4)
+        for state in states:
+            state.apply_2q_long_range(gate, a, b)
+    for state in states:
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(1, n - 1))
+            sites = tuple(sorted(data.draw(st.sets(st.integers(i + 1, n), min_size=1))))
+            for point in range(state.grid) if state.grid else [None]:
+                row = state.pair_rdm(i, sites, point=point)
+                assert np.abs(row - pair_rdm_einsum(state, i, sites, point)).max() <= 1e-14
+                rho = state.pair_rdm(i, sites[-1], point=point)
+                assert np.abs(rho - pair_rdm_einsum(state, i, sites[-1], point)).max() <= 1e-14
+
+
+def test_row_reads_match_the_einsum_contraction_at_bond_four():
+    """A random complex chain at its largest bonds (two brickwork layers of
+    Haar gates on 6 qubits), read over every full row, against the einsum route."""
+    state = random_small_mps(np.random.default_rng(5), n=6)
+    assert [t.shape[-1] for t in state.tensors[:-1]] == [2, 4, 4, 4, 2]
+    for i in range(1, 6):
+        sites = tuple(range(i + 1, 7))
+        assert np.abs(state.pair_rdm(i, sites) - pair_rdm_einsum(state, i, sites)).max() <= 1e-14
 
 
 def _counting_rows(monkeypatch) -> list:

@@ -160,6 +160,17 @@ def test_bulk_center_is_the_closed_form_at_a_thousand_qubits():
         assert abs(row.concurrence_numeric - closed) <= 1e-10
 
 
+def test_central_pairs_are_the_closed_form_at_two_hundred_outer_qubits():
+    # 200 one-pair rows (k, 201), each read through the environment sweep from k to the hub
+    config = SweepConfig(protocol="star", theta=GridSpec(0.0, TWO_PI, 51), n_outer=200,
+                         pairs="star-all", backend="mps")
+    rows = run_sweep(config)
+    assert [(r.pair_left, r.pair_right) for r in rows] == [(k, 201) for k in range(1, 201)] * 51
+    for row in rows:
+        closed = analytic_concurrence("star_central", unitary_params(row.theta), n_outer=200)
+        assert abs(row.concurrence_numeric - closed) <= 1e-10
+
+
 def test_sweep_star_single_point_postselected():
     config = SweepConfig(
         protocol="star",
