@@ -1,29 +1,30 @@
 """Wootters concurrence for two-qubit density matrices, routed per matrix.
 
-Every protocol pair state is an X state, nonzero only on the diagonal and
-anti-diagonal. A matrix whose other entries are all at most ``X_FLOOR``
-(1e-14, the singular-value floor's scale; NaN fails) is scored in closed
-form by ``xstate_concurrence``. An X state is the direct sum of its outer
+Every protocol pair state but the unentangled pairs of linear cases 1 and 3
+is an X state, nonzero only on the diagonal and anti-diagonal. A matrix
+whose other entries are all at most ``X_FLOOR`` (1e-14, the singular-value
+floor's scale; NaN fails) is scored in closed form by
+``xstate_concurrence``. An X state is the direct sum of its outer
 (rows and columns 0, 3) and inner (1, 2) 2x2 blocks, so that route checks
 it through ``hermitian_eigs`` on the stack of blocks: finiteness,
-Hermiticity and LAPACK eigenvalues (no eigenvectors) for the eigenvalue
-check, for two 2x2 problems instead of a 4x4 eigendecomposition and an SVD.
+Hermiticity and the eigenvalue check on two 2x2 problems instead of a 4x4
+one, and no SVD.
 
 Any other matrix takes the general route: it factors rho = L L^dag and reads
 the square roots of the spectrum of rho * rho_tilde off as the singular
 values of B = L^T (sigma_y x sigma_y) L. Taking them from eigenvalues would
 lose half the precision where the spectrum touches zero (sqrt of a 1e-16
-eigenvalue is 1e-8). L is the Cholesky factor where every eigenvalue of
-rho is at least ``CHOLESKY_CUT``, and V sqrt(Lambda) over the eigenvalues
-above ``RANK_CUT`` otherwise. Both are exact factors of a matrix near rho,
-but Cholesky's backward error is componentwise (Demmel & Veselic, SIAM J.
-Matrix Anal. Appl. 13, 1204 (1992)), while V sqrt(Lambda) carries
-eps / sqrt(lambda_min) into its smallest column: on full-rank states with
-lambda_min near 1e-7 it misses the concurrence by up to 2e-14 where
-Cholesky stays within 4e-15. A ``(..., 4, 4)`` stack is scored in one call per
-route, and no route mixes matrices, so every stacked value is bitwise the
-one-matrix call. A real rho is scored in float64 throughout (sigma_y x
-sigma_y is real), a complex one in complex128.
+eigenvalue is 1e-8). L is a diagonal-pivoted Cholesky factor (Higham, in
+Reliable Numerical Computation, OUP 1990): each of four outer-product steps
+divides the column of the largest remaining diagonal entry by that pivot's
+square root and subtracts the column's outer product. No eigenvalue is cut,
+but a pivot at or below ``PIVOT_FLOOR`` times the first ends the factor:
+roundoff leaves the remainder of a rank-deficient rho slightly indefinite,
+and a column divided by the root of a roundoff pivot can blow up. A
+``(..., 4, 4)`` stack is scored in one call per route, and every step works
+on each matrix alone, so every stacked value is bitwise the one-matrix call.
+A real rho is scored in float64 throughout (sigma_y x sigma_y is real), a
+complex one in complex128.
 """
 
 from __future__ import annotations
@@ -34,20 +35,14 @@ from .linalg import as_float, first_flagged, hermitian_eigs
 
 # rho itself may carry eigenvalues this far below zero from upstream roundoff
 DM_TOL = 1e-10
-# eigenvalues of rho below this are dropped from the L factor; they perturb
-# the concurrence by at most a comparable amount
-RANK_CUT = 1e-14
-# a matrix whose eigenvalues all reach this is factored by Cholesky, which
-# then cannot break down: it runs to completion while 20 n^1.5 kappa u < 1
-# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm
-# 10.7), here 20 * 8 * 4e12 * 1.1e-16 = 0.07 for trace 1 and n = 4
-CHOLESKY_CUT = 1e-12
+# a pivot at or below this times its matrix's first pivot ends the factor. X
+# states forced through the general route (3,000 per decade of lambda_min down
+# to 1e-17) then miss the closed form by <= 2.1e-15 in every bin; a floor of
+# 1e-15 reads 1.1e-14, 1e-14 reads 7.7e-14, and 0 scores product states 0.53
+PIVOT_FLOOR = 1e-16
 # entries off the X pattern up to this magnitude count as zeros; the closed
 # form ignores them, which moves the concurrence by a comparable amount
 X_FLOOR = 1e-14
-
-# the group key of the Cholesky-factored matrices, apart from every rank
-_CHOLESKY = -1
 
 # sigma_y x sigma_y: -1 at the outer corners, 1 at the inner ones
 _SY_SY = np.diag([-1.0, 1.0, 1.0, -1.0])[::-1].copy()
@@ -67,52 +62,44 @@ def _as_stack(rho) -> np.ndarray:
     return rho
 
 
-def _validate_density_matrices(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Check and factor a (..., 4, 4) stack: eigenvalues (n, 4), eigenvectors (n, 4, 4).
-    A bad matrix is named by its index in ``rho``."""
+def _validate_density_matrices(rho: np.ndarray) -> None:
+    """Check a (..., 4, 4) stack; a bad matrix is named by its index in ``rho``."""
     stack_shape = rho.shape[:-2]
-    vals, vecs = hermitian_eigs(rho)
+    smallest = hermitian_eigs(rho).reshape(-1, 4)[:, 0]
     trace_dev = np.abs(rho.reshape(-1, 4, 4).trace(axis1=1, axis2=2) - 1.0)
     if np.maximum.reduce(trace_dev, initial=0.0) > DM_TOL:
         flat, where = first_flagged(trace_dev > DM_TOL, stack_shape)
         raise ValueError(
             f"invalid density matrix{where}: trace deviates by {trace_dev[flat]:.3e}"
         )
-    vals, vecs = vals.reshape(-1, 4), vecs.reshape(-1, 4, 4)
-    smallest = vals[:, 0]
     if np.minimum.reduce(smallest, initial=0.0) < -DM_TOL:
         flat, where = first_flagged(smallest < -DM_TOL, stack_shape)
         raise ValueError(
             f"invalid density matrix{where}: eigenvalue {smallest[flat]:.3e} "
             f"below -{DM_TOL:.0e}"
         )
-    return vals, vecs
 
 
 def _svd_concurrence(rho: np.ndarray) -> np.ndarray:
     """The general route for a (..., 4, 4) stack: one value per matrix, flat."""
-    vals, vecs = _validate_density_matrices(rho)
-    # eigenvalues ascend, so the kept ones are the last ``rank`` of each
-    # matrix; each rank, and the Cholesky group, is factored as its own
-    # stack, which keeps every value bitwise equal to factoring its matrix alone
-    ranks = np.add.reduce(vals > RANK_CUT, axis=1)
-    groups = np.where(vals[:, 0] >= CHOLESKY_CUT, _CHOLESKY, ranks)
-    present = set(groups.tolist())
-    concurrence = np.zeros(ranks.shape)
-    for group in present - {0}:
-        selected = slice(None) if len(present) == 1 else groups == group
-        if group == _CHOLESKY:
-            chosen = rho.reshape(-1, 4, 4)[selected]
-            factor = np.linalg.cholesky(0.5 * (chosen + chosen.conj().swapaxes(1, 2)))
-        else:
-            factor = vecs[selected, :, -group:] * np.sqrt(vals[selected, None, -group:])
-        symmetric_overlap = factor.swapaxes(1, 2) @ _SY_SY @ factor
-        # the singular-value form makes the spin-flip spectrum non-negative
-        # by construction, so no separate clamp on R's eigenvalues is needed
-        roots = np.linalg.svd(symmetric_overlap, compute_uv=False)
-        # subtract.reduce folds left: sqrt(l4) - sqrt(l3) - sqrt(l2) - sqrt(l1)
-        concurrence[selected] = np.maximum(np.subtract.reduce(roots, axis=1), 0.0)
-    return concurrence
+    _validate_density_matrices(rho)
+    rest = rho.reshape(-1, 4, 4)
+    rest = 0.5 * (rest + rest.conj().swapaxes(1, 2))
+    factor, rows = np.zeros_like(rest), np.arange(len(rest))
+    floor = PIVOT_FLOOR * rest.diagonal(axis1=1, axis2=2).real.max(axis=1)
+    for k in range(4):  # one column of the pivoted Cholesky factor per step
+        diagonal = rest.diagonal(axis1=1, axis2=2).real
+        chosen = diagonal.argmax(axis=1)
+        pivot = diagonal[rows, chosen]
+        live = pivot > floor
+        root = np.sqrt(np.where(live, pivot, 1.0))[:, None]
+        factor[:, :, k] = np.where(live[:, None], rest[rows, :, chosen] / root, 0.0)
+        rest = rest - factor[:, :, k, None] * factor[:, None, :, k].conj()
+    # the singular-value form makes the spin-flip spectrum non-negative by
+    # construction, so no separate clamp on R's eigenvalues is needed
+    roots = np.linalg.svd(factor.swapaxes(1, 2) @ _SY_SY @ factor, compute_uv=False)
+    # subtract.reduce folds left: sqrt(l4) - sqrt(l3) - sqrt(l2) - sqrt(l1)
+    return np.maximum(np.subtract.reduce(roots, axis=1), 0.0)
 
 
 def wootters_concurrence(rho) -> float | np.ndarray:
@@ -167,7 +154,7 @@ def xstate_concurrence(rho) -> float | np.ndarray:
         index, where = first_flagged(~(stray <= X_FLOOR), rho.shape[:-2])
         raise ValueError(f"not an X state{where}: off-pattern entry {stray[index]:.3e}")
     try:
-        block_vals = hermitian_eigs(entries[:8].T.reshape(-1, 2, 2, 2), vectors=False)
+        block_vals = hermitian_eigs(entries[:8].T.reshape(-1, 2, 2, 2))
         trace_dev = np.abs(entries[0] + entries[4] + entries[7] + entries[3] - 1.0)
         valid = trace_dev.max(initial=0.0) <= DM_TOL and block_vals.min(initial=0.0) >= -DM_TOL
     except ValueError:

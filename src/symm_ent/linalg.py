@@ -2,13 +2,12 @@
 
 Only two factorizations are needed anywhere in this package: a truncated
 singular value decomposition (splitting two-site blocks, compressing bonds)
-and a Hermitian eigendecomposition (density-matrix spectra, or eigenvalues
-alone). A large stack of real two-row matrices, as a bond-2 split makes, is
-factored in closed form; everything else goes to LAPACK. Every matrix
-that reaches these routines is small, a few hundred rows at the very most,
-so explicit validation and deterministic behavior win over asymptotics.
-Each routine also takes a stack of matrices, one per grid point of a
-sweep, and handles it in one call.
+and Hermitian eigenvalues (density-matrix spectra). A large stack of real
+two-row matrices, as a bond-2 split makes, is factored in closed form;
+everything else goes to LAPACK. Every matrix that reaches these routines is
+small, a few hundred rows at the very most, so explicit validation and
+deterministic behavior win over asymptotics. Each routine also takes a
+stack of matrices, one per grid point of a sweep, and handles it in one call.
 
 Real in, real out: every routine works in the kind of its input, so a real
 matrix is factored in real LAPACK and only a complex one in complex
@@ -79,6 +78,20 @@ def as_index(value, label: str) -> int:
     if type(value) is int or isinstance(value, np.integer):
         return int(value)
     raise ValueError(f"{label} must be an integer, got {value!r}")
+
+
+def as_points(points, grid: int) -> np.ndarray:
+    """``points`` as a non-empty 1-d array of indices in 0..grid-1; a bool,
+    non-integer, negative or out-of-range entry is a ValueError naming ``points``."""
+    arr = np.asarray(points)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"points must be a non-empty 1-d index array, got {points!r}")
+    if not (isinstance(points, np.ndarray) and arr.dtype.kind in "iu"):
+        arr = np.array([as_index(point, "points") for point in points])
+    outside = arr[(arr < 0) | (arr >= grid)]
+    if outside.size:
+        raise ValueError(f"points entry {outside[0]} outside 0..{grid - 1}")
+    return arr
 
 
 def as_site(site, n: int, label: str = "site") -> int:
@@ -211,20 +224,14 @@ def svd_truncate(matrix, max_rank: int) -> SVDResult:
     )
 
 
-def hermitian_eigs(matrix, vectors: bool = True) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
-    """Eigenvalues (real, ascending) and eigenvectors of a Hermitian matrix.
+def hermitian_eigs(matrix) -> np.ndarray:
+    """Eigenvalues (real, ascending) of a Hermitian matrix, from LAPACK's
+    values-only driver (``np.linalg.eigvalsh``).
 
-    ``matrix`` is one ``(n, n)`` matrix or a ``(..., n, n)`` stack, factored
-    in one call; each stacked result is bitwise equal to factoring that
-    matrix alone. Every input must be Hermitian within ``HERMITIAN_TOL``
-    elementwise; it is symmetrized before factorization so the returned
-    spectrum is exactly real.
-
-    Returns:
-        ``(eigenvalues, eigenvectors)`` with ``eigenvectors[..., :, k]`` the
-        eigenvector belonging to ``eigenvalues[..., k]``; with ``vectors``
-        False, the eigenvalues alone, from LAPACK's cheaper values-only
-        driver (``np.linalg.eigvalsh``).
+    ``matrix`` is one ``(n, n)`` matrix or a ``(..., n, n)`` stack, handled
+    in one call; each stacked result is bitwise equal to that matrix alone.
+    Every input must be Hermitian within ``HERMITIAN_TOL`` elementwise; it is
+    symmetrized first, so the spectrum is that of the exactly Hermitian part.
     """
     m = _as_matrix(matrix, stacked=True)
     if m.shape[-2] != m.shape[-1]:
@@ -239,9 +246,7 @@ def hermitian_eigs(matrix, vectors: bool = True) -> tuple[np.ndarray, np.ndarray
             f"exceeds {HERMITIAN_TOL:.1e}"
         )
     try:
-        if not vectors:
-            return np.linalg.eigvalsh(0.5 * (m + adjoint))
-        return np.linalg.eigh(0.5 * (m + adjoint))
+        return np.linalg.eigvalsh(0.5 * (m + adjoint))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition failed to converge: {exc}") from exc
 

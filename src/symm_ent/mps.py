@@ -71,6 +71,7 @@ import numpy as np
 
 from .linalg import (
     as_index,
+    as_points,
     as_site,
     first_flagged,
     require_single_gate,
@@ -205,9 +206,7 @@ class MatrixProductState:
         """Keep only the grid points at the indices ``points``, in that order."""
         if self.grid is None:
             raise ValueError("keep_points needs a grid-stacked state")
-        points = np.asarray(points, dtype=int)
-        if points.ndim != 1 or points.size == 0:
-            raise ValueError(f"keep_points needs a non-empty 1-d index array, got {points!r}")
+        points = as_points(points, self.grid)
         self.tensors = [t[points] for t in self.tensors]
         self.discarded_weight = self.discarded_weight[points]
         self.grid = points.size

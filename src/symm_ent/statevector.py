@@ -30,6 +30,7 @@ import numpy as np
 from .linalg import (
     as_float,
     as_index,
+    as_points,
     as_site,
     first_flagged,
     require_single_gate,
@@ -144,10 +145,7 @@ class StateVector:
         """The state of the grid points at the indices ``points``, in that order."""
         if self.grid is None:
             raise ValueError("keep_points needs a grid-stacked state")
-        points = np.asarray(points, dtype=int)
-        if points.ndim != 1 or points.size == 0:
-            raise ValueError(f"keep_points needs a non-empty 1-d index array, got {points!r}")
-        return self._new(self.amplitudes[points])
+        return self._new(self.amplitudes[as_points(points, self.grid)])
 
     def run_circuit(self, circuit: Circuit) -> "StateVector":
         """Apply all gates in listed order; each distinct rotation is

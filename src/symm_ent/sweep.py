@@ -232,6 +232,9 @@ def _plan(config: SweepConfig) -> RunPlan:
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {config.protocol!r}")
     if config.backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {config.backend!r}")
+    for name, grid in (("theta", config.theta), ("theta2", config.theta2)):
+        if not isinstance(grid, GridSpec) and not (name == "theta2" and grid is None):
+            raise ValueError(f"{name} must be a GridSpec, got {grid!r}")
     if config.protocol == "star":
         if config.n_outer is None or as_index(config.n_outer, "n_outer") < 1:
             raise ValueError("star protocol needs n_outer >= 1")
@@ -333,7 +336,11 @@ def _resolve_pairs(config: SweepConfig) -> list[tuple[int, int]]:
         )
     first_as = {}
     for pair in selection:
-        i, j = as_index(pair[0], "site in pairs"), as_index(pair[1], "site in pairs")
+        try:
+            i, j = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"each entry of pairs must be two sites, got {pair!r}") from None
+        i, j = as_index(i, "site in pairs"), as_index(j, "site in pairs")
         if i == j:
             raise ValueError(f"pair sites must differ, got ({i}, {j})")
         if not (1 <= i <= total and 1 <= j <= total):

@@ -195,31 +195,30 @@ def one_matrix_wootters(rho: np.ndarray) -> float:
     """Wootters concurrence of one 4x4 matrix, one factorization per call.
 
     The reference for the stacked concurrence layer: the same arithmetic in
-    the same order (symmetrized eigh; the Cholesky factor L when every
-    eigenvalue reaches 1e-12, otherwise V sqrt(Lambda) over the eigenvalues
-    above 1e-14; singular values of L^T (sigma_y x sigma_y) L), applied to a
-    single matrix, so the
-    stacked values must match it bit for bit. Like the library it works in
-    the kind of its input: float64 for a real matrix, complex128 for a
-    complex one. Input validation is left to the library.
+    the same order (the symmetrized matrix; a diagonal-pivoted Cholesky factor
+    L, whose pivots end at 1e-16 times the first; singular values of
+    L^T (sigma_y x sigma_y) L), applied to a single matrix, so the stacked
+    values must match it bit for bit. Like the library it works in the kind
+    of its input: float64 for a real matrix, complex128 for a complex one.
+    Input validation is left to the library.
     """
     rho = np.asarray(rho)
     rho = rho.astype(np.result_type(rho, np.float64))
-    hermitian = 0.5 * (rho + rho.conj().T)
-    vals, vecs = np.linalg.eigh(hermitian)
-    if vals[0] >= 1e-12:
-        factor = np.linalg.cholesky(hermitian)
-    else:
-        keep = vals > 1e-14
-        factor = vecs[:, keep] * np.sqrt(vals[keep])
-    if factor.shape[1] == 0:
-        return 0.0
+    rest = 0.5 * (rho + rho.conj().T)
+    factor = np.zeros_like(rest)
+    for k in range(4):
+        diagonal = rest.diagonal().real
+        chosen = int(np.argmax(diagonal))
+        if k == 0:
+            floor = 1e-16 * diagonal[chosen]
+        if diagonal[chosen] <= floor:
+            break
+        factor[:, k] = rest[:, chosen] / np.sqrt(diagonal[chosen])
+        rest = rest - np.outer(factor[:, k], factor[:, k].conj())
     sy_sy = np.array(
         [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float
     )
-    roots = np.zeros(4)
-    sigma = np.linalg.svd(factor.T @ sy_sy @ factor, compute_uv=False)
-    roots[: sigma.size] = sigma
+    roots = np.linalg.svd(factor.T @ sy_sy @ factor, compute_uv=False)
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,76 @@ def test_general_path_is_exact_near_zeros():
     assert wootters_concurrence(rho) < 1e-13
 
 
+def _near_singular_x_states(rng: np.random.Generator, n: int):
+    """``n`` X states with one block at 1 - t of its positivity limit, t log-uniform
+    over 1e-17..1e-5, as a real and a complex stack, with the smallest
+    eigenvalue of each (from the exact block determinant)."""
+    weights = rng.random((n, 4)) + 1e-3
+    x, y, z, w = (weights / weights.sum(axis=1, keepdims=True)).T
+    t = 10.0 ** rng.uniform(-17.0, -5.0, n)
+    outer_tight = rng.random(n) < 0.5
+    u = np.sqrt(x * w) * np.where(outer_tight, 1.0 - t, rng.random(n))
+    delta = np.sqrt(y * z) * np.where(outer_tight, rng.random(n), 1.0 - t)
+    signs = rng.choice((-1.0, 1.0), size=(2, n))
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(2, n)))
+    stacks = []
+    for u_phase, delta_phase in (signs, phases):
+        stack = np.zeros((n, 4, 4), dtype=u_phase.dtype)
+        stack[:, [0, 1, 2, 3], [0, 1, 2, 3]] = np.stack([x, y, z, w], axis=1)
+        stack[:, 0, 3], stack[:, 1, 2] = u * u_phase, delta * delta_phase
+        stack[:, 3, 0], stack[:, 2, 1] = stack[:, 0, 3].conj(), stack[:, 1, 2].conj()
+        stacks.append(stack)
+    lambda_min = []
+    for rho in stacks[1]:
+        determinants = [
+            (Fraction(rho[a, a].real) * Fraction(rho[b, b].real)
+             - Fraction(rho[a, b].real) ** 2 - Fraction(rho[a, b].imag) ** 2)
+            / Fraction(rho[a, a].real + rho[b, b].real)
+            for a, b in ((0, 3), (1, 2))
+        ]
+        lambda_min.append(float(min(determinants)))
+    return stacks, np.array(lambda_min)
+
+
+def test_general_route_is_exact_near_a_vanishing_eigenvalue():
+    # the closed form is the reference; a cut that drops an eigenvalue, or a
+    # factor that carries eps / sqrt(lambda_min) into a column, misses it by
+    # up to 2e-13 in the bins just above lambda_min = 1e-15
+    stacks, lambda_min = _near_singular_x_states(np.random.default_rng(2026), 3600)
+    bins = np.digitize(lambda_min, [1e-15, 1e-14, 1e-12])
+    for stack in stacks:
+        error = np.abs(general_route(stack) - xstate_concurrence(stack))
+        for index, label in enumerate(("< 1e-15", "[1e-15, 1e-14)", "[1e-14, 1e-12)", ">= 1e-12")):
+            assert np.count_nonzero(bins == index) >= 100, label
+            assert error[bins == index].max() <= 1e-14, (label, stack.dtype)
+
+
+def test_general_route_scores_pure_states_exactly(rng):
+    # a rank-1 rho leaves a roundoff remainder after one step: pivots at or
+    # below the floor must end the factor, or a column divided by the root of
+    # a roundoff pivot blows up (product states then score up to 0.5)
+    n = 1000
+    psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    psi[:, 0] *= 10.0 ** rng.uniform(-9.0, -3.0, n)
+    products = [np.kron(haar_unitary(rng), haar_unitary(rng))[:, 0] for _ in range(n)]
+    psi = np.concatenate([psi, products])
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    exact = 2.0 * np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2])
+    rho = psi[:, :, None] * psi[:, None, :].conj()
+    assert np.abs(general_route(rho) - exact).max() <= 1e-14
+
+
+def test_general_route_pivots_past_a_near_singular_leading_block(rng):
+    # rank-2 states whose rows 0 and 1 are nearly parallel: an unpivoted
+    # factor would divide by a tiny second pivot that carries roundoff from
+    # the first step. (X x X) rho (X x X) reverses the basis order and keeps C
+    v = rng.normal(size=(500, 4, 2)) + 1j * rng.normal(size=(500, 4, 2))
+    v[:, 1] = v[:, 0] * rng.normal(size=(500, 1)) + v[:, 1] * 10.0 ** rng.uniform(-8, -5, (500, 1))
+    rho = v @ v.conj().swapaxes(1, 2)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    assert np.abs(general_route(rho) - general_route(rho[:, ::-1, ::-1])).max() <= 1e-14
+
+
 # ------------------------------------------------------------ stacked calls
 
 
@@ -295,7 +367,7 @@ def test_concurrence_works_in_the_kind_of_its_input(monkeypatch, given, kept):
     assert seen == [kept]
     assert abs(wootters_concurrence(bell.astype(kept) / 2) - 1.0) < 1e-12
     assert seen[1:] == [kept]
-    # |++><++| has no zero entry: the general route, one eigendecomposition and one SVD
+    # |++><++| has no zero entry: the general route, one eigenvalue check and one SVD
     plus = np.full((4, 4), 0.25, dtype=kept)
     assert wootters_concurrence(plus) < 1e-12
     assert seen[2:] == [kept, kept]
@@ -378,9 +450,8 @@ X_DRAWS = ("generic", "diagonal", "rank-deficient", "zero-boundary")
     seed=st.integers(0, 2**32 - 1),
 )
 def test_x_route_agrees_with_the_general_route(kinds, seed):
-    # draws are generic within each kind: the general route itself loses
-    # accuracy on a spectrum that sits just above its rank cut (2.6e-14 seen
-    # at an eigenvalue near 1e-13), which the closed form does not
+    # the near-singular spectra the general route must also get right are
+    # test_general_route_is_exact_near_a_vanishing_eigenvalue's subject
     rng = np.random.default_rng(seed)
     for rho in (_x_draw(kind, rng) for kind in kinds):
         assert abs(wootters_concurrence(rho) - general_route(rho)) <= 1e-14

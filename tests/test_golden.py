@@ -18,7 +18,7 @@ GRID = "0:6.283185307179586:9"
 GOLDEN = [
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "1", "--n", "6", "--theta", GRID),
-        "272e026521517ece40c7ec35a929d6f0fc1c033e9c53eb11a851188262fa0eea",
+        "20544a8998a8893c6e7f0d1dd55404680c19bcb65d016b89f03b3d9af297777f",
         id="linear-case1",
     ),
     pytest.param(
@@ -29,7 +29,7 @@ GOLDEN = [
     ),
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "3", "--n", "6", "--theta", GRID),
-        "a236d9e5ad4af504d37d4f275158ee53687e44d3979a973285aa750c6658507b",
+        "fbea92ed24eee37ce5f2ee4e2ffc3a5a1783f53d095e3d43aa792d9923d891fc",
         id="linear-case3",
     ),
     pytest.param(

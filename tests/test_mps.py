@@ -376,6 +376,33 @@ def test_kept_points_read_as_they_were():
     assert np.array_equal(state.pair_rdm(2, (3, 5), point=1), before[0])
 
 
+@pytest.mark.parametrize("backend", ["mps", "statevector"])
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([1.7], "points must be an integer, got 1.7"),
+        (np.array([1.0]), "points must be an integer"),
+        ([True, False], "points must be an integer, got True"),
+        ([0, True], "points must be an integer, got True"),
+        (np.array([True, False]), "points must be an integer"),
+        ([-1], "points entry -1 outside 0..2"),
+        ([5], "points entry 5 outside 0..2"),
+        (np.array([0, 3]), "points entry 3 outside 0..2"),
+        ([], "points must be a non-empty 1-d index array"),
+        ([[0, 1]], "points must be a non-empty 1-d index array"),
+    ],
+    ids=["float", "float-array", "bools", "bool-among-ints", "bool-array", "negative",
+         "past-the-end", "past-the-end-array", "empty", "2-d"],
+)
+def test_keep_points_rejects_bad_indices(backend, points, message):
+    circuit = build_linear(4, 4, (0.3, 1.1, 2.0))
+    state = (MatrixProductState(4) if backend == "mps" else StateVector.zeros(4))
+    state = state.run_circuit(circuit)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        state.keep_points(points)
+    kept = state.keep_points(np.array([2, 0])) or state  # the MPS keeps in place
+    assert kept.grid == 2
+
 def test_a_sweep_contracts_each_row_once_per_block(monkeypatch):
     """``_pair_rdms`` calls ``pair_rdm`` once per grid point and row, and
     only the first call of each row in a block contracts it."""

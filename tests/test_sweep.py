@@ -642,6 +642,27 @@ def test_non_integer_sizes_and_sites_are_rejected(given_fields, message):
     assert run_sweep(linear_config(n=np.int64(6), pairs=((np.int64(2), 3),)))
 
 
+@pytest.mark.parametrize(
+    "given_fields, message",
+    [
+        (dict(protocol="linear", n=6, theta=0.5), "theta must be a GridSpec, got 0.5"),
+        (dict(protocol="linear", n=6, theta=(0.0, 1.0, 3)), "theta must be a GridSpec"),
+        (dict(protocol="periodic", n=6, theta2=0.3), "theta2 must be a GridSpec, got 0.3"),
+        (dict(protocol="periodic", n=6, theta2=0.0), "theta2 must be a GridSpec, got 0.0"),
+        (dict(protocol="linear", n=6, pairs=((1, 2, 3),)), "each entry of pairs must be two"),
+        (dict(protocol="linear", n=6, pairs=((1,),)), "each entry of pairs must be two sites"),
+        (dict(protocol="linear", n=6, pairs=(3,)), "each entry of pairs must be two sites, got 3"),
+        (dict(protocol="linear", n=6, pairs=((1, (2, 3)),)), "site in pairs must be an integer"),
+    ],
+    ids=["float-theta", "tuple-theta", "float-theta2", "zero-theta2", "three-sites", "one-site",
+         "bare-site", "nested-site"],
+)
+def test_malformed_grids_and_pairs_are_rejected_by_name(given_fields, message):
+    config = SweepConfig(**{"theta": GridSpec.single(1.0), **given_fields})
+    for run in (run_sweep, run_compare, run_oracle_check):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(config)
+
 def test_duplicate_pairs_are_rejected():
     for pairs, first in ((((1, 2), (2, 1)), "(1, 2)"), (((4, 5), (2, 3), (2, 3)), "(2, 3)")):
         duplicate = pairs[-1]
