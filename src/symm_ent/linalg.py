@@ -2,12 +2,12 @@
 
 Only two factorizations are needed anywhere in this package: a truncated
 singular value decomposition (splitting two-site blocks, compressing bonds)
-and Hermitian eigenvalues (density-matrix spectra). A large stack of real
-two-row matrices, as a bond-2 split makes, is factored in closed form;
-everything else goes to LAPACK. Every matrix that reaches these routines is
-small, a few hundred rows at the very most, so explicit validation and
-deterministic behavior win over asymptotics. Each routine also takes a
-stack of matrices, one per grid point of a sweep, and handles it in one call.
+and Hermitian eigenvalues (density-matrix spectra). Every real two-row or
+two-column matrix, one or a stack of any size, as a bond-2 split makes, is
+factored in closed form; everything else goes to LAPACK. Every matrix that
+reaches these routines is small, a few hundred rows at the very most, so
+explicit validation and deterministic behavior win over asymptotics. Each
+routine also takes a stack of matrices, one per grid point, in one call.
 
 Real in, real out: every routine works in the kind of its input, so a real
 matrix is factored in real LAPACK and only a complex one in complex
@@ -29,11 +29,6 @@ SINGULAR_VALUE_FLOOR = 1e-14
 # elementwise tolerances of the Hermiticity and unitarity checks
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-12
-# Real stacks of at least this many two-row (or two-column) matrices take
-# svd_truncate's closed form. Crossover sweep (2-core x86_64, numpy 2.4), us
-# for LAPACK vs closed form: 2x4 stacks of 8: 37 vs 68, of 32: 81 vs 72, of
-# 201: 385 vs 112; 4x2 of 32: 74 vs 73; 2x2 of 32: 65 vs 72; one 2x4: 27 vs 63.
-CLOSED_FORM_MIN_STACK = 32
 
 
 @dataclass(frozen=True)
@@ -127,32 +122,35 @@ def _two_row_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(U, s, V^T)`` of a real ``(..., 2, n)`` stack, n >= 2, in closed form;
     see ``svd_truncate``."""
     *lead, _, n = m.shape
-    # one row per matrix entry and one column per matrix, so every step below
-    # is elementwise along the stack
-    r = np.ascontiguousarray(m.reshape(-1, 2 * n).T)
+    # r[i, k, p] = M_p[i, k]: every step below is elementwise along the stack
+    r = np.ascontiguousarray(m.reshape(-1, 2, n).transpose(1, 2, 0))
     # an exact power-of-two scale keeps every Gram entry in range
-    scale = np.ldexp(1.0, np.frexp(np.abs(r).max(axis=0))[1])
-    r0, r1 = r[:n] / scale, r[n:] / scale
+    scale = np.ldexp(1.0, np.frexp(np.maximum.reduce(abs(r), (0, 1)))[1])
+    r = r / scale
     # the Gram matrix [[a, c], [c, b]] as d = (a - b) / 2 and c
-    d = 0.5 * ((r0 * r0).sum(axis=0) - (r1 * r1).sum(axis=0))
-    c = (r0 * r1).sum(axis=0)
+    g = np.add.reduce(r[:, None] * r, 2)
+    d, c = 0.5 * (g[0, 0] - g[1, 1]), g[0, 1]
     h = np.hypot(d, c)
-    # its top eigenvector without cancellation; (1, 0) where it is a multiple
-    # of the identity (h = 0)
-    x0 = np.where(d >= 0.0, d + h, c) + (h == 0.0)
-    x1 = np.where(d >= 0.0, c, h - d)
-    norm = np.hypot(x0, x1)
-    x0, x1 = x0 / norm, x1 / norm
-    w0, w1 = x0 * r0 + x1 * r1, x0 * r1 - x1 * r0
-    s0 = np.sqrt((w0 * w0).sum(axis=0))
+    # its top eigenvector without cancellation; (1, 0) where h = 0 (a multiple of I)
+    up = d >= 0.0
+    x0 = np.where(up, d + h, c) + (h == 0.0)
+    x1 = np.where(up, c, h - d)
+    x0, x1 = np.array([x0, x1]) / np.hypot(x0, x1)
+    a, b = x0 * r, x1 * r
+    w0, w1 = a[0] + b[1], a[1] - b[0]
+    s0 = np.sqrt(np.add.reduce(w0 * w0, 0))
     # only an all-zero matrix has s0 = 0; its v0 is e0
-    v0 = np.divide(w0, s0, out=np.eye(n, 1).repeat(len(s0), axis=1), where=s0 > 0.0)
+    e0 = np.zeros(w0.shape)
+    e0[0] = 1.0
+    v0 = np.divide(w0, s0, out=e0, where=s0 > 0.0)
     for _ in range(2):  # one Gram-Schmidt pass can leave V 1e-14 off orthonormal
-        w1 = w1 - (w1 * v0).sum(axis=0) * v0
-    s1 = np.sqrt((w1 * w1).sum(axis=0))
-    v1 = np.divide(w1, s1, out=np.zeros_like(w1), where=s1 > 0.0)
+        w1 = w1 - np.add.reduce(w1 * v0, 0) * v0
+    s1 = np.sqrt(np.add.reduce(w1 * w1, 0))
+    if np.count_nonzero(tiny := s1 < 2.0**-500):  # w1's squares went subnormal
+        s1[tiny] = np.sqrt(np.add.reduce(np.square(w1[:, tiny] * 2.0**600), 0)) * 2.0**-600
+    v1 = np.divide(w1, s1, out=np.zeros(w1.shape), where=s1 > 0.0)
     null = s1 == 0.0
-    if null.any():
+    if np.count_nonzero(null):
         # rank < 2 (the grid ends give exact zeros): complete v1 from the unit
         # vector e_k least aligned with v0; |v0_k| <= n^-1/2, so one pass suffices
         k = np.argmin(np.abs(v0[:, null]), axis=0)[None]
@@ -175,13 +173,15 @@ def svd_truncate(matrix, max_rank: int) -> SVDResult:
     error of the truncated factorization: a float for one matrix, an array
     of the stack shape for a stack.
 
-    A real stack of at least ``CLOSED_FORM_MIN_STACK`` two-row (or, through
-    the transpose, two-column) matrices, as a bond-2 split of a grid block
-    is, is factored in closed form: U rotates onto the eigenvectors of M M^T
-    (the 2x2 symmetric Schur step, Golub & Van Loan, 4th ed., sec. 8.5). The
-    small value is the norm of a row of U^T M, not the root of a Gram
-    eigenvalue, so its error is of order eps * s0 (Demmel & Veselic, SIAM J.
-    Matrix Anal. Appl. 13, 1204, 1992). Anything else goes to LAPACK.
+    A real two-row or two-column matrix or stack, as a bond-2 split is, is
+    factored in closed form at any stack size: U rotates onto the
+    eigenvectors of M M^T (the 2x2 symmetric Schur step, Golub & Van Loan,
+    4th ed., sec. 8.5) and the rows of U^T M, made orthogonal, give s and
+    V^T. Each row and column of M is rebuilt to roundoff relative to its own
+    size (after Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1204, 1992),
+    6.7e-16 with one physical slice scaled by 1e-4 to 1e-12 where LAPACK
+    missed by up to 5.3e-3: a branch near a dead outcome keeps its digits.
+    Complex and wider matrices go to LAPACK.
 
     Raises:
         ValueError: on malformed input or invalid ``max_rank``.
@@ -192,8 +192,7 @@ def svd_truncate(matrix, max_rank: int) -> SVDResult:
     if max_rank < 1:
         raise ValueError(f"max_rank must be >= 1, got {max_rank}")
     rows, cols = m.shape[-2:]
-    if (m.dtype == np.float64 and min(rows, cols) == 2
-            and m.size >= CLOSED_FORM_MIN_STACK * rows * cols):
+    if m.dtype == np.float64 and min(rows, cols) == 2:
         if rows == 2:
             u, s, vdag = _two_row_svd(m)
         else:

@@ -30,9 +30,9 @@ staircase or a route needs no center move between its gates.
 There is no truncation policy: every split is a rank-revealing SVD that
 drops only singular values below 1e-14, so the engine is exact. Every
 protocol state needs bond dimension 2 at most, so ``discarded_weight_total``
-stays at roundoff level (callers fail above 1e-14), and a grid block's split
-of real two-row blocks takes ``svd_truncate``'s closed form, one 2x2 rotation
-per point instead of one LAPACK call; routed 4x4 blocks stay on LAPACK.
+stays at roundoff level (callers fail above 1e-14), and every split of a real
+two-row or two-column block, single-point or stacked, takes ``svd_truncate``'s
+closed form, one 2x2 rotation per point; routed 4x4 blocks stay on LAPACK.
 
 A state can also hold one MPS per point of an angle grid. Running a circuit
 whose rotations carry angle tuples (see ``protocols``) gives every site

@@ -2,12 +2,12 @@
 
 Small random sweep configurations (every protocol at n <= 8, random pair
 subsets in either orientation, post-selection none / 0 / 1, grids of 1-9
-points with a theta2 grid or an offset) run with random small block sizes
-and a random small crossover for the closed-form SVD of two-row stacks, so
-both SVD routes run, and the two backends, the CLI and the checks must tell one story: the
-statevector and the MPS give the same rows, the CLI prints exactly the
-rows ``run_sweep`` returns, and the oracle and closed-form checks pass on
-every point that has a state.
+points with a theta2 grid or an offset, and post-selected star grids that
+start where the branch probability is 1e-9 to 1e-7) run with random small
+block sizes, and the two backends, the CLI and the checks must tell one
+story: the statevector and the MPS give the same rows, the CLI prints
+exactly the rows ``run_sweep`` returns, and the oracle and closed-form
+checks pass on every point that has a state.
 """
 
 from dataclasses import replace
@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symm_ent.cli
-import symm_ent.linalg
 import symm_ent.sweep
 from symm_ent.sweep import (
     BACKENDS,
@@ -37,11 +36,36 @@ ANGLES = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
 KEY = attrgetter("theta", "theta2", "pair_left", "pair_right", "postselect_outcome")
 
 
-def grids(steps: int):
+def grids(steps: int, starts=ANGLES):
     if steps == 1:
-        return ANGLES.map(GridSpec.single)
+        return starts.map(GridSpec.single)
     widths = st.floats(0.1, 2 * np.pi)
-    return st.tuples(ANGLES, widths).map(lambda p: GridSpec(p[0], p[0] + p[1], steps))
+    return st.tuples(starts, widths).map(lambda p: GridSpec(p[0], p[0] + p[1], steps))
+
+
+def near_floor_angles(n_outer: int, outcome: int):
+    """Angles where the star's branch ``outcome`` has probability 1e-9 to 1e-7.
+
+    The central qubit holds the parity of the outer ones, so the branch has
+    probability (1 + (-1)^outcome (-cos theta)^n_outer) / 2. It dies at odd
+    multiples of pi for outcome 1, and at even ones when outcome differs from
+    n_outer mod 2; near such a centre it is 10^-p at |theta - centre| = x,
+    where cos(x)^n_outer = 1 - 2 * 10^-p. Returns None when the branch never
+    dies.
+    """
+    centres = [-np.pi, np.pi] if outcome == 1 else []
+    if outcome != n_outer % 2:
+        centres += [-2 * np.pi, 0.0, 2 * np.pi]
+    if not centres:
+        return None
+
+    def angle(draw):
+        power, centre, sign = draw
+        half_cos = -np.expm1(np.log1p(-2 * 10.0**-power) / n_outer) / 2
+        return float(centre + sign * 2 * np.arcsin(np.sqrt(half_cos)))
+
+    return st.tuples(st.floats(7, 9), st.sampled_from(centres),
+                     st.sampled_from([-1.0, 1.0])).map(angle)
 
 
 @st.composite
@@ -53,6 +77,10 @@ def sweep_configs(draw):
         options["n_outer"] = draw(st.integers(1, 7))
         options["postselect"] = draw(st.sampled_from([None, 0, 1]))
         total = options["n_outer"] + 1
+        if options["postselect"] is not None and draw(st.booleans()):
+            starts = near_floor_angles(options["n_outer"], options["postselect"])
+            if starts is not None:
+                options["theta"] = draw(grids(steps, starts))
     else:
         total = options["n"] = draw(st.integers(3 if protocol == "linear" else 4, 8))
     if protocol == "linear":
@@ -90,12 +118,12 @@ def _argv(config: SweepConfig, fmt: str) -> list[str]:
 
 
 @settings(max_examples=40, deadline=None)
-@given(sweep_configs(), st.integers(1, 4), st.integers(1, 2**10), st.integers(1, 4),
+@given(sweep_configs(), st.integers(1, 4), st.integers(1, 2**10),
        st.sampled_from(["csv", "json"]))
-def test_backends_cli_and_checks_agree(config, block_points, block_amplitudes, min_stack, fmt):
+def test_backends_cli_and_checks_agree(config, block_points, block_amplitudes, fmt):
     with patch.object(symm_ent.sweep, "BLOCK_POINTS", block_points), patch.object(
         symm_ent.sweep, "MAX_BLOCK_AMPLITUDES", block_amplitudes
-    ), patch.object(symm_ent.linalg, "CLOSED_FORM_MIN_STACK", min_stack):
+    ):
         exact = run_sweep(replace(config, backend="statevector"))
         mps = run_sweep(replace(config, backend="mps"))
         assert list(map(KEY, exact)) == list(map(KEY, mps))

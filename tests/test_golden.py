@@ -24,7 +24,7 @@ GOLDEN = [
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "2", "--n", "7", "--theta", GRID,
          "--backend", "mps"),
-        "239cbeb07c12cc34f1fbfc31e1d3c000435468e823c8bfa7cf768dfa3f3e7336",
+        "a3ebf433e76841c46d97cdf2aeb8387b42fe19990455a2f20d5eb78c16f72414",
         id="linear-case2-mps",
     ),
     pytest.param(
@@ -35,13 +35,13 @@ GOLDEN = [
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "4", "--n", "8", "--theta", GRID,
          "--backend", "mps"),
-        "84f28f1a353820e8384cecf17e3d910134ba456027fa9cadde449af7b48988a9",
+        "1dbb4088cfc2cbd2a836cc533ebebd6388715ecd1a83c006dbb21b0b3bc08560",
         id="linear-case4-mps",
     ),
     pytest.param(
         ("sweep", "--protocol", "periodic", "--n", "8", "--theta", GRID,
          "--theta2-offset", "0.4", "--backend", "mps"),
-        "bf46011a2bd559fc7a6e4e51030211f20f2ad561423e8d3fce9b6ec241f49d9e",
+        "03ec9ae157a9082114fc8cc59b0cbb2bbad382670053e05936c22af7318880a0",
         id="periodic-offset-mps",
     ),
     pytest.param(
@@ -62,52 +62,52 @@ GOLDEN = [
     pytest.param(
         ("oracle-check", "--protocol", "star", "--n-outer", "3", "--theta", GRID,
          "--postselect", "0"),
-        "0632b9ab981cbd3ce39f86969df4a0118ed3643c46ef4208e23d9cf90eeb0e35",
+        "bd6c73c639e37f66e8037e393977816409380e5c3997cad4a748e07affc9f5a9",
         id="oracle-check-star-postselect0",
     ),
     pytest.param(
         # 12 qubits: the statevector runs the 21 points in stacked blocks of 8
         ("oracle-check", "--protocol", "star", "--n-outer", "11", "--postselect", "0",
          "--theta", "0:6.283185307179586:21"),
-        "557d7c5f0009845a9f2c1c6f5dde504732ecf389f0b59bb2d35e3803a8eaf03f",
+        "93d1ddae33a4ce81ea043dd55bad5f8b2a7e091108226f061418ccc9af7024b3",
         id="oracle-check-star12-postselect0",
     ),
     pytest.param(
         # the MPS distant-pair read: rows of outer pairs sharing a left site
         ("sweep", "--protocol", "star", "--n-outer", "6", "--postselect", "1",
          "--backend", "mps", "--theta", GRID),
-        "24f35b9365f76f9d08a504a412a9464e81ffc173e9c6b2521bfa71c18154ac70",
+        "e191b40feae7bd85a87b590c67978e440d9aae06fd8e2e5edc5284c1358339d7",
         id="star-postselect1-mps",
     ),
     pytest.param(
         # unsorted explicit pairs, a shared left site, a row through the central qubit
         ("sweep", "--protocol", "star", "--n-outer", "5", "--backend", "mps",
          "--pairs", "1:4,1:2,2:5,1:6", "--theta", GRID),
-        "52fdaf9ba9703177092db627c4addf16d50e18dfe3b46c3a66c02afa74c77219",
+        "1ed38d42def9b29fc21926ad609a0f6566bfcd1d2d54eaad6a948fe38022d201",
         id="star-explicit-pairs-mps",
     ),
     pytest.param(
         # the swap route: the central qubit walks down the chain and back home
         ("sweep", "--protocol", "star", "--n-outer", "6", "--backend", "mps", "--theta", GRID),
-        "ecf0f3e8789845bcbde21f79898a98b88a6a02109bfe15a516ac36981139d65e",
+        "2ebb64e809a26373a07cfb5267d6f86c61bd4a59ba5924c7d1e33c202565c462",
         id="star-central-mps",
     ),
     pytest.param(
         # the run reads one central pair, so the MPS runs only its causal cone
         ("sweep", "--protocol", "linear", "--case", "4", "--n", "12", "--pairs", "bulk-center",
          "--backend", "mps", "--theta", GRID),
-        "27b2cb70022642589ea831c83d0f8c9ba841c32f8b2d3ca7b2c0cbdbdf7b81a2",
+        "c5050ce4adb0a8aa16d5668a9a3f387e5ed5a4cfaae31784a7c144c9b85b828d",
         id="linear-bulk-center-cone-mps",
     ),
     pytest.param(
         # both backends run the causal cone of the pair they read
         ("oracle-check", "--protocol", "linear", "--n", "10", "--pairs", "5:6", "--theta", GRID),
-        "057ae2ef39b324faff0ed6bc01054f8cb458c9fe06f30b9ee242fb10feda863f",
+        "9f0d079ed6ff7c4620476fcb8341fcf34d8627891cb1d8942479ce986df15b71",
         id="oracle-check-linear-cone",
     ),
     pytest.param(
-        # 65 points: every split is a real two-row stack above the crossover,
-        # factored in closed form; the grid ends give exact zero rows
+        # 65 points: every split is a real two-row stack, factored in closed
+        # form; the grid ends give exact zero rows
         ("sweep", "--protocol", "linear", "--case", "4", "--n", "8", "--theta",
          "0:6.283185307179586:65", "--backend", "mps"),
         "b0e65615f7a557b81cd4ca9d15b5e4e43df9960e56da1aeae24a2eb9c830f226",

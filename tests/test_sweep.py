@@ -845,6 +845,41 @@ def test_oracle_check_counts_the_points_the_statevector_finds_alive():
     assert long_grid.passed and long_grid.n_points == symm_ent.sweep.BLOCK_POINTS + 44
 
 
+# ------------------------------ post-selected branches just above the floor
+
+# branch probabilities 1.7e-9, 1.05e-9 and 1.9e-9, just above the 1e-9 floor:
+# post-selection divides each backend's roundoff by them
+NEAR_FLOOR_CASES = [(3, 0, 4.742747411323311e-05), (6, 1, -2.64e-5), (2, 1, 2.0**-14)]
+
+
+@pytest.mark.parametrize("n_outer, outcome, theta", NEAR_FLOOR_CASES)
+def test_oracle_check_passes_just_above_the_branch_floor(n_outer, outcome, theta):
+    config = SweepConfig(protocol="star", theta=GridSpec.single(theta), n_outer=n_outer,
+                         postselect=outcome)
+    report = run_oracle_check(config)
+    assert report.passed and report.n_points == 1
+    assert report.max_rdm_deviation <= 1e-14
+
+
+def test_oracle_check_passes_near_every_dead_branch():
+    """Single-point post-selected stars a little off the angles where one
+    branch dies, theta = {0, pi} +- 10^U(-6, -3): post-selection divides each
+    backend's roundoff by a branch probability down to the 1e-9 floor, so the
+    MPS split must keep the small branch to its own relative accuracy."""
+    rng = np.random.default_rng(1009)
+    checked = 0
+    for _ in range(200):
+        n_outer, outcome = int(rng.integers(2, 8)), int(rng.integers(2))
+        theta = rng.choice([0.0, np.pi]) + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, -3)
+        config = SweepConfig(protocol="star", theta=GridSpec.single(theta), n_outer=n_outer,
+                             postselect=outcome)
+        report = run_oracle_check(config)
+        if report.n_points:
+            checked += 1
+            assert report.passed, (n_outer, outcome, theta, report.max_rdm_deviation)
+    assert checked >= 100
+
+
 # ------------------------------ statevector blocks and one-sided branches
 
 BOUNDARY_CONFIGS = [
