@@ -18,14 +18,17 @@ walks down the chain at one SWAP and one CX per outer qubit, and every split
 stays at bond dimension 2 or less. After the last op adjacent SWAPs return
 every qubit to its own site, so outside ``run_circuit`` qubit k is site k.
 
-The public gate methods validate their gate with ``require_unitary`` on
-every call, and ``apply_2q`` leaves the center on the side it occupied.
-``run_circuit`` validates each distinct gate once per call (one check per
-rotation angle, one per CX orientation on the sites it acts on; the fixed
-SWAP is never checked) and then applies the ops through unchecked kernels.
-It places the center by look-ahead: the split after a two-site gate, SWAPs
-included, leaves the center on the side of the next two-site gate, so a
-staircase or a route needs no center move between its gates.
+The public gate methods, ``apply_1q(gate, site)`` and ``apply_2q(gate, i,
+j)``, check their gate with ``require_unitary`` on every call, and neither
+needs the center anywhere: the engine places it. ``apply_2q`` takes any pair
+i < j, routes a distant one by adjacent SWAPs through the executor that runs
+circuits, and leaves the center at ``i`` or ``i + 1``. ``run_circuit``
+validates each distinct gate once per call (one check per rotation angle, one
+per CX orientation on the sites it acts on; the fixed SWAP is never checked)
+and then applies the ops through unchecked kernels. It places the center by
+look-ahead: the split after a two-site gate, SWAPs included, leaves the
+center on the side of the next two-site gate, so a staircase or a route
+needs no center move between its gates.
 
 There is no truncation policy: every split is a rank-revealing SVD that
 drops only singular values below 1e-14, so the engine is exact. Every
@@ -55,10 +58,10 @@ public gate methods also take complex gates; the tensors a complex gate
 touches are promoted to complex128 by numpy's own type promotion, and the
 rest stay as they are.
 
-The public surface is what the sweeps use: ``run_circuit`` and the gate
-methods, ``single_rdm``, ``pair_rdm``, ``postselect`` and ``keep_points``,
-and the health readings ``norm``, ``canonical_deviation``,
-``max_bond_dimension`` and ``discarded_weight_total``. Sizes and sites are
+The sweeps use ``run_circuit``, ``single_rdm``, ``keep_points``,
+``postselect``, ``pair_rdm`` and ``discarded_weight_total``. The gate methods
+and the other health readings, ``norm``, ``canonical_deviation`` and
+``max_bond_dimension``, serve library callers and tests. Sizes and sites are
 integers; anything else is a ValueError naming the argument.
 
 Instances are mutated in place by gates and sweeps; distinct sweeps must own
@@ -319,23 +322,20 @@ class MatrixProductState:
     def _apply_1q(self, g: np.ndarray, site: int) -> None:
         self.tensors[site - 1] = g[..., None, :, :] @ self.tensors[site - 1]
 
-    def apply_2q(self, gate, site: int) -> None:
-        """Apply a 4x4 unitary to sites (site, site + 1) at the center.
+    def apply_2q(self, gate, i: int, j: int) -> None:
+        """Apply a 4x4 unitary to the pair (i, j), i < j, in basis |q_i q_j>.
 
-        The two-site block is contracted, the gate applied, and the block
-        split by a rank-revealing SVD; the center stays on the side it occupied
-        before the gate. The caller must have shifted the center to ``site``
-        or ``site + 1`` first.
+        An adjacent pair is one nearest-neighbor update. For a distant pair
+        adjacent SWAPs move qubit ``i`` to site ``j - 1``, the gate acts on
+        the adjacent pair there, and the SWAPs move it back. The center is
+        placed as ``run_circuit`` places it and ends at ``i`` or ``i + 1``.
         """
         g = require_single_gate(gate, 4)
-        site = as_site(site, self.n_qubits)
-        if site + 1 > self.n_qubits:
-            raise ValueError(f"two-site gate at {site} exceeds the chain")
-        if self.center not in (site, site + 1):
-            raise ValueError(
-                f"center is at {self.center}, must be at {site} or {site + 1}; shift first"
-            )
-        self._apply_2q(g, site, center_left=self.center == site)
+        i, j = as_site(i, self.n_qubits, "i"), as_site(j, self.n_qubits, "j")
+        if not i < j:
+            raise ValueError(f"need i < j, got ({i}, {j})")
+        swaps = [(SWAP, lo, True) for lo in range(i, j - 1)]
+        self._run([*swaps, (g, j - 1, True), *reversed(swaps)])
 
     def _apply_2q(self, g: np.ndarray, site: int, center_left: bool) -> None:
         """Two-site update at (site, site + 1); the center ends at ``site``
@@ -354,20 +354,6 @@ class MatrixProductState:
             self.tensors[site - 1] = u.reshape(*lead, l, 2, -1)
             self.tensors[site] = (s[..., :, None] * vdag).reshape(*lead, -1, 2, r)
             self.center = site + 1
-
-    def apply_2q_long_range(self, gate, i: int, j: int) -> None:
-        """Apply a 4x4 unitary to the distant pair (i, j), i < j, exactly.
-
-        Adjacent SWAPs move qubit ``i`` to site ``j - 1``, the gate acts on
-        the adjacent pair there, and the SWAPs move it back; every split is
-        the nearest-neighbor update. The center ends at ``i`` or ``i + 1``.
-        """
-        g = require_single_gate(gate, 4)
-        i, j = as_site(i, self.n_qubits, "i"), as_site(j, self.n_qubits, "j")
-        if not i < j:
-            raise ValueError(f"need i < j, got ({i}, {j})")
-        swaps = [(SWAP, lo, True) for lo in range(i, j - 1)]
-        self._run([*swaps, (g, j - 1, True), *reversed(swaps)])
 
     def _run(self, steps: list[tuple[np.ndarray, int, bool]]) -> None:
         """Apply ``(gate, site, two_site)`` steps (see ``_route``) in order.

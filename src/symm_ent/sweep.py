@@ -220,12 +220,6 @@ class RunPlan:
 # --------------------------------------------------------------- validation
 
 
-def _total_qubits(config: SweepConfig) -> int:
-    if config.protocol == "star":
-        return config.n_outer + 1
-    return config.n
-
-
 def _plan(config: SweepConfig) -> RunPlan:
     """Check ``config`` and resolve it into the plan of its run."""
     if config.protocol not in PROTOCOLS:
@@ -273,7 +267,7 @@ def _plan(config: SweepConfig) -> RunPlan:
         config = replace(
             config, pairs="star-all" if config.protocol == "star" else "all-adjacent"
         )
-    total = _total_qubits(config)
+    total = config.n_outer + 1 if config.protocol == "star" else config.n
     if config.backend == "statevector" and total > MAX_QUBITS:
         raise ValueError(
             f"statevector backend is capped at {MAX_QUBITS} qubits but the protocol needs "
@@ -282,7 +276,7 @@ def _plan(config: SweepConfig) -> RunPlan:
     backend = config.backend
     if backend == "auto":
         backend = "statevector" if total <= MAX_QUBITS else "mps"
-    pairs = tuple(sorted(_resolve_pairs(config)))
+    pairs = tuple(sorted(_resolve_pairs(config, total)))
     thetas = config.theta.values().tolist()
     if config.theta2 is not None:
         points = [(t1, t2) for t1 in thetas for t2 in config.theta2.values().tolist()]
@@ -295,14 +289,13 @@ def _plan(config: SweepConfig) -> RunPlan:
         total=total,
         backend=backend,
         pairs=pairs,
-        families=tuple(_family_for_pair(config, pair) for pair in pairs),
+        families=tuple(_family_for_pair(config, total, pair) for pair in pairs),
         points=tuple(points),
         reads=frozenset(chain(*pairs, () if config.postselect is None else (total,))),
     )
 
 
-def _resolve_pairs(config: SweepConfig) -> list[tuple[int, int]]:
-    total = _total_qubits(config)
+def _resolve_pairs(config: SweepConfig, total: int) -> list[tuple[int, int]]:
     selection = config.pairs
     if isinstance(selection, str):
         if selection == "star-all":
@@ -326,6 +319,8 @@ def _resolve_pairs(config: SweepConfig) -> list[tuple[int, int]]:
         if selection == "all-adjacent":
             return [(i, i + 1) for i in range(1, total)]
         if selection == "all-bulk":
+            if total < 4:
+                raise ValueError(f"pair keyword 'all-bulk' selects no pair on {total} qubits")
             return [(i, i + 1) for i in range(2, total - 1)]
         if selection == "bulk-center":
             return [(total // 2, total // 2 + 1)]
@@ -365,10 +360,9 @@ def _block_circuit(config: SweepConfig, points: tuple[tuple[float, float | None]
 # ---------------------------------------------------------- analytic lookup
 
 
-def _family_for_pair(config: SweepConfig, pair: tuple[int, int]) -> str | None:
+def _family_for_pair(config: SweepConfig, total: int, pair: tuple[int, int]) -> str | None:
     """Closed-form family covering this pair, or None when there is none."""
     i, j = pair
-    total = _total_qubits(config)
     if config.protocol == "star":
         central = total
         if config.postselect is None:

@@ -48,8 +48,7 @@ def random_small_mps(rng, n=6, layers=2) -> MatrixProductState:
         for site in range(1, n + 1):
             mps.apply_1q(haar_unitary(rng), site)
         for site in range(1, n):
-            mps._move_center_to(site)
-            mps.apply_2q(random_two_site_unitary(rng), site)
+            mps.apply_2q(random_two_site_unitary(rng), site, site + 1)
     return mps
 
 
@@ -115,7 +114,7 @@ def test_shift_center_restores_isometries(rng):
 
 def test_apply_2q_identity_on_zero_state():
     mps = MatrixProductState(2)
-    mps.apply_2q(cx_matrix(), 1)
+    mps.apply_2q(cx_matrix(), 1, 2)
     assert mps.max_bond_dimension == 1
     assert np.allclose(mps_amplitudes(mps), [1, 0, 0, 0])
 
@@ -123,16 +122,9 @@ def test_apply_2q_identity_on_zero_state():
 def test_apply_2q_bell_singular_values():
     mps = MatrixProductState(2)
     mps.apply_1q(rotation_matrix(np.pi / 2), 1)
-    mps.apply_2q(cx_matrix(), 1)
+    mps.apply_2q(cx_matrix(), 1, 2)
     values = np.linalg.svd(mps_amplitudes(mps).reshape(2, 2), compute_uv=False)
     assert np.abs(values - np.array([1, 1]) / np.sqrt(2)).max() < 1e-12
-
-
-def test_apply_2q_requires_center_adjacency():
-    mps = MatrixProductState(4)
-    mps._move_center_to(4)
-    with pytest.raises(ValueError, match="center"):
-        mps.apply_2q(cx_matrix(), 1)
 
 
 def test_run_circuit_case4_staircase_bonds():
@@ -183,7 +175,7 @@ def test_long_range_gate_agrees_with_dense_application(rng):
     mps = random_small_mps(rng, n=5, layers=1)
     dense = mps_amplitudes(mps).reshape((2,) * 5)
     gate = random_two_site_unitary(rng)
-    mps.apply_2q_long_range(gate, 2, 5)
+    mps.apply_2q(gate, 2, 5)
     # contract the gate onto axes (1, 4) of the dense tensor
     g = gate.reshape(2, 2, 2, 2)
     expected = np.einsum("qsab,xaycb->xqycs", g, dense)
@@ -239,7 +231,7 @@ def test_row_reads_are_bitwise_the_pair_reads(grid, haar, data):
         b = data.draw(st.integers(a + 1, n))
         gate = haar_unitary(rng, 4)
         for state in states:
-            state.apply_2q_long_range(gate, a, b)
+            state.apply_2q(gate, a, b)
             assert np.result_type(*state.tensors) == np.complex128
     for state in states:
         i = data.draw(st.integers(1, n - 1))
@@ -266,7 +258,7 @@ def test_interleaved_reads_are_bitwise_the_per_point_oracle(grid, haar, data):
     if haar:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         a = data.draw(st.integers(1, n - 1))
-        state.apply_2q_long_range(haar_unitary(rng, 4), a, data.draw(st.integers(a + 1, n)))
+        state.apply_2q(haar_unitary(rng, 4), a, data.draw(st.integers(a + 1, n)))
     rows = []
     for _ in range(data.draw(st.integers(1, 3))):
         i = data.draw(st.integers(1, n - 1))
@@ -300,7 +292,7 @@ def test_row_reads_match_the_einsum_contraction(grid, haar_gates, data):
         b = data.draw(st.integers(a + 1, n))
         gate = haar_unitary(rng, 4)
         for state in states:
-            state.apply_2q_long_range(gate, a, b)
+            state.apply_2q(gate, a, b)
     for state in states:
         for _ in range(data.draw(st.integers(1, 3))):
             i = data.draw(st.integers(1, n - 1))
@@ -335,7 +327,7 @@ def _counting_rows(monkeypatch) -> list:
     "operation, contractions, changes",
     [
         (lambda s: s.apply_1q(rotation_matrix(0.7), 3), 2, True),
-        (lambda s: s.apply_2q(cx_matrix(control_first=True), 2), 2, True),
+        (lambda s: s.apply_2q(cx_matrix(control_first=True), 2, 3), 2, True),
         (lambda s: s.run_circuit(Circuit(6, (Rotation(4, 0.9), ControlledNot(2, 5)))), 2, True),
         (lambda s: s.postselect(3, 0), 2, True),
         (lambda s: s.keep_points([2, 0, 1]), 2, True),
@@ -445,7 +437,7 @@ def test_adjacent_reads_match_the_brute_force_partial_trace(grid, haar, data):
         b = data.draw(st.integers(a + 1, n))
         gate = haar_unitary(rng, 4)
         for state in [stacked, *singles]:
-            state.apply_2q_long_range(gate, a, b)
+            state.apply_2q(gate, a, b)
             assert np.result_type(*state.tensors) == np.complex128
     for k, single in enumerate(singles):
         amplitudes = mps_amplitudes(single)
@@ -501,11 +493,9 @@ def test_pair_read_takes_numpy_integers_and_rejects_a_non_integer_point():
         (lambda sv, mps: mps.single_rdm(2.0), "site must be an integer, got 2.0"),
         (lambda sv, mps: mps.postselect(True, 0), "site must be an integer, got True"),
         (lambda sv, mps: mps.apply_1q(rotation_matrix(0.3), 2.0), "site must be an integer"),
-        (lambda sv, mps: mps.apply_2q(cx_matrix(), True), "site must be an integer, got True"),
-        (lambda sv, mps: mps.apply_2q_long_range(cx_matrix(), 1, 3.0),
-         "j must be an integer, got 3.0"),
-        (lambda sv, mps: mps.apply_2q_long_range(cx_matrix(), False, 3),
-         "i must be an integer, got False"),
+        (lambda sv, mps: mps.apply_2q(cx_matrix(), True, 2), "i must be an integer, got True"),
+        (lambda sv, mps: mps.apply_2q(cx_matrix(), 1, 3.0), "j must be an integer, got 3.0"),
+        (lambda sv, mps: mps.apply_2q(cx_matrix(), False, 3), "i must be an integer, got False"),
     ],
     ids=["sv-pair-i", "sv-pair-j", "sv-single", "sv-postselect", "sv-1q", "sv-cx-target",
          "sv-cx-control", "mps-single", "mps-postselect", "mps-1q", "mps-2q",
@@ -653,7 +643,7 @@ def test_routed_circuits_match_the_statevector(circuit, haar, data):
     """Distant CXs in both orientations, with controls right of their
     targets and repeated controls and targets, run through the swap route and
     leave every qubit on its own site: on stacked and single-point states,
-    real and complex (a Haar gate through ``apply_2q_long_range`` before and
+    real and complex (a Haar gate through ``apply_2q`` before and
     after the circuit), the MPS is the statevector to 1e-12."""
     n = circuit.n_qubits
     mps, amplitudes = MatrixProductState(n), StateVector.zeros(n).amplitudes
@@ -666,13 +656,48 @@ def test_routed_circuits_match_the_statevector(circuit, haar, data):
             a = data.draw(st.integers(1, n - 1))
             b = data.draw(st.integers(a + 1, n))
             gate = haar_unitary(rng, 4)
-            mps.apply_2q_long_range(gate, a, b)
+            mps.apply_2q(gate, a, b)
             amplitudes = _dense_2q(amplitudes, n, gate, a, b)
     assert mps.grid == circuit.grid
     assert np.result_type(*mps.tensors) == (np.complex128 if haar else np.float64)
     assert np.abs(mps_amplitudes(mps) - amplitudes).max() <= 1e-12
     assert mps.canonical_deviation() <= 1e-12
     assert mps.discarded_weight_total < 1e-14
+
+
+PAIRS_OF_SIX = [(1, 2), (3, 4), (5, 6), (1, 3), (2, 5), (4, 6), (1, 6)]
+
+
+@pytest.mark.parametrize("center", range(1, 7))
+@pytest.mark.parametrize("i, j", PAIRS_OF_SIX, ids=[f"{i}-{j}" for i, j in PAIRS_OF_SIX])
+def test_apply_2q_from_any_center(center, i, j):
+    """Adjacent and distant pairs, at both chain ends and in the bulk, from
+    every starting center: the state is the statevector's to 1e-12, stays
+    canonical, and the center ends at i or i + 1."""
+    rng = np.random.default_rng(100 * center + 10 * i + j)
+    mps = random_small_mps(rng, n=6, layers=1)
+    mps._move_center_to(center)
+    amplitudes, gate = mps_amplitudes(mps), random_two_site_unitary(rng)
+    mps.apply_2q(gate, i, j)
+    assert np.abs(mps_amplitudes(mps) - _dense_2q(amplitudes, 6, gate, i, j)).max() <= 1e-12
+    assert mps.canonical_deviation() <= 1e-12
+    assert mps.center in (i, i + 1)
+
+
+@pytest.mark.parametrize("center_left", [True, False])
+@pytest.mark.parametrize("i", range(1, 6))
+def test_apply_2q_next_to_the_center_is_one_update(i, center_left):
+    """With the center already on i or i + 1, an adjacent pair is bitwise the
+    one nearest-neighbor update there, and the center keeps its side."""
+    rng = np.random.default_rng(i)
+    mps = random_small_mps(rng, n=6, layers=1)
+    mps._move_center_to(i if center_left else i + 1)
+    reference, gate = copy.deepcopy(mps), random_two_site_unitary(rng)
+    mps.apply_2q(gate, i, i + 1)
+    reference._apply_2q(gate, i, center_left=center_left)
+    assert mps.center == reference.center == (i if center_left else i + 1)
+    assert all(np.array_equal(a, b) for a, b in zip(mps.tensors, reference.tensors))
+    assert np.array_equal(mps.discarded_weight, reference.discarded_weight)
 
 
 def test_star_run_is_linear_in_the_outer_qubits(monkeypatch):

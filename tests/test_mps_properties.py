@@ -100,8 +100,8 @@ def test_public_gate_methods_validate_every_call(unitary_checks):
     mps = MatrixProductState(4)
     for _ in range(2):
         mps.apply_1q(rotation_matrix(0.3), 1)
-        mps.apply_2q(cx_matrix(), 1)
-        mps.apply_2q_long_range(cx_matrix(), 1, 4)
+        mps.apply_2q(cx_matrix(), 1, 2)
+        mps.apply_2q(cx_matrix(), 1, 4)
     assert unitary_checks == [2, 4, 4] * 2
 
 
@@ -110,7 +110,7 @@ def test_apply_2q_keeps_the_center_side():
         mps = MatrixProductState(4)
         mps.apply_1q(rotation_matrix(0.7), 2)
         mps._move_center_to(start)
-        mps.apply_2q(cx_matrix(), 2)
+        mps.apply_2q(cx_matrix(), 2, 3)
         assert mps.center == start
 
 

@@ -311,10 +311,10 @@ def test_every_pair_family_has_a_closed_form():
     configs.append(SweepConfig("periodic", GridSpec.single(0.7), n=8, theta2_offset=0.4))
     found = set()
     for config in configs:
-        total = symm_ent.sweep._total_qubits(config)
+        total = _plan(config).total
         for i in range(1, total):
             for j in range(i + 1, total + 1):
-                family = symm_ent.sweep._family_for_pair(config, (i, j))
+                family = symm_ent.sweep._family_for_pair(config, total, (i, j))
                 if family is not None:
                     value = analytic_concurrence(
                         family, unitary_params(0.7, 1.1), n_outer=4, chain_n=6
@@ -494,6 +494,16 @@ def test_cli_usage_errors_exit_two():
         )
         assert result.returncode == 2
         assert "No such option" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare", "oracle-check"])
+def test_cli_an_empty_pair_keyword_is_a_usage_error(command):
+    # the three-qubit chain has no bulk pair
+    result = run_cli(command, "--protocol", "linear", "--n", "3", "--pairs", "all-bulk",
+                     "--theta", "0:1:3")
+    assert result.returncode == 2
+    assert "pair keyword 'all-bulk' selects no pair on 3 qubits" in result.stderr
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("theta", ["1e-6", "1e-9"])
