@@ -7,6 +7,7 @@ Exit codes: 0 on success/pass, 1 when a validation threshold is exceeded,
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import click
 
@@ -42,6 +43,13 @@ def _parse_pairs(text: str):
         except ValueError:
             raise click.UsageError(f"bad pair {chunk!r}: sites must be integers") from None
     return tuple(pairs)
+
+
+def _out_path(ctx, param, value):
+    """Reject an ``--out`` whose directory is missing before the run, not after it."""
+    if value is not None and not Path(value).parent.is_dir():
+        raise click.BadParameter(f"directory {str(Path(value).parent)!r} does not exist")
+    return value
 
 
 def _run(action, options: dict):
@@ -106,7 +114,7 @@ def main():
 @_common_options
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
+@click.option("--out", type=click.Path(dir_okay=False), default=None, callback=_out_path,
               help="Write the table here instead of stdout.")
 def sweep(fmt, out, **options):
     """Sweep the angle grid and emit one row per (grid point, pair)."""
@@ -119,7 +127,7 @@ def sweep(fmt, out, **options):
 
 @main.command()
 @_common_options
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
+@click.option("--out", type=click.Path(dir_okay=False), default=None, callback=_out_path,
               help="Also write the underlying sweep rows here as CSV.")
 def compare(out, **options):
     """Check swept concurrences against their closed forms (threshold 1e-8)."""

@@ -7,12 +7,19 @@ against. Conventions:
   angle as ``theta2``.
 * Pair density matrices are written in the basis |left qubit, right qubit>
   of the chain, and |outer, central> for the star.
-* ``star_central`` generalizes to any ring size: with m outer qubits the
-  partial trace gives diagonal (a^2 E+, a^2 E-, b^2 E-, b^2 E+) and corners
-  (a b E+, a b E-) where E+- = (1 +- (a^2 - b^2)^(m-1)) / 2; m = 3 recovers
-  the familiar quartic entries.
-* The post-selected ring states are normalized by the branch probabilities
-  p0 = a^6 + 3 a^2 b^4 and p1 = 3 a^4 b^2 + b^6 (ring of three only).
+* Every star pair state comes from one parity count. The central qubit holds
+  the parity of the m outer qubits; the k outer qubits outside the pair have
+  even and odd parity with weights E+- = (1 +- (a^2 - b^2)^k) / 2, summed one
+  qubit at a time over positive terms, so the small one keeps its relative
+  accuracy where a ring divides by it near a dead branch. ``star_central``
+  (k = m - 1) is X(a^2 E+, a^2 E-, b^2 E-, b^2 E+; u = a b E+, d = a b E-).
+  The ring after outcome o (k = m - 2, o' = 1 - o) is X(a^4 E_o, a^2 b^2 E_o',
+  a^2 b^2 E_o', b^4 E_o; u = a^2 b^2 E_o, d = a^2 b^2 E_o') over its trace,
+  the branch probability.
+* Rings reach the Koashi-Buzek-Imoto bound 2/m (PRA 62, 050302(R), 2000)
+  as their branch dies and the ring tends to a W state: at theta = pi for
+  o = 1, at theta = 0 when o differs from m's parity. Elsewhere they stay
+  below it; even m stays well below on o = 0 (0.207 at m = 4).
 """
 
 from __future__ import annotations
@@ -24,17 +31,8 @@ import numpy as np
 
 from .concurrence import xstate_concurrence
 
-FAMILIES = (
-    "star_central",
-    "star_ring_0",
-    "star_ring_1",
-    "linear_bulk",
-    "linear_edge",
-    "periodic_even",
-    "periodic_odd",
-    "end_pair_case13",
-    "case13_zero",
-)
+FAMILIES = ("star_central", "star_ring_0", "star_ring_1", "linear_bulk", "linear_edge",
+            "periodic_even", "periodic_odd", "end_pair_case13", "case13_zero")
 
 _TWO_ANGLE = {"periodic_even", "periodic_odd"}
 
@@ -79,14 +77,12 @@ def _x_matrix(x: float, y: float, z: float, w: float, u: float, delta: float) ->
     )
 
 
-def _star_central_entries(angles: AngleParams, n_outer: int) -> tuple[float, ...]:
-    if n_outer < 1:
-        raise ValueError(f"n_outer must be >= 1, got {n_outer}")
-    a, b = angles.a, angles.b
-    parity = (a * a - b * b) ** (n_outer - 1)
-    even = 0.5 * (1.0 + parity)
-    odd = 0.5 * (1.0 - parity)
-    return (a * a * even, a * a * odd, b * b * odd, b * b * even, a * b * even, a * b * odd)
+def _parity_weights(a2: float, b2: float, k: int) -> tuple[float, float]:
+    """(E+, E-): the weights of even and odd parity among k outer qubits."""
+    even, odd = 1.0, 0.0
+    for _ in range(k):
+        even, odd = a2 * even + b2 * odd, b2 * even + a2 * odd
+    return even, odd
 
 
 def _chain_bulk_entries(theta_left: float, theta_right: float) -> tuple[float, ...]:
@@ -110,26 +106,26 @@ def _chain_bulk_entries(theta_left: float, theta_right: float) -> tuple[float, .
 def analytic_pair_rdm(family: str, angles: AngleParams, n_outer: int = 3) -> np.ndarray:
     """Closed-form 4x4 pair density matrix for the given family.
 
-    ``n_outer`` only affects ``star_central``. The ring families are defined
-    for a three-qubit ring and are singular where their branch probability
-    vanishes (theta = 0 mod 2 pi for ring 0, theta = pi for ring 1).
+    ``n_outer`` sizes every star family; a ring needs n_outer >= 2 and is
+    undefined where its branch probability vanishes.
     """
     _check_family(family, angles)
     a, b = angles.a, angles.b
-    if family == "star_central":
-        return _x_matrix(*_star_central_entries(angles, n_outer))
-    if family == "star_ring_0":
-        p0 = a**6 + 3.0 * a**2 * b**4
-        if p0 < 1e-14:
-            raise ValueError("ring state 0 is undefined: branch probability is zero")
-        n0 = 1.0 / p0
-        return n0 * _x_matrix(a**6, a**2 * b**4, a**2 * b**4, a**2 * b**4, a**4 * b**2, a**2 * b**4)
-    if family == "star_ring_1":
-        p1 = 3.0 * a**4 * b**2 + b**6
-        if p1 < 1e-14:
-            raise ValueError("ring state 1 is undefined: branch probability is zero")
-        n1 = 1.0 / p1
-        return n1 * _x_matrix(a**4 * b**2, a**4 * b**2, a**4 * b**2, b**6, a**2 * b**4, a**4 * b**2)
+    if family.startswith("star"):
+        k = n_outer - 1 if family == "star_central" else n_outer - 2
+        if k < 0:
+            raise ValueError(f"{family} needs n_outer >= {n_outer - k}, got n_outer={n_outer}")
+        x, y = a * a, b * b
+        even, odd = _parity_weights(x, y, k)
+        if family == "star_central":
+            return _x_matrix(x * even, x * odd, y * odd, y * even, a * b * even, a * b * odd)
+        same, flip = (even, odd) if family == "star_ring_0" else (odd, even)
+        xy = x * y
+        rho = _x_matrix(x * x * same, xy * flip, xy * flip, y * y * same, xy * same, xy * flip)
+        probability = np.trace(rho)
+        if probability < 1e-14:
+            raise ValueError(f"ring state {family[-1]} is undefined: branch probability is zero")
+        return rho / probability
     if family == "linear_bulk":
         return _x_matrix(*_chain_bulk_entries(angles.theta, angles.theta))
     if family == "periodic_even":
@@ -153,7 +149,7 @@ def analytic_concurrence(
 ) -> float:
     """Closed-form concurrence for the given family.
 
-    ``n_outer`` sizes the star (``star_central``); ``chain_n`` sizes the
+    ``n_outer`` sizes every star family; ``chain_n`` sizes the
     chain for ``end_pair_case13``, whose end-pair value decays with length as
     2 |a b| |a^2 - b^2|^(n-2); the three-qubit chain gives the familiar
     2 |c s (c^2 - s^2)| = |sin(theta) cos(theta)|; ``case13_zero``, every
@@ -163,10 +159,8 @@ def analytic_concurrence(
     """
     _check_family(family, angles)
     a, b = angles.a, angles.b
-    if family == "star_central":
-        return xstate_concurrence(_x_matrix(*_star_central_entries(angles, n_outer)))
-    if family in ("star_ring_0", "star_ring_1"):
-        return xstate_concurrence(analytic_pair_rdm(family, angles))
+    if family.startswith("star"):
+        return xstate_concurrence(analytic_pair_rdm(family, angles, n_outer))
     if family == "linear_bulk":
         theta = angles.theta
         base = 0.125 * (-2.0 + 2.0 * math.cos(2.0 * theta))

@@ -81,7 +81,7 @@ from .linalg import (
     require_unitary,
     svd_truncate,
 )
-from .protocols import Circuit, ControlledNot, Rotation, cx_matrix, rotation_matrix
+from .protocols import Circuit, Rotation, cx_matrix, rotation_matrix
 from .statevector import ZERO_PROBABILITY
 
 
@@ -159,7 +159,7 @@ def _route(ops, n_qubits: int) -> list[tuple[np.ndarray, int, bool]]:
             if key not in checked:
                 checked[key] = require_unitary(rotation_matrix(op.theta), 2)
             steps.append((checked[key], site_of[op.site], False))
-        elif isinstance(op, ControlledNot):
+        else:
             control = site_of[op.control]
             while abs(site_of[op.target] - control) > 1:
                 target = site_of[op.target]
@@ -169,8 +169,6 @@ def _route(ops, n_qubits: int) -> list[tuple[np.ndarray, int, bool]]:
             if key not in checked:
                 checked[key] = require_unitary(cx_matrix(control_first=key[1]), 4)
             steps.append((checked[key], min(control, target), True))
-        else:
-            raise TypeError(f"unknown gate op {op!r}")
     for qubit in range(1, n_qubits + 1):
         while site_of[qubit] > qubit:
             swap(site_of[qubit] - 1)

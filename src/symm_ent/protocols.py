@@ -66,9 +66,13 @@ class Circuit:
         n = as_index(self.n_qubits, "n_qubits")
         if n < 1:
             raise ValueError(f"circuit needs at least one qubit, got {n}")
+        if not isinstance(self.ops, tuple):
+            raise TypeError(f"ops must be a tuple, got {type(self.ops).__name__} {self.ops!r}")
         for op in self.ops:
             if isinstance(op, Rotation):
                 as_site(op.site, n, "rotation site")
+            elif not isinstance(op, ControlledNot):
+                raise TypeError(f"ops entry {op!r} is neither a Rotation nor a ControlledNot")
             elif as_site(op.control, n, "CX control") == as_site(op.target, n, "CX target"):
                 raise ValueError("CX control and target must differ")
         object.__setattr__(self, "grid", _grid_size(self.ops))

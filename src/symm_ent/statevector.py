@@ -36,7 +36,7 @@ from .linalg import (
     require_single_gate,
     require_unitary,
 )
-from .protocols import Circuit, ControlledNot, Rotation, rotation_matrix
+from .protocols import Circuit, Rotation, rotation_matrix
 
 MAX_QUBITS = 12
 ZERO_PROBABILITY = 1e-14
@@ -165,10 +165,8 @@ class StateVector:
                 if op.theta not in checked:
                     checked[op.theta] = require_unitary(rotation_matrix(op.theta), 2)
                 state = state._apply_1q(checked[op.theta], op.site)
-            elif isinstance(op, ControlledNot):
-                state = state.apply_cx(op.control, op.target)
             else:
-                raise TypeError(f"unknown gate op {op!r}")
+                state = state.apply_cx(op.control, op.target)
         return state
 
     def _gram(self, sites: tuple[int, ...]) -> np.ndarray:

@@ -259,8 +259,6 @@ def _plan(config: SweepConfig) -> RunPlan:
             raise ValueError("periodic protocol needs exactly one of theta2 / theta2_offset")
         if config.theta2_offset is not None:
             _check_real(config.theta2_offset, "theta2_offset")
-            if not math.isfinite(config.theta2_offset):
-                raise ValueError(f"theta2_offset must be finite, got {config.theta2_offset}")
     elif config.theta2 is not None or config.theta2_offset is not None:
         raise ValueError("theta2 is only meaningful for the periodic protocol")
     if not config.pairs:
@@ -282,6 +280,11 @@ def _plan(config: SweepConfig) -> RunPlan:
         points = [(t1, t2) for t1 in thetas for t2 in config.theta2.values().tolist()]
     elif config.theta2_offset is not None:
         points = [(t1, t1 + config.theta2_offset) for t1 in thetas]
+        if not all(math.isfinite(t2) for _, t2 in points):  # an overflow, or an offset of inf
+            raise ValueError(
+                "theta2_offset must be finite, and so must theta + theta2_offset; got "
+                f"{config.theta2_offset!r}"
+            )
     else:
         points = [(t1, None) for t1 in thetas]
     return RunPlan(
@@ -301,15 +304,14 @@ def _resolve_pairs(config: SweepConfig, total: int) -> list[tuple[int, int]]:
         if selection == "star-all":
             if config.protocol != "star":
                 raise ValueError("pair keyword 'star-all' needs the star protocol")
-            central = total
-            if config.postselect is None:
-                return [(k, central) for k in range(1, central)]
+            if config.postselect is None:  # the central qubit is the last one
+                return [(k, total) for k in range(1, total)]
             if config.n_outer < 2:
                 raise ValueError(
                     "post-selected 'star-all' pairs the outer qubits with each other and "
                     f"needs n_outer >= 2, got n_outer={config.n_outer}"
                 )
-            outers = range(1, central)
+            outers = range(1, total)
             return [(k, l) for k in outers for l in outers if k < l]
         if config.protocol == "star":
             raise ValueError(
@@ -364,15 +366,9 @@ def _family_for_pair(config: SweepConfig, total: int, pair: tuple[int, int]) -> 
     """Closed-form family covering this pair, or None when there is none."""
     i, j = pair
     if config.protocol == "star":
-        central = total
         if config.postselect is None:
-            return "star_central" if j == central else None
-        if j == central:
-            return None
-        # ring states have a closed form only for the three-qubit ring
-        if config.n_outer == 3:
-            return "star_ring_0" if config.postselect == 0 else "star_ring_1"
-        return None
+            return "star_central" if j == total else None
+        return None if j == total else f"star_ring_{config.postselect}"
     if j != i + 1:
         return None
     if config.protocol == "linear":

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from symm_ent import (
+    GridSpec,
     StateVector,
+    SweepConfig,
     analytic_concurrence,
     analytic_pair_rdm,
     build_linear,
@@ -12,6 +14,7 @@ from symm_ent import (
     build_star,
     linear_theta_opt,
     rotation_matrix,
+    run_compare,
     unitary_params,
     wootters_concurrence,
 )
@@ -91,6 +94,140 @@ def test_ring_rdms_match_postselected_oracle():
             expected = analytic_pair_rdm(family, unitary_params(theta))
             for pair in ((1, 2), (1, 3), (2, 3)):
                 assert np.abs(projected.pair_rdm(*pair) - expected).max() < 1e-12
+
+
+RING_GRID = np.linspace(0.0, 2 * np.pi, 61)
+
+
+def _branch_probability(theta: float, n_outer: int, outcome: int) -> float:
+    """Probability that the central qubit reads ``outcome``: the outer qubits
+    hold j ones of parity ``outcome``, each one with weight b^2."""
+    a2, b2 = math.sin(theta / 2) ** 2, math.cos(theta / 2) ** 2
+    return sum(math.comb(n_outer, j) * b2**j * a2 ** (n_outer - j)
+               for j in range(outcome, n_outer + 1, 2))
+
+
+@pytest.mark.parametrize("n_outer", range(2, 12))
+def test_ring_formula_matches_the_postselected_statevector_at_every_size(n_outer):
+    central = n_outer + 1
+    grid = StateVector.zeros(central).run_circuit(build_star(n_outer, tuple(RING_GRID.tolist())))
+    checked = 0
+    for outcome in (0, 1):
+        alive = np.flatnonzero(grid.single_rdm(central)[:, outcome, outcome] >= 1e-9)
+        projected, _ = grid.keep_points(alive).postselect(central, outcome)
+        for pair in {(1, 2), (1, n_outer), (n_outer - 1, n_outer)}:
+            rdms = projected.pair_rdm(*pair)
+            for k, index in enumerate(alive):
+                ring = analytic_pair_rdm(f"star_ring_{outcome}", unitary_params(RING_GRID[index]),
+                                         n_outer=n_outer)
+                assert np.abs(rdms[k] - ring).max() < 1e-12, (outcome, pair, RING_GRID[index])
+                checked += 1
+    assert checked >= 2 * 59
+
+
+def test_ring_of_three_is_the_explicit_polynomials():
+    checked = 0
+    for theta in RING_GRID:
+        a, b = math.sin(theta / 2), math.cos(theta / 2)
+        p0 = a**6 + 3 * a**2 * b**4
+        p1 = 3 * a**4 * b**2 + b**6
+        x0, y0, u0 = a**6, a**2 * b**4, a**4 * b**2  # ring 0: y0 also fills w and delta
+        x1, w1, u1 = a**4 * b**2, b**6, a**2 * b**4  # ring 1: x1 also fills y, z and delta
+        explicit = {
+            0: (p0, [[x0, 0, 0, u0], [0, y0, y0, 0], [0, y0, y0, 0], [u0, 0, 0, y0]]),
+            1: (p1, [[x1, 0, 0, u1], [0, x1, x1, 0], [0, x1, x1, 0], [u1, 0, 0, w1]]),
+        }
+        for outcome, (p, entries) in explicit.items():
+            if p >= 1e-9:
+                rho = analytic_pair_rdm(f"star_ring_{outcome}", unitary_params(theta), n_outer=3)
+                assert np.abs(rho - np.array(entries) / p).max() < 1e-15, (outcome, theta)
+                checked += 1
+    assert checked == 2 * 61 - 3  # ring 0 dies at 0 and 2 pi, ring 1 at pi
+
+
+def test_star_families_name_a_too_small_n_outer():
+    for family in ("star_ring_0", "star_ring_1"):
+        with pytest.raises(ValueError, match="needs n_outer >= 2, got n_outer=1"):
+            analytic_pair_rdm(family, unitary_params(1.0), n_outer=1)
+        with pytest.raises(ValueError, match="needs n_outer >= 2, got n_outer=1"):
+            analytic_concurrence(family, unitary_params(1.0), n_outer=1)
+    with pytest.raises(ValueError, match="needs n_outer >= 1, got n_outer=0"):
+        analytic_pair_rdm("star_central", unitary_params(1.0), n_outer=0)
+
+
+def test_ring_concurrence_follows_n_outer():
+    # the five-qubit ring, not the three-qubit one
+    five = analytic_concurrence("star_ring_0", unitary_params(1.0), n_outer=5)
+    assert five == pytest.approx(0.11707413125696736, abs=1e-15)
+    # n_outer defaults to the three-qubit ring
+    three = analytic_concurrence("star_ring_0", unitary_params(1.0))
+    assert three == pytest.approx(0.454216661045638, abs=1e-15)
+
+
+def test_rings_pass_compare_on_the_mps_near_every_dead_branch():
+    """Single-angle MPS comparisons a little off the angles where a branch
+    dies, theta = {0, pi} +- 10^U(-4.6, -2): the closed form divides by a
+    branch probability down to the 1e-9 floor, so its parity weights must
+    keep their small member to its own relative accuracy."""
+    rng = np.random.default_rng(2024)
+    live, failed = 0, []
+    for n_outer in (3, 4, 5, 7, 9, 12, 20):
+        for outcome in (0, 1):
+            for _ in range(40):
+                centre = rng.choice([0.0, np.pi])
+                theta = centre + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.6, -2)
+                config = SweepConfig(protocol="star", theta=GridSpec.single(theta),
+                                     n_outer=n_outer, postselect=outcome, backend="mps")
+                report = run_compare(config)
+                if report.families:
+                    live += 1
+                    if not report.passed:
+                        failed.append((n_outer, outcome, theta, report.families[0].max_abs_error))
+    assert failed == []
+    assert live >= 500
+
+
+# ------------------------------- the Koashi-Buzek-Imoto bound 2/m on rings
+
+KBI_SIZES = range(2, 10)
+
+
+def _ring_concurrences(n_outer: int, outcome: int, thetas) -> list[float]:
+    values = []
+    for theta in thetas:
+        try:
+            values.append(analytic_concurrence(f"star_ring_{outcome}", unitary_params(theta),
+                                               n_outer=n_outer))
+        except ValueError:  # a dead branch
+            pass
+    return values
+
+
+@pytest.mark.parametrize("n_outer", KBI_SIZES)
+def test_rings_never_exceed_the_koashi_buzek_imoto_bound(n_outer):
+    dense = np.linspace(0.0, 2 * np.pi, 4001)
+    peaks = {}
+    for outcome in (0, 1):
+        values = _ring_concurrences(n_outer, outcome, dense)
+        assert len(values) >= 3990
+        peaks[outcome] = max(values)
+        assert peaks[outcome] <= 2 / n_outer + 1e-12
+    if n_outer >= 4 and n_outer % 2 == 0:
+        # the even ring's outcome 0 is never close to a W state
+        assert peaks[0] < 2 / n_outer - 0.1
+
+
+@pytest.mark.parametrize("n_outer", KBI_SIZES)
+def test_rings_reach_the_koashi_buzek_imoto_bound_as_their_branch_dies(n_outer):
+    # a single flipped outer qubit among m: b^2 = p / m next to theta = pi for
+    # outcome 1, a^2 = p / m next to theta = 0 for outcome 0 on an odd ring
+    targets = [(1, 2 * math.acos(math.sqrt(2e-9 / n_outer)))]
+    if n_outer % 2:
+        targets.append((0, 2 * math.asin(math.sqrt(2e-9 / n_outer))))
+    for outcome, theta in targets:
+        assert 1e-9 <= _branch_probability(theta, n_outer, outcome) <= 1e-8
+        (value,) = _ring_concurrences(n_outer, outcome, [theta])
+        assert 2 / n_outer - 1e-8 <= value <= 2 / n_outer + 1e-12, (outcome, value)
 
 
 def test_ring_rdm_singular_angles_raise():

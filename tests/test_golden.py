@@ -46,12 +46,12 @@ GOLDEN = [
     ),
     pytest.param(
         ("sweep", "--protocol", "star", "--n-outer", "4", "--theta", GRID),
-        "ec0141ff39ce3f4cd319664a69acbcd2cec9f4875489d3dfe6241aa65f847f96",
+        "8b5733ad350f0fda50557d33d6fea125d22e5a8cee6a83113dfd4c5f8808cf09",
         id="star",
     ),
     pytest.param(
         ("sweep", "--protocol", "star", "--n-outer", "4", "--theta", GRID, "--postselect", "1"),
-        "93c0417350d11f6ad9ee0b1e296ce94709fa3e966b2d96fc78a6083d33b294c8",
+        "914527e85769306f43d42fea07440676ea33e5dadba1fdd84dcfcd69e3ee9dbc",
         id="star-postselect1",
     ),
     pytest.param(
@@ -76,20 +76,20 @@ GOLDEN = [
         # the MPS distant-pair read: rows of outer pairs sharing a left site
         ("sweep", "--protocol", "star", "--n-outer", "6", "--postselect", "1",
          "--backend", "mps", "--theta", GRID),
-        "e191b40feae7bd85a87b590c67978e440d9aae06fd8e2e5edc5284c1358339d7",
+        "533b02d999b2710efed4d5a9d7d8f27fe8f349d8855bbd316cfecb0c0ab19858",
         id="star-postselect1-mps",
     ),
     pytest.param(
         # unsorted explicit pairs, a shared left site, a row through the central qubit
         ("sweep", "--protocol", "star", "--n-outer", "5", "--backend", "mps",
          "--pairs", "1:4,1:2,2:5,1:6", "--theta", GRID),
-        "1ed38d42def9b29fc21926ad609a0f6566bfcd1d2d54eaad6a948fe38022d201",
+        "ed45a08475fc59b09372203bc9092a0c0e005fa6a223f9928d7ad097d079f1a1",
         id="star-explicit-pairs-mps",
     ),
     pytest.param(
         # the swap route: the central qubit walks down the chain and back home
         ("sweep", "--protocol", "star", "--n-outer", "6", "--backend", "mps", "--theta", GRID),
-        "2ebb64e809a26373a07cfb5267d6f86c61bd4a59ba5924c7d1e33c202565c462",
+        "08b8242d3b3ef12b0993a9c79b2c9ed0c1a31d806018fb16e44eb6432c8d3792",
         id="star-central-mps",
     ),
     pytest.param(
@@ -118,7 +118,7 @@ GOLDEN = [
         # two-row blocks to the closed form
         ("sweep", "--protocol", "star", "--n-outer", "4", "--postselect", "0",
          "--backend", "mps", "--theta", "0:6.283185307179586:65"),
-        "00d86ba5ee4f7f98aeecc64285eb4d8753cc9dcb6770ace6921d5228dc07ba28",
+        "83203efaf2064b76f179104a9b79e0a1369916075b7706c5496438f8950a9ae8",
         id="star-postselect0-mps-mixed-split",
     ),
 ]

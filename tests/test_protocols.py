@@ -214,6 +214,21 @@ def test_circuit_validation():
 
 
 @pytest.mark.parametrize(
+    "ops, message",
+    [
+        (("x",), "ops entry 'x' is neither a Rotation nor a ControlledNot"),
+        ((Rotation(1, 0.5), None), "ops entry None is neither a Rotation nor a ControlledNot"),
+        ([Rotation(1, 0.5)], "ops must be a tuple, got list [Rotation(site=1, theta=0.5)]"),
+    ],
+    ids=["string", "none", "list"],
+)
+def test_circuit_ops_are_a_tuple_of_gate_ops(ops, message):
+    # a list would build a frozen circuit that cannot be hashed
+    with pytest.raises(TypeError, match=re.escape(message)):
+        Circuit(2, ops)
+
+
+@pytest.mark.parametrize(
     "build, message",
     [
         (lambda: StateVector.zeros(True), "n_qubits must be an integer, got True"),

@@ -127,6 +127,19 @@ def test_theta2_offset_must_be_finite():
         run_sweep(config)
 
 
+def test_theta2_offset_must_keep_theta2_in_the_float_range():
+    # theta + theta2_offset overflows to inf: refused by name before any circuit is built
+    config = SweepConfig(protocol="periodic", theta=GridSpec.single(1e308), n=4,
+                         theta2_offset=1e308)
+    with pytest.raises(ValueError, match="theta \\+ theta2_offset; got 1e\\+308"):
+        run_sweep(config)
+    result = run_cli("sweep", "--protocol", "periodic", "--n", "4", "--theta", "-1e308",
+                     "--theta2-offset", "-1e308")
+    assert result.returncode == 2
+    assert "and so must theta + theta2_offset; got -1e+308" in result.stderr
+    assert "RuntimeWarning" not in result.stderr and result.stdout == ""
+
+
 def test_postselected_star_needs_two_outer_qubits():
     config = SweepConfig(
         protocol="star", theta=GridSpec.single(1.0), n_outer=1, pairs="star-all", postselect=0
@@ -576,6 +589,27 @@ def test_cli_compare_out_sweeps_once(monkeypatch, tmp_path):
     assert len(calls) == 1
     swept = runner.invoke(symm_ent.cli.main, ["sweep", *args])
     assert out_path.read_text(encoding="utf-8") == swept.stdout
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_cli_out_into_a_missing_directory_is_refused_before_the_run(
+    command, monkeypatch, tmp_path
+):
+    def never(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(symm_ent.cli, "run_sweep", never)
+    monkeypatch.setattr(symm_ent.cli, "run_compare", never)
+    missing = tmp_path / "missing" / "x.csv"
+    result = CliRunner().invoke(
+        symm_ent.cli.main,
+        [command, "--protocol", "linear", "--n", "8", "--theta", "0:6:7", "--out", str(missing)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--out'" in result.stderr
+    assert str(missing.parent) in result.stderr
+    assert result.stdout == ""
+    assert not missing.parent.exists()
 
 
 def _one_matrix_at_a_time(rho):
