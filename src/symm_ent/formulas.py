@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import xstate_concurrence
+from .linalg import as_index
 
 FAMILIES = ("star_central", "star_ring_0", "star_ring_1", "linear_bulk", "linear_edge",
             "periodic_even", "periodic_odd", "end_pair_case13", "case13_zero")
@@ -110,7 +111,7 @@ def analytic_pair_rdm(family: str, angles: AngleParams, n_outer: int = 3) -> np.
     undefined where its branch probability vanishes.
     """
     _check_family(family, angles)
-    a, b = angles.a, angles.b
+    a, b, n_outer = angles.a, angles.b, as_index(n_outer, "n_outer")
     if family.startswith("star"):
         k = n_outer - 1 if family == "star_central" else n_outer - 2
         if k < 0:
@@ -159,6 +160,7 @@ def analytic_concurrence(
     """
     _check_family(family, angles)
     a, b = angles.a, angles.b
+    n_outer, chain_n = as_index(n_outer, "n_outer"), as_index(chain_n, "chain_n")
     if family.startswith("star"):
         return xstate_concurrence(analytic_pair_rdm(family, angles, n_outer))
     if family == "linear_bulk":

@@ -153,8 +153,10 @@ def _two_row_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if np.count_nonzero(null):
         # rank < 2 (the grid ends give exact zeros): complete v1 from the unit
         # vector e_k least aligned with v0; |v0_k| <= n^-1/2, so one pass suffices
-        k = np.argmin(np.abs(v0[:, null]), axis=0)[None]
-        e = np.eye(n)[:, k[0]] - np.take_along_axis(v0[:, null], k, axis=0) * v0[:, null]
+        v = v0[:, null]
+        k, cols = np.argmin(np.abs(v), axis=0), np.arange(v.shape[1])
+        e = 0.0 - v[k, cols] * v  # e_k - v_k v0: (0 - x) + 1 rounds as 1 - x
+        e[k, cols] += 1.0
         v1[:, null] = e / np.sqrt((e * e).sum(axis=0))
     u = np.array([x0, -x1, x1, x0]).T.reshape(*lead, 2, 2)
     s = (np.array([s0, s1]) * scale).T.reshape(*lead, 2)

@@ -441,16 +441,18 @@ def _pair_rdms(
     state: StateVector | MatrixProductState, pairs: tuple[tuple[int, int], ...]
 ) -> np.ndarray:
     """The RDMs of the ascending ``pairs`` at every grid point of a stacked
-    state, as a ``(len(pairs), P, 4, 4)`` stack. The MPS reads each row of
-    pairs that share a left site with one ``pair_rdm`` call per grid point, as
-    the benchmark pins; all but the first slice the row's whole-block stack."""
+    state, as a ``(len(pairs), P, 4, 4)`` stack, read one row of pairs that
+    share a left site at a time. The statevector reads a row with one
+    ``pair_rdm`` call for the whole block. The MPS makes one call per grid
+    point, as the benchmark pins; all but the first slice the row's
+    whole-block stack."""
+    rows = [(i, tuple(j for _, j in row)) for i, row in groupby(pairs, key=itemgetter(0))]
     if isinstance(state, StateVector):
-        return np.array([state.pair_rdm(*pair) for pair in pairs])
+        return np.concatenate([state.pair_rdm(i, sites) for i, sites in rows])
     # filled in place, in the state's dtype so real RDMs stay real
     rdms = np.empty((len(pairs), state.grid, 4, 4), np.result_type(*state.tensors))
     start = 0
-    for i, row in groupby(pairs, key=itemgetter(0)):
-        sites = tuple(j for _, j in row)
+    for i, sites in rows:
         stop = start + len(sites)
         for k in range(state.grid):
             rdms[start:stop, k] = state.pair_rdm(i, sites, point=k)

@@ -155,6 +155,25 @@ def test_star_families_name_a_too_small_n_outer():
         analytic_pair_rdm("star_central", unitary_params(1.0), n_outer=0)
 
 
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        # each was silently accepted or an unnamed TypeError before
+        (lambda: analytic_concurrence("end_pair_case13", unitary_params(1.0), chain_n=3.5),
+         "chain_n must be an integer, got 3.5"),
+        (lambda: analytic_concurrence("star_central", unitary_params(1.0), n_outer=True),
+         "n_outer must be an integer, got True"),
+        (lambda: analytic_concurrence("linear_bulk", unitary_params(1.0), n_outer=2.5),
+         "n_outer must be an integer, got 2.5"),
+        (lambda: analytic_pair_rdm("star_central", unitary_params(1.0), n_outer=2.5),
+         "n_outer must be an integer, got 2.5"),
+    ],
+)
+def test_sizes_must_be_integers(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_ring_concurrence_follows_n_outer():
     # the five-qubit ring, not the three-qubit one
     five = analytic_concurrence("star_ring_0", unitary_params(1.0), n_outer=5)

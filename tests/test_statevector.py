@@ -248,6 +248,9 @@ def test_stacked_run_matches_single_point_runs(grid):
     assert stacked.grid == len(points) and stacked.amplitudes.dtype == np.float64
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     stacked_pairs = {pair: stacked.pair_rdm(*pair) for pair in pairs}
+    # every other site, in descending order, so rows cross the chunk boundary
+    rows = {i: tuple(j for j in range(n, 0, -1) if j != i) for i in range(1, n + 1)}
+    stacked_rows = {i: stacked.pair_rdm(i, row) for i, row in rows.items()}
     for site in range(1, n + 1):
         stacked_single = stacked.single_rdm(site)
         assert stacked_single.shape == (len(points), 2, 2)
@@ -259,6 +262,9 @@ def test_stacked_run_matches_single_point_runs(grid):
         for pair, rdms in stacked_pairs.items():
             assert rdms.dtype == np.float64
             assert _same(rdms[k], single.pair_rdm(*pair))
+        for i, rdms in stacked_rows.items():
+            assert rdms.shape == (n - 1, len(points), 4, 4) and rdms.dtype == np.float64
+            assert _same(rdms[:, k], single.pair_rdm(i, rows[i]))
     if outcome is None:
         return
     weights = stacked.single_rdm(n)[:, outcome, outcome]
@@ -321,3 +327,63 @@ def test_stacked_state_checks():
         with pytest.raises(ValueError, match="amplitudes must have shape"):
             StateVector(3, np.ones(shape))
     assert StateVector(3, np.ones((1, 8))).grid == 1
+
+
+# ------------------------------------------------------------- row reads
+
+
+def _random_state(rng, n, grid=None) -> StateVector:
+    lead = () if grid is None else (grid,)
+    amps = rng.standard_normal(lead + (2**n,)) + 1j * rng.standard_normal(lead + (2**n,))
+    return StateVector(n, amps / np.linalg.norm(amps, axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("grid", [None, 3])
+def test_row_read_matches_one_pair_reads(rng, grid):
+    """Each pair of a row, one chunk or several, is its one-pair read to roundoff."""
+    n = 8
+    state = _random_state(rng, n, grid)
+    lead = () if grid is None else (grid,)
+    chunk = symm_ent.statevector.ROW_CHUNK
+    for i in range(1, n + 1):
+        others = [j for j in range(1, n + 1) if j != i]
+        for size in (1, 2, chunk, chunk + 1, n - 1):
+            row = tuple(int(j) for j in rng.choice(others, size=size, replace=False))
+            rdms = state.pair_rdm(i, row)
+            assert rdms.shape == (size,) + lead + (4, 4) and rdms.dtype == np.complex128
+            for rho, j in zip(rdms, row):
+                assert np.abs(rho - state.pair_rdm(i, j)).max() < 1e-14
+    # against the enumerated partial trace too, for one row across the chunk boundary
+    single = _random_state(rng, 6)
+    for rho, j in zip(single.pair_rdm(3, (6, 1, 5, 2, 4)), (6, 1, 5, 2, 4)):
+        assert np.abs(rho - brute_pair_rdm(single.amplitudes, 6, 3, j)).max() < 1e-14
+
+
+def test_one_site_row_is_bitwise_the_pair_read(rng):
+    """A chunk of one site traces nothing: the read is the pair's own Gram."""
+    for grid in (None, 4):
+        state = _random_state(rng, 5, grid)
+        for i in range(1, 6):
+            for j in range(1, 6):
+                if i != j:
+                    row = state.pair_rdm(i, (j,))
+                    assert row.shape[0] == 1 and _same(row[0], state.pair_rdm(i, j))
+                    assert _same(row[0], state._gram((i, j)))
+
+
+@pytest.mark.parametrize(
+    ("i", "j", "message"),
+    [
+        (2, (), "row of pairs from site 2 names no site j"),
+        (2, (3, 5, 3), r"pair sites must differ: i = 2, j = \(3, 5, 3\)"),
+        (2, (3, 2, 4), r"pair sites must differ: i = 2, j = \(3, 2, 4\)"),
+        (2, 2, "pair sites must differ: i = 2, j = 2"),
+        (2, (3, 6), "j 6 outside 1..5"),
+        (2, (0, 3), "j 0 outside 1..5"),
+        (6, (3,), "i 6 outside 1..5"),
+        (2, (3, 1.0), "j must be an integer, got 1.0"),
+    ],
+)
+def test_row_read_checks_name_the_argument(i, j, message):
+    with pytest.raises(ValueError, match=message):
+        StateVector.zeros(5).pair_rdm(i, j)
