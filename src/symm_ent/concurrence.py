@@ -35,11 +35,10 @@ from .linalg import as_float, first_flagged, hermitian_eigs
 
 # rho itself may carry eigenvalues this far below zero from upstream roundoff
 DM_TOL = 1e-10
-# a pivot at or below this times its matrix's first pivot ends the factor. X
-# states forced through the general route (3,000 per decade of lambda_min down
-# to 1e-17) then miss the closed form by <= 2.1e-15 in every bin; a floor of
-# 1e-15 reads 1.1e-14, 1e-14 reads 7.7e-14, and 0 scores product states 0.53
-PIVOT_FLOOR = 1e-16
+# a pivot at or below this times its matrix's first pivot ends the factor: n eps
+# for n = 4, the default stopping rule of LAPACK's pivoted Cholesky dpstrf
+# (Lucas, LAPACK Working Note 161, 2004)
+PIVOT_FLOOR = 4 * np.finfo(float).eps
 # entries off the X pattern up to this magnitude count as zeros; the closed
 # form ignores them, which moves the concurrence by a comparable amount
 X_FLOOR = 1e-14

@@ -107,11 +107,12 @@ def as_float(values) -> np.ndarray:
     return arr.astype(np.result_type(arr, np.float64), copy=False)
 
 
-def _as_matrix(matrix, stacked: bool = False) -> np.ndarray:
+def _as_matrix(matrix) -> np.ndarray:
     arr = as_float(matrix)
-    if arr.ndim < 2 or (arr.ndim > 2 and not stacked) or 0 in arr.shape[-2:]:
-        kind = "matrix or a stack of them" if stacked else "matrix"
-        raise ValueError(f"expected a non-empty 2-d {kind}, got shape {arr.shape}")
+    if arr.ndim < 2 or 0 in arr.shape[-2:]:
+        raise ValueError(
+            f"expected a non-empty 2-d matrix or a stack of them, got shape {arr.shape}"
+        )
     if not np.isfinite(arr).all():
         _, where = first_flagged(~np.isfinite(arr).all(axis=(-2, -1)).ravel(), arr.shape[:-2])
         raise ValueError(f"matrix{where} contains non-finite entries")
@@ -189,7 +190,7 @@ def svd_truncate(matrix, max_rank: int) -> SVDResult:
         ValueError: on malformed input or invalid ``max_rank``.
         RuntimeError: if the underlying factorization fails to converge.
     """
-    m = _as_matrix(matrix, stacked=True)
+    m = _as_matrix(matrix)
     max_rank = as_index(max_rank, "max_rank")
     if max_rank < 1:
         raise ValueError(f"max_rank must be >= 1, got {max_rank}")
@@ -234,7 +235,7 @@ def hermitian_eigs(matrix) -> np.ndarray:
     Every input must be Hermitian within ``HERMITIAN_TOL`` elementwise; it is
     symmetrized first, so the spectrum is that of the exactly Hermitian part.
     """
-    m = _as_matrix(matrix, stacked=True)
+    m = _as_matrix(matrix)
     if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     adjoint = m.conj().swapaxes(-1, -2)
@@ -258,7 +259,7 @@ def require_unitary(matrix, dim: int) -> np.ndarray:
     ``matrix`` may also be a ``(..., dim, dim)`` stack, checked in one call;
     the first failing matrix is named by its stack index.
     """
-    m = _as_matrix(matrix, stacked=True)
+    m = _as_matrix(matrix)
     if m.shape[-2:] != (dim, dim):
         raise ValueError(f"gate must be {dim}x{dim}, got shape {m.shape}")
     deviation = np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(dim)).max(axis=(-2, -1))

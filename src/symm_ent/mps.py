@@ -48,8 +48,9 @@ state: a ``(P, 2, 2)`` array and one probability per point. ``pair_rdm``
 contracts a row of pairs sharing a left site for the whole grid at once,
 with the center there: an adjacent pair is the Gram matrix M M^dag of the
 two-site block M, one environment sweep of transfer-matrix matmuls closes
-every distant pair (Schollwoeck, Ann. Phys. 326, 96, 2011), and the row is
-kept, so a sweep's per-point reads (one call per point and row) are slices.
+every distant pair (Schollwoeck, Ann. Phys. 326, 96, 2011). A stacked row
+reads as the ``(len(row), P, 4, 4)`` stack of ``StateVector.pair_rdm``, and
+it is kept, so a read of one point (``point=k``) is a slice of it.
 ``discarded_weight`` holds each point's total, ``discarded_weight_total`` the largest.
 
 Real in, real out: the product state starts as float64 and every protocol
@@ -203,14 +204,15 @@ class MatrixProductState:
         self.discarded_weight = np.repeat(self.discarded_weight[None], grid)
         self.grid = grid
 
-    def keep_points(self, points) -> None:
-        """Keep only the grid points at the indices ``points``, in that order."""
+    def keep_points(self, points) -> "MatrixProductState":
+        """Keep only the grid points at the indices ``points``, in that order; return the state."""
         if self.grid is None:
             raise ValueError("keep_points needs a grid-stacked state")
         points = as_points(points, self.grid)
         self.tensors = [t[points] for t in self.tensors]
         self.discarded_weight = self.discarded_weight[points]
         self.grid = points.size
+        return self
 
     @property
     def discarded_weight_total(self) -> float:
@@ -407,21 +409,21 @@ class MatrixProductState:
         return m @ _dag(m)
 
     def pair_rdm(self, i: int, j, point: int | None = None) -> np.ndarray:
-        """4x4 reduced density matrix of (i, j), i < j, in basis |q_i q_j>.
+        """4x4 reduced density matrix of (i, j), i < j, in basis |q_i q_j>;
+        a ``(P, 4, 4)`` stack for a stacked state, as ``StateVector.pair_rdm``.
 
         ``j`` may also be a row: an ascending tuple of sites right of ``i``,
-        read as a ``(len(j), 4, 4)`` stack. With the center moved to ``i``,
+        read as a ``(len(j), ..., 4, 4)`` stack. With the center moved to ``i``,
         the adjacent pair (i, i + 1) is the Gram matrix M M^dag of the
         two-site block M there; one sweep of transfer-matrix matmuls (env @ T
         past a site, env @ W to close a pair there) closes every distant pair,
         so each matrix of a row is bitwise the read of its pair alone.
 
-        A stacked state is read at the grid point ``point``, which a
-        single-point state does not take. The row is contracted for every
-        point at once and kept with the tensors it read, which alone fix it
-        while the center is at ``i``; no operation writes into a tensor, so a
-        call that finds the same row and tensor objects returns a read-only
-        slice. The call stays per point: perfbench pins one per point and row.
+        ``point=k`` reads grid point k of a stacked state, a slice of the
+        stack. The row is contracted for every point at once and kept with
+        the tensors it read, which alone fix it while the center is at ``i``;
+        no operation writes into a tensor, so a call that finds the same row
+        and tensor objects returns a read-only slice.
         """
         i, row = as_site(i, self.n_qubits, "i"), isinstance(j, tuple)
         sites = tuple(as_index(site, "j") for site in j) if row else (as_index(j, "j"),)
@@ -434,14 +436,10 @@ class MatrixProductState:
             left = site
         if left > self.n_qubits:  # the last site; the others lie between i and it
             raise ValueError(f"site {left} outside 1..{self.n_qubits}")
-        if self.grid is None:
-            if point is not None:
-                raise ValueError(f"point {point} given for a single-point state")
-        elif point is None or not 0 <= as_index(point, "point") < self.grid:
-            raise ValueError(
-                f"a state of {self.grid} grid points needs a point in 0..{self.grid - 1}, "
-                f"got {point}"
-            )
+        if point is not None and self.grid is None:
+            raise ValueError(f"point {point} given for a single-point state")
+        if point is not None and not 0 <= as_index(point, "point") < self.grid:
+            raise ValueError(f"a stacked state needs a point in 0..{self.grid - 1}, got {point}")
         self._move_center_to(i)
         tensors, memo = self.tensors[i - 1 : left], self._row
         if memo[:2] != (i, sites) or any(a is not b for a, b in zip(memo[2], tensors)):

@@ -372,15 +372,11 @@ def _family_for_pair(config: SweepConfig, total: int, pair: tuple[int, int]) -> 
     if j != i + 1:
         return None
     if config.protocol == "linear":
-        if config.case == 4:
-            if i == 1 or i == total - 1:
-                return "linear_edge"
-            return "linear_bulk"
+        if config.case in (2, 4):  # case 2 is case 4 mirrored, i -> n - i, edges to edges
+            return "linear_edge" if i == 1 or i == total - 1 else "linear_bulk"
         if config.case == 1:
             return "end_pair_case13" if (i, j) == (1, 2) else "case13_zero"
-        if config.case == 3:
-            return "end_pair_case13" if (i, j) == (total - 1, total) else "case13_zero"
-        return None  # case 2: mirror of case 4, no dedicated closed form
+        return "end_pair_case13" if (i, j) == (total - 1, total) else "case13_zero"
     # periodic: bulk pairs only, classified by which angle dresses the right site
     if i == 1 or i == total - 1:
         return None
@@ -418,10 +414,8 @@ def _prepare_block(
     circuit = _block_circuit(plan.config, points)
     if len(plan.reads) < plan.total:  # a read of every qubit has nothing to prune
         circuit = circuit.causal_cone(plan.reads)
-    if backend == "mps":
-        state = MatrixProductState(plan.total).run_circuit(circuit)
-    else:
-        state = StateVector.zeros(plan.total).run_circuit(circuit)
+    fresh = MatrixProductState(plan.total) if backend == "mps" else StateVector.zeros(plan.total)
+    state = fresh.run_circuit(circuit)
     outcome = plan.config.postselect
     if outcome is None:
         return state, np.arange(len(points)), None
@@ -429,10 +423,9 @@ def _prepare_block(
     alive = np.flatnonzero(weights >= BRANCH_PROBABILITY_FLOOR)
     if alive.size == 0:
         return None, alive, np.empty(0)
-    if backend == "mps":
-        state.keep_points(alive)
-        return state, alive, state.postselect(plan.total, outcome)
     state = state.keep_points(alive)
+    if backend == "mps":  # projects in place
+        return state, alive, state.postselect(plan.total, outcome)
     state, probabilities = state.postselect(plan.total, outcome)
     return state, alive, probabilities
 
@@ -442,22 +435,15 @@ def _pair_rdms(
 ) -> np.ndarray:
     """The RDMs of the ascending ``pairs`` at every grid point of a stacked
     state, as a ``(len(pairs), P, 4, 4)`` stack, read one row of pairs that
-    share a left site at a time. The statevector reads a row with one
-    ``pair_rdm`` call for the whole block. The MPS makes one call per grid
-    point, as the benchmark pins; all but the first slice the row's
-    whole-block stack."""
+    share a left site at a time. Both backends return a row's whole-block
+    stack from ``pair_rdm(i, sites)``; the MPS is still called once per grid
+    point, as the benchmark pins, each call a slice of the kept row."""
     rows = [(i, tuple(j for _, j in row)) for i, row in groupby(pairs, key=itemgetter(0))]
-    if isinstance(state, StateVector):
-        return np.concatenate([state.pair_rdm(i, sites) for i, sites in rows])
-    # filled in place, in the state's dtype so real RDMs stay real
-    rdms = np.empty((len(pairs), state.grid, 4, 4), np.result_type(*state.tensors))
-    start = 0
-    for i, sites in rows:
-        stop = start + len(sites)
-        for k in range(state.grid):
-            rdms[start:stop, k] = state.pair_rdm(i, sites, point=k)
-        start = stop
-    return rdms
+    return np.concatenate([
+        state.pair_rdm(i, sites) if isinstance(state, StateVector) else
+        np.array([state.pair_rdm(i, sites, point=k) for k in range(state.grid)]).swapaxes(0, 1)
+        for i, sites in rows
+    ])
 
 
 def _scored_points(plan: RunPlan):
@@ -528,7 +514,7 @@ def run_compare(config: SweepConfig) -> CompareReport:
     if missing:
         raise ValueError(
             f"no closed form covers pair(s) {missing}; restrict --pairs to covered "
-            "classes (bulk/edge pairs for linear case 4, bulk pairs for periodic, "
+            "classes (adjacent pairs for linear, adjacent bulk pairs for periodic, "
             "star-all for the star)"
         )
     family_of = dict(zip(plan.pairs, plan.families))

@@ -196,7 +196,7 @@ def one_matrix_wootters(rho: np.ndarray) -> float:
 
     The reference for the stacked concurrence layer: the same arithmetic in
     the same order (the symmetrized matrix; a diagonal-pivoted Cholesky factor
-    L, whose pivots end at 1e-16 times the first; singular values of
+    L, whose pivots end at 4 eps times the first; singular values of
     L^T (sigma_y x sigma_y) L), applied to a single matrix, so the stacked
     values must match it bit for bit. Like the library it works in the kind
     of its input: float64 for a real matrix, complex128 for a complex one.
@@ -210,7 +210,7 @@ def one_matrix_wootters(rho: np.ndarray) -> float:
         diagonal = rest.diagonal().real
         chosen = int(np.argmax(diagonal))
         if k == 0:
-            floor = 1e-16 * diagonal[chosen]
+            floor = 4 * np.finfo(float).eps * diagonal[chosen]
         if diagonal[chosen] <= floor:
             break
         factor[:, k] = rest[:, chosen] / np.sqrt(diagonal[chosen])

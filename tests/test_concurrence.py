@@ -248,6 +248,29 @@ def test_general_route_pivots_past_a_near_singular_leading_block(rng):
     assert np.abs(general_route(rho) - general_route(rho[:, ::-1, ::-1])).max() <= 1e-14
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_general_route_is_exact_on_rank_deficient_states(kind, rank):
+    # rho = g g^dag / tr from a 4 x rank generator g, so rho rho_tilde has the
+    # spectrum of B^dag B with B = g^T (sigma_y x sigma_y) g / tr: its singular
+    # values give the exact concurrence with no pivot decision. A rank-deficient
+    # rho leaves a roundoff remainder after its rank, and a pivot floor below
+    # it lets a roundoff pivot into the factor (2.3e-14 here at a floor of 1e-16)
+    rng = np.random.default_rng([4242, rank, ["real", "complex"].index(kind)])
+    g = rng.normal(size=(5000, 4, rank))
+    if kind == "complex":
+        g = g + 1j * rng.normal(size=g.shape)
+    rho = g @ g.conj().swapaxes(1, 2)
+    trace = np.trace(rho, axis1=1, axis2=2).real
+    sy_sy = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+    roots = np.linalg.svd(g.swapaxes(1, 2) @ sy_sy @ g, compute_uv=False) / trace[:, None]
+    exact = np.maximum(roots[:, 0] - roots[:, 1:].sum(axis=1), 0.0)
+    rho = rho / trace[:, None, None]
+    # a real rho also goes down the complex route
+    for stack in (rho, rho.astype(complex)) if kind == "real" else (rho,):
+        assert np.abs(general_route(stack) - exact).max() <= 1e-14
+
+
 # ------------------------------------------------------------ stacked calls
 
 

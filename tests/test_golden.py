@@ -18,18 +18,18 @@ GRID = "0:6.283185307179586:9"
 GOLDEN = [
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "1", "--n", "6", "--theta", GRID),
-        "20544a8998a8893c6e7f0d1dd55404680c19bcb65d016b89f03b3d9af297777f",
+        "1313a472863f3b079488c3852f862e231bcf235f964b4c3d8eb44d8cf46a5f3f",
         id="linear-case1",
     ),
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "2", "--n", "7", "--theta", GRID,
          "--backend", "mps"),
-        "a3ebf433e76841c46d97cdf2aeb8387b42fe19990455a2f20d5eb78c16f72414",
+        "1cf2cce0bab0bc7d33e8a466eba67721dad7496fbc94c0a443e235bb18ffe52e",
         id="linear-case2-mps",
     ),
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "3", "--n", "6", "--theta", GRID),
-        "fbea92ed24eee37ce5f2ee4e2ffc3a5a1783f53d095e3d43aa792d9923d891fc",
+        "3fc8cbaf0774ff3659c601febeba6888b9bd15f908b38e1af3b0854d0529af00",
         id="linear-case3",
     ),
     pytest.param(

@@ -363,9 +363,32 @@ def test_a_read_after_an_operation_reads_the_new_state(
 def test_kept_points_read_as_they_were():
     state = MatrixProductState(6).run_circuit(build_linear(6, 4, (0.3, 1.1, 2.0)))
     before = [state.pair_rdm(2, (3, 5), point=k) for k in range(3)]
-    state.keep_points([2, 0])
+    whole = state.pair_rdm(2, (3, 5))
+    assert state.keep_points([2, 0]) is state  # kept in place, returned like run_circuit
     assert np.array_equal(state.pair_rdm(2, (3, 5), point=0), before[2])
     assert np.array_equal(state.pair_rdm(2, (3, 5), point=1), before[0])
+    assert np.array_equal(state.pair_rdm(2, (3, 5)), whole[:, [2, 0]])
+
+
+@pytest.mark.parametrize(
+    "i, j",
+    [(2, 3), (2, 6), (3, (4,)), (1, (5,)), (2, (3, 4, 5)), (1, (2, 4, 7)), (3, (5, 7))],
+    ids=["adjacent", "distant", "adjacent-row", "one-pair-row", "adjacent-row-of-three",
+         "mixed-row", "distant-row"],
+)
+def test_a_stacked_read_without_a_point_is_the_statevector_stack(i, j):
+    """Without ``point`` a stacked read returns the whole grid, ``(len(row), P,
+    4, 4)`` for a row and ``(P, 4, 4)`` for one pair, as the statevector does
+    on the same circuit; each point's slice is bitwise its ``point=k`` read."""
+    circuit = build_star(6, (0.3, 1.1, 2.0, 4.4))
+    mps = MatrixProductState(7).run_circuit(circuit)
+    exact = StateVector.zeros(7).run_circuit(circuit).pair_rdm(i, j)
+    whole = mps.pair_rdm(i, j)
+    per_point = np.array([mps.pair_rdm(i, j, point=k) for k in range(mps.grid)])
+    assert np.array_equal(whole, per_point.swapaxes(0, 1) if isinstance(j, tuple) else per_point)
+    assert whole.shape == exact.shape and whole.dtype == exact.dtype == np.float64
+    assert np.abs(whole - exact).max() <= 1e-12
+    assert not whole.flags.writeable  # the kept row itself
 
 
 @pytest.mark.parametrize("backend", ["mps", "statevector"])
@@ -392,8 +415,7 @@ def test_keep_points_rejects_bad_indices(backend, points, message):
     state = state.run_circuit(circuit)
     with pytest.raises(ValueError, match=re.escape(message)):
         state.keep_points(points)
-    kept = state.keep_points(np.array([2, 0])) or state  # the MPS keeps in place
-    assert kept.grid == 2
+    assert state.keep_points(np.array([2, 0])).grid == 2
 
 def test_a_sweep_contracts_each_row_once_per_block(monkeypatch):
     """``_pair_rdms`` calls ``pair_rdm`` once per grid point and row, and
@@ -581,11 +603,16 @@ def test_single_point_readers_reject_a_stacked_state():
     stacked = MatrixProductState(4).run_circuit(build_linear(4, 4, (0.3, 1.2)))
     assert stacked.grid == 2 and stacked.pair_rdm(2, 3, point=1).shape == (4, 4)
     single = MatrixProductState(4).run_circuit(build_linear(4, 4, 0.3))
-    for point in (None, 2, -1):
-        with pytest.raises(ValueError, match=f"needs a point in 0..1, got {point}"):
-            stacked.pair_rdm(2, 3, point=point)
-    with pytest.raises(ValueError, match="point 0 given for a single-point state"):
-        single.pair_rdm(2, 3, point=0)
+    # without a point a stacked state reads its whole grid
+    whole = np.array([stacked.pair_rdm(2, 3, point=k) for k in range(2)])
+    assert np.array_equal(stacked.pair_rdm(2, 3), whole)
+    for j in (3, (3, 4)):
+        for point in (2, -1):
+            with pytest.raises(ValueError, match=f"needs a point in 0..1, got {point}"):
+                stacked.pair_rdm(2, j, point=point)
+        for point in (0, -1, True):
+            with pytest.raises(ValueError, match=f"point {point} given for a single-point state"):
+                single.pair_rdm(2, j, point=point)
     with pytest.raises(ValueError, match="gates carry 3 grid points, the state stacks 2"):
         stacked.run_circuit(build_linear(4, 4, (0.3, 1.2, 2.0)))
     # a scalar gate acts on every grid point; a gate stack goes through run_circuit

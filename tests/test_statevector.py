@@ -5,6 +5,7 @@ from hypothesis import given, settings
 import symm_ent.linalg
 import symm_ent.statevector
 from symm_ent import (
+    MatrixProductState,
     Rotation,
     StateVector,
     build_linear,
@@ -277,6 +278,22 @@ def test_stacked_run_matches_single_point_runs(grid):
         single, probability = singles[index].postselect(n, outcome)
         assert isinstance(probability, float) and probabilities[k] == probability
         assert _same(projected.amplitudes[k], single.amplitudes)
+
+
+@pytest.mark.parametrize("backend", [StateVector.zeros, MatrixProductState],
+                         ids=["statevector", "mps"])
+def test_both_backends_keep_points_and_read_rows_alike(backend):
+    """The stacked-state contract the sweeps rely on: a row read without a
+    point is the ``(len(row), P, 4, 4)`` stack on either backend, and
+    ``keep_points`` returns the state to read next, whose row read is bitwise
+    the kept columns of that stack."""
+    state = backend(6).run_circuit(build_star(5, (0.3, 1.1, 2.0, 4.4)))
+    whole = state.pair_rdm(2, (3, 4, 6))
+    assert whole.shape == (3, 4, 4, 4) and whole.dtype == np.float64
+    assert state.pair_rdm(2, 6).shape == (4, 4, 4)
+    kept = state.keep_points([3, 1])
+    assert kept.grid == 2
+    assert _same(kept.pair_rdm(2, (3, 4, 6)), whole[:, [3, 1]])
 
 
 def test_gate_kernel_is_the_tensordot_contraction(rng):
