@@ -9,9 +9,11 @@ their worst disagreement. Each of them first resolves its configuration
 into a ``RunPlan`` and then reads only the plan. Both backends run only the causal
 cone of the sites a plan reads, so a chain read at its center runs about half its gates.
 
-Output is deterministic: identical configurations produce byte-identical
-CSV/JSON. Reals are printed with 17 significant digits so parsing a file
-recovers every float exactly.
+Rows are ``OutputRow`` named tuples: immutable, with ``_asdict()`` and
+``_replace()``. Output is deterministic: identical configurations produce
+byte-identical CSV/JSON. Reals are printed with 17 significant digits so
+parsing a file recovers every float exactly; the CSV writer formats each
+distinct nonzero float once per table.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import chain, groupby
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, get_args, get_type_hints
+from typing import Iterator, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -153,8 +155,7 @@ class SweepConfig:
     backend: str = "auto"
 
 
-@dataclass(frozen=True)
-class OutputRow:
+class OutputRow(NamedTuple):
     theta: float
     theta2: float | None
     pair_left: int
@@ -167,10 +168,8 @@ class OutputRow:
 
 
 # the row schema: column names in order, and the CSV header they make
-COLUMNS = tuple(field.name for field in fields(OutputRow))
+COLUMNS = OutputRow._fields
 CSV_HEADER = ",".join(COLUMNS)
-_row_values = attrgetter(*COLUMNS)
-_pair_values = attrgetter(*COLUMNS[2:7])  # pair_left..abs_error: not shared by a point's rows
 
 
 @dataclass(frozen=True)
@@ -485,7 +484,6 @@ def _point_rows(
     for (i, j), family, numeric in zip(plan.pairs, plan.families, scores):
         analytic = closed[family]
         error = None if analytic is None else abs(numeric - analytic)
-        # positional: keyword construction of the frozen row costs ~2 us more per row
         yield OutputRow(theta, theta2, i, j, numeric, analytic, error, outcome, probability)
 
 
@@ -612,36 +610,33 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
 # ----------------------------------------------------------------------- IO
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.17g}"
-
-
 def rows_to_csv_text(rows: list[OutputRow]) -> str:
+    # equal nonzero floats print the same text, so each is formatted once per
+    # table: a chain's bulk pairs repeat one value per angle. Zeros are not
+    # memoised, since 0.0 == -0.0 but they print as 0 and -0.
+    texts = {}
+
+    def fmt(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, int):
+            return str(value)
+        text = texts.get(value)
+        if text is None:
+            text = f"{value:.17g}"
+            if value:
+                texts[value] = text
+        return text
+
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
-    last = None
     for row in rows:
-        # a run of rows holding the very same point objects shares their text;
-        # `is`, not ==, so a -0.0 after a 0.0, or a NaN, is formatted anew
-        if last is None or not (
-            row.theta is last.theta
-            and row.theta2 is last.theta2
-            and row.postselect_outcome is last.postselect_outcome
-            and row.postselect_probability is last.postselect_probability
-        ):
-            last = row
-            head = f"{_fmt(row.theta)},{_fmt(row.theta2)},"
-            tail = f",{_fmt(row.postselect_outcome)},{_fmt(row.postselect_probability)}\n"
-        out.write(head + ",".join(map(_fmt, _pair_values(row))) + tail)
+        out.write(",".join(map(fmt, row)) + "\n")
     return out.getvalue()
 
 
 def rows_to_json_text(rows: list[OutputRow]) -> str:
-    payload = [dict(zip(COLUMNS, _row_values(row))) for row in rows]
+    payload = [row._asdict() for row in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -121,6 +121,20 @@ GOLDEN = [
         "83203efaf2064b76f179104a9b79e0a1369916075b7706c5496438f8950a9ae8",
         id="star-postselect0-mps-mixed-split",
     ),
+    pytest.param(
+        # the JSON writer: every column by name, None as null
+        ("sweep", "--protocol", "linear", "--case", "4", "--n", "8", "--backend", "mps",
+         "--theta", GRID, "--format", "json"),
+        "7d59b2b2583cb0f177983b70fd95a0ca6ac71d7c2ddc64ce29c6779638057a45",
+        id="linear-case4-mps-json",
+    ),
+    pytest.param(
+        # JSON of ints, None and branch probabilities
+        ("sweep", "--protocol", "star", "--n-outer", "4", "--postselect", "1", "--theta", GRID,
+         "--format", "json"),
+        "20a80747cde8a68f0765910e7531ade6139c2c1a7c9a977c7e585b0d37753f2b",
+        id="star-postselect1-json",
+    ),
 ]
 
 
