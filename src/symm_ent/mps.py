@@ -4,9 +4,12 @@ The state is kept in mixed-canonical form around an orthogonality center:
 site tensors have index order (left bond, physical, right bond), tensors
 strictly left of the center are left-isometric, tensors strictly right of it
 are right-isometric, and the center tensor carries the full norm. Moving the
-center one site is a pure QR basis change that leaves the represented state
-untouched; across a bond of dimension 1 the QR of the one-column matrix is
-its normalisation, so that is what the move does.
+center one site right is a pure QR basis change that leaves the represented
+state untouched; across a bond of dimension 1 the QR of the one-column matrix
+is its normalisation, so that is what the move does. There is one move: a
+left move is the right move of the mirrored chain, each tensor's bond axes
+swapped, (l, 2, r) -> (r, 2, l). Mirrored back, the orthonormal columns of
+the QR factor are orthonormal rows, for real and complex tensors alike.
 
 Every two-site gate is the one nearest-neighbor update: contract the
 two-site block at the center, apply the gate, split back with an SVD. A gate
@@ -96,6 +99,12 @@ def _norms(t: np.ndarray) -> np.ndarray:
     against the stack."""
     flat = t.reshape(t.shape[:-3] + (-1,))
     return np.linalg.norm(flat, axis=-1, keepdims=True)[..., None, None]
+
+
+def _mirror(t: np.ndarray) -> np.ndarray:
+    """Each site tensor of a stack with its bond axes swapped, (l, 2, r) -> (r, 2, l),
+    as a C-contiguous copy."""
+    return np.ascontiguousarray(t.swapaxes(-3, -1))
 
 
 def _regroup(g: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -234,54 +243,31 @@ class MatrixProductState:
         over all grid points of a stacked state."""
         worst = float(np.max(np.abs(self.norm() - 1.0)))
         for idx, t in enumerate(self.tensors, start=1):
-            *lead, l, _, r = t.shape
-            if idx < self.center:
-                m = t.reshape(*lead, l * 2, r)
-                worst = max(worst, float(np.max(np.abs(_dag(m) @ m - np.eye(r)))))
-            elif idx > self.center:
-                m = t.reshape(*lead, l, 2 * r)
-                worst = max(worst, float(np.max(np.abs(m @ _dag(m) - np.eye(l)))))
+            if idx != self.center:  # a right-isometric tensor is left-isometric mirrored
+                t = t if idx < self.center else _mirror(t)
+                m = t.reshape(*t.shape[:-3], -1, t.shape[-1])
+                worst = max(worst, float(np.max(np.abs(_dag(m) @ m - np.eye(m.shape[-1])))))
         return worst
 
     # ------------------------------------------------------- center movement
 
-    def _shift_right(self) -> None:
-        c = self.center
-        t = self.tensors[c - 1]
+    def _shift(self, step: int) -> None:
+        """Move the center one site right (``step`` 1) or left (-1); a left
+        move is the right move of the mirrored pair of tensors."""
+        c, to = self.center, self.center + step  # the center and the site it moves to
+        flip = _mirror if step < 0 else np.asarray  # asarray returns an array as it is
+        t, nxt = flip(self.tensors[c - 1]), flip(self.tensors[to - 1])
         *lead, l, _, r = t.shape
-        nxt = self.tensors[c]
         if r == 1:
             # the QR of a single column is its normalisation
             norm = _norms(t)
-            self.tensors[c - 1] = t / norm
-            self.tensors[c] = nxt * norm
+            t, nxt = t / norm, nxt * norm
         else:
             q, carry = np.linalg.qr(t.reshape(*lead, l * 2, r))
-            self.tensors[c - 1] = q.reshape(*lead, l, 2, -1)
-            self.tensors[c] = (carry @ nxt.reshape(*lead, r, -1)).reshape(
-                *lead, -1, 2, nxt.shape[-1]
-            )
-        self.center = c + 1
-
-    def _shift_left(self) -> None:
-        c = self.center
-        t = self.tensors[c - 1]
-        *lead, l, _, r = t.shape
-        prev = self.tensors[c - 2]
-        if l == 1:
-            # the QR of a single row is its normalisation
-            norm = _norms(t)
-            self.tensors[c - 1] = t / norm
-            self.tensors[c - 2] = prev * norm
-        else:
-            # factor t = carry @ Q with Q row-orthonormal, via QR of the adjoint
-            q, rmat = np.linalg.qr(_dag(t.reshape(*lead, l, 2 * r)))
-            self.tensors[c - 1] = _dag(q).reshape(*lead, -1, 2, r)
-            lp = prev.shape[-3]
-            self.tensors[c - 2] = (prev.reshape(*lead, lp * 2, l) @ _dag(rmat)).reshape(
-                *lead, lp, 2, -1
-            )
-        self.center = c - 1
+            t = q.reshape(*lead, l, 2, -1)
+            nxt = (carry @ nxt.reshape(*lead, r, -1)).reshape(*lead, -1, 2, nxt.shape[-1])
+        self.tensors[c - 1], self.tensors[to - 1] = flip(t), flip(nxt)
+        self.center = to
 
     def _split(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rank-revealing SVD ``block = U diag(s) V^dag`` of one matrix or a
@@ -296,17 +282,8 @@ class MatrixProductState:
         return res.left_isometry, s, res.right_isometry_dag
 
     def _move_center_to(self, site: int) -> None:
-        while self.center < site:
-            self._shift_right()
-        while self.center > site:
-            self._shift_left()
-
-    def _move_center_next_to(self, lo: int) -> None:
-        """Move the center the least distance that puts it on ``lo`` or ``lo + 1``."""
-        if self.center < lo:
-            self._move_center_to(lo)
-        elif self.center > lo + 1:
-            self._move_center_to(lo + 1)
+        while self.center != site:
+            self._shift(1 if self.center < site else -1)
 
     # ------------------------------------------------------------ gate layer
 
@@ -347,13 +324,12 @@ class MatrixProductState:
         block = g[..., None, :, :] @ block.reshape(*lead, l, 4, r)
         u, s, vdag = self._split(block.reshape(*lead, l * 2, 2 * r))
         if center_left:
-            self.tensors[site - 1] = (u * s[..., None, :]).reshape(*lead, l, 2, -1)
-            self.tensors[site] = vdag.reshape(*lead, -1, 2, r)
-            self.center = site
+            u = u * s[..., None, :]
         else:
-            self.tensors[site - 1] = u.reshape(*lead, l, 2, -1)
-            self.tensors[site] = (s[..., :, None] * vdag).reshape(*lead, -1, 2, r)
-            self.center = site + 1
+            vdag = s[..., :, None] * vdag
+        self.tensors[site - 1] = u.reshape(*lead, l, 2, -1)
+        self.tensors[site] = vdag.reshape(*lead, -1, 2, r)
+        self.center = site if center_left else site + 1
 
     def _run(self, steps: list[tuple[np.ndarray, int, bool]]) -> None:
         """Apply ``(gate, site, two_site)`` steps (see ``_route``) in order.
@@ -370,7 +346,8 @@ class MatrixProductState:
                 following = steps[k][1]
         for (g, site, two_site), target in zip(steps, upcoming):
             if two_site:
-                self._move_center_next_to(site)
+                if not site <= self.center <= site + 1:  # the least move onto site or site + 1
+                    self._move_center_to(min(max(self.center, site), site + 1))
                 center_left = self.center == site if target is None else target <= site
                 self._apply_2q(g, site, center_left)
             else:

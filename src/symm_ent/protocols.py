@@ -127,12 +127,8 @@ def cx_matrix(control_first: bool = True) -> np.ndarray:
 
     ``control_first`` selects whether the left or the right site controls.
     """
-    m = np.zeros((4, 4))
-    # column -> row permutation of basis states 00, 01, 10, 11
-    order = (0, 1, 3, 2) if control_first else (0, 3, 2, 1)
-    for col, row in enumerate(order):
-        m[row, col] = 1.0
-    return m
+    # a permutation of the basis states 00, 01, 10, 11 that is its own inverse
+    return np.eye(4)[[0, 1, 3, 2] if control_first else [0, 3, 2, 1]]
 
 
 def build_star(n_outer: int, theta: Angle) -> Circuit:

@@ -185,7 +185,6 @@ class FamilyComparison:
 @dataclass(frozen=True)
 class CompareReport:
     families: tuple[FamilyComparison, ...]
-    threshold: float
     passed: bool
     rows: tuple[OutputRow, ...]
 
@@ -197,8 +196,6 @@ class OracleReport:
     max_concurrence_deviation: float
     max_probability_deviation: float
     max_discarded_weight: float
-    rdm_threshold: float
-    concurrence_threshold: float
     passed: bool
 
 
@@ -536,7 +533,6 @@ def run_compare(config: SweepConfig) -> CompareReport:
         )
     return CompareReport(
         families=tuple(comparisons),
-        threshold=COMPARE_THRESHOLD,
         passed=bool(comparisons) and all(c.passed for c in comparisons),
         rows=tuple(rows),
     )
@@ -601,8 +597,6 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
         max_concurrence_deviation=max_conc,
         max_probability_deviation=max_prob,
         max_discarded_weight=max_weight,
-        rdm_threshold=RDM_THRESHOLD,
-        concurrence_threshold=CONCURRENCE_THRESHOLD,
         passed=passed,
     )
 
@@ -684,7 +678,7 @@ def rows_from_csv_text(text: str) -> list[OutputRow]:
 
 
 def render_compare(report: CompareReport) -> str:
-    lines = [f"comparison against closed forms (threshold {report.threshold:.1e})"]
+    lines = [f"comparison against closed forms (threshold {COMPARE_THRESHOLD:.1e})"]
     for c in report.families:
         where = f"theta={c.theta_at_max:.6g}"
         if c.theta2_at_max is not None:
@@ -706,9 +700,9 @@ def render_oracle(report: OracleReport) -> str:
         [
             f"backend cross-check over {report.n_points} grid points",
             f"  max pair-RDM deviation:     {report.max_rdm_deviation:.3e} "
-            f"(threshold {report.rdm_threshold:.1e})",
+            f"(threshold {RDM_THRESHOLD:.1e})",
             f"  max concurrence deviation:  {report.max_concurrence_deviation:.3e} "
-            f"(threshold {report.concurrence_threshold:.1e})",
+            f"(threshold {CONCURRENCE_THRESHOLD:.1e})",
             f"  max probability deviation:  {report.max_probability_deviation:.3e}",
             f"  max MPS discarded weight:   {report.max_discarded_weight:.3e} "
             f"(limit {DISCARDED_WEIGHT_LIMIT:.0e})",

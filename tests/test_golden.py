@@ -24,7 +24,7 @@ GOLDEN = [
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "2", "--n", "7", "--theta", GRID,
          "--backend", "mps"),
-        "1cf2cce0bab0bc7d33e8a466eba67721dad7496fbc94c0a443e235bb18ffe52e",
+        "91f53318cd417a62e31c14182038587c49e06e5d4f80afb91764f8c0e7e316d4",
         id="linear-case2-mps",
     ),
     pytest.param(
@@ -35,13 +35,13 @@ GOLDEN = [
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "4", "--n", "8", "--theta", GRID,
          "--backend", "mps"),
-        "1dbb4088cfc2cbd2a836cc533ebebd6388715ecd1a83c006dbb21b0b3bc08560",
+        "4c595e1261a786ee64a85a28f3a7b587a09fe9783238f8428c4b72546c910a08",
         id="linear-case4-mps",
     ),
     pytest.param(
         ("sweep", "--protocol", "periodic", "--n", "8", "--theta", GRID,
          "--theta2-offset", "0.4", "--backend", "mps"),
-        "03ec9ae157a9082114fc8cc59b0cbb2bbad382670053e05936c22af7318880a0",
+        "1d8170b7e5c70760c7c5f8db91680579722794bc9c7ebe67423d04a9b7324580",
         id="periodic-offset-mps",
     ),
     pytest.param(
@@ -62,34 +62,34 @@ GOLDEN = [
     pytest.param(
         ("oracle-check", "--protocol", "star", "--n-outer", "3", "--theta", GRID,
          "--postselect", "0"),
-        "bd6c73c639e37f66e8037e393977816409380e5c3997cad4a748e07affc9f5a9",
+        "6ee5670cf3ed65c13d6b598267458437349aae1ba85396c2b96d45aa5f507e0a",
         id="oracle-check-star-postselect0",
     ),
     pytest.param(
         # 12 qubits: the statevector runs the 21 points in stacked blocks of 8
         ("oracle-check", "--protocol", "star", "--n-outer", "11", "--postselect", "0",
          "--theta", "0:6.283185307179586:21"),
-        "93d1ddae33a4ce81ea043dd55bad5f8b2a7e091108226f061418ccc9af7024b3",
+        "d71cfbd35857226ef2ebe7330396970c210f4ed5f823084af7b1000e4595bfc6",
         id="oracle-check-star12-postselect0",
     ),
     pytest.param(
         # the MPS distant-pair read: rows of outer pairs sharing a left site
         ("sweep", "--protocol", "star", "--n-outer", "6", "--postselect", "1",
          "--backend", "mps", "--theta", GRID),
-        "533b02d999b2710efed4d5a9d7d8f27fe8f349d8855bbd316cfecb0c0ab19858",
+        "ac4c9b18c1fe5b759d8810fc22a0fd79d5f44990c518de663feb448c38f166a5",
         id="star-postselect1-mps",
     ),
     pytest.param(
         # unsorted explicit pairs, a shared left site, a row through the central qubit
         ("sweep", "--protocol", "star", "--n-outer", "5", "--backend", "mps",
          "--pairs", "1:4,1:2,2:5,1:6", "--theta", GRID),
-        "ed45a08475fc59b09372203bc9092a0c0e005fa6a223f9928d7ad097d079f1a1",
+        "a79f6f8bcbb1af6df0adeb8486df8778c99189ee097229d2750778909d74f9ef",
         id="star-explicit-pairs-mps",
     ),
     pytest.param(
         # the swap route: the central qubit walks down the chain and back home
         ("sweep", "--protocol", "star", "--n-outer", "6", "--backend", "mps", "--theta", GRID),
-        "08b8242d3b3ef12b0993a9c79b2c9ed0c1a31d806018fb16e44eb6432c8d3792",
+        "5efd0e9c1274c7ca9e4878464f6eda03efab308d664abe665ebbcf2cf4940b18",
         id="star-central-mps",
     ),
     pytest.param(
@@ -110,7 +110,7 @@ GOLDEN = [
         # form; the grid ends give exact zero rows
         ("sweep", "--protocol", "linear", "--case", "4", "--n", "8", "--theta",
          "0:6.283185307179586:65", "--backend", "mps"),
-        "b0e65615f7a557b81cd4ca9d15b5e4e43df9960e56da1aeae24a2eb9c830f226",
+        "e2955a524a888ff3a680102f2ddaad6b9ef8c8f425b022b24f50b126122e69d1",
         id="linear-case4-mps-closed-form-split",
     ),
     pytest.param(
@@ -118,14 +118,14 @@ GOLDEN = [
         # two-row blocks to the closed form
         ("sweep", "--protocol", "star", "--n-outer", "4", "--postselect", "0",
          "--backend", "mps", "--theta", "0:6.283185307179586:65"),
-        "83203efaf2064b76f179104a9b79e0a1369916075b7706c5496438f8950a9ae8",
+        "07765a6866a539bb05e49c402b3c4c445e0bbcbf047de714ec9b36f612e54ba7",
         id="star-postselect0-mps-mixed-split",
     ),
     pytest.param(
         # the JSON writer: every column by name, None as null
         ("sweep", "--protocol", "linear", "--case", "4", "--n", "8", "--backend", "mps",
          "--theta", GRID, "--format", "json"),
-        "7d59b2b2583cb0f177983b70fd95a0ca6ac71d7c2ddc64ce29c6779638057a45",
+        "a05a389d64b511195730eada6ceb5be70191e1a16df176b662e4d6b14ac12df5",
         id="linear-case4-mps-json",
     ),
     pytest.param(

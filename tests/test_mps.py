@@ -92,16 +92,36 @@ def test_apply_1q_matches_oracle(rng):
 
 
 def test_shift_center_round_trip(rng):
+    """A move right and back restores the state. A walk of the center 1 -> n
+    -> 1 over a complex stacked state keeps every point's amplitudes and the
+    canonical form at every stop, and each move writes C-contiguous tensors:
+    a left move mirrors its two tensors and mirrors them back."""
     mps = random_small_mps(rng)
     reference = mps_amplitudes(mps)
     mps._move_center_to(1)
     original = copy.deepcopy(mps)
-    mps._shift_right()
-    mps._shift_left()
+    mps._shift(1)
+    mps._shift(-1)
     assert mps.center == 1
     fidelity = abs(np.vdot(mps_amplitudes(original), mps_amplitudes(mps)))
     assert abs(fidelity - 1.0) < 1e-12
     assert np.abs(mps_amplitudes(mps) - reference).max() < 1e-12
+
+    n = 6
+    stacked = MatrixProductState(n).run_circuit(build_linear(n, 4, (0.3, 1.2, 2.0)))
+    for site in range(1, n):
+        stacked.apply_2q(random_two_site_unitary(rng), site, site + 1)
+    assert stacked.grid == 3 and stacked.tensors[2].dtype == np.complex128
+    reference = mps_amplitudes(stacked)
+    stacked._move_center_to(1)
+    written = 1  # tensors 1..written have been written by a center move
+    for step in [1] * (n - 1) + [-1] * (n - 1):
+        stacked._shift(step)
+        written = max(written, stacked.center)
+        assert np.abs(mps_amplitudes(stacked) - reference).max() < 1e-12
+        assert stacked.canonical_deviation() <= 1e-12
+        assert all(t.flags.c_contiguous for t in stacked.tensors[:written])
+    assert stacked.center == 1 and written == n
 
 
 def test_shift_center_restores_isometries(rng):
@@ -110,6 +130,26 @@ def test_shift_center_restores_isometries(rng):
         mps._move_center_to(target)
         assert mps.center == target
         assert mps.canonical_deviation() < 1e-12
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("where", ["left", "center", "right"])
+def test_canonical_deviation_reports_each_kind_of_break(rng, stacked, kind, where):
+    """A tensor left of the center that is no left isometry, one right of it
+    that is no right isometry, and a center that does not carry unit norm each
+    show in ``canonical_deviation``: scaling the tensor by 1.5 (at one grid
+    point of a stack) moves its isometry condition by 1.25 and the norm by 0.5."""
+    mps = MatrixProductState(6).run_circuit(build_linear(6, 4, (0.3, 1.2, 2.0) if stacked else 1.2))
+    if kind == "complex":
+        for site in range(1, 7):
+            mps.apply_1q(haar_unitary(rng), site)
+    mps._move_center_to(3)
+    assert mps.canonical_deviation() <= 1e-12
+    site = {"left": 2, "center": 3, "right": 4}[where]
+    factor = np.array([1.0, 1.0, 1.5])[:, None, None, None] if stacked else 1.5
+    mps.tensors[site - 1] = mps.tensors[site - 1] * factor
+    assert mps.canonical_deviation() >= 0.5 - 1e-12
 
 
 def test_apply_2q_identity_on_zero_state():
