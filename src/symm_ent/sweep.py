@@ -6,8 +6,9 @@ wherever one exists. ``run_compare`` turns that into a per-family error
 report against a fixed threshold, and ``run_oracle_check`` runs the exact
 statevector backend and the MPS backend on identical circuits and reports
 their worst disagreement. Each of them first resolves its configuration
-into a ``RunPlan`` and then reads only the plan. Both backends run only the causal
-cone of the sites a plan reads, so a chain read at its center runs about half its gates.
+into a ``RunPlan`` and then reads only the plan. One generator runs a plan's grid on
+either backend, in stacked blocks sized for the backend, each block only the causal cone
+of the sites the plan reads: a chain read at its center runs about half its gates.
 
 Rows are ``OutputRow`` named tuples: immutable, with ``_asdict()`` and
 ``_replace()``. Output is deterministic: identical configurations produce
@@ -22,6 +23,7 @@ import io
 import json
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import chain, groupby
 from operator import itemgetter
@@ -257,7 +259,7 @@ def _plan(config: SweepConfig) -> RunPlan:
             _check_real(config.theta2_offset, "theta2_offset")
     elif config.theta2 is not None or config.theta2_offset is not None:
         raise ValueError("theta2 is only meaningful for the periodic protocol")
-    if not config.pairs:
+    if isinstance(config.pairs, str) and not config.pairs:  # the default "" alone
         config = replace(
             config, pairs="star-all" if config.protocol == "star" else "all-adjacent"
         )
@@ -327,6 +329,8 @@ def _resolve_pairs(config: SweepConfig, total: int) -> list[tuple[int, int]]:
         raise ValueError(
             f"unknown pair keyword {selection!r}; valid: {', '.join(PAIR_KEYWORDS)}"
         )
+    if not isinstance(selection, Sequence) or not selection:
+        raise ValueError(f"pairs must be a pair keyword or a non-empty sequence, got {selection!r}")
     first_as = {}
     for pair in selection:
         try:
@@ -383,47 +387,37 @@ def _family_for_pair(config: SweepConfig, total: int, pair: tuple[int, int]) -> 
 # ------------------------------------------------------------------- sweeps
 
 
-def _block_points(backend: str, total: int) -> int:
-    """Grid points ``backend`` runs as one stacked circuit on ``total`` qubits."""
-    if backend == "mps":
-        return BLOCK_POINTS
-    return max(1, MAX_BLOCK_AMPLITUDES // 2**total)
-
-
-def _blocks(points: tuple, size: int):
-    """``points`` in blocks of at most ``size``."""
-    for start in range(0, len(points), size):
-        yield points[start : start + size]
-
-
-def _prepare_block(
-    plan: RunPlan, points: tuple[tuple[float, float | None], ...], backend: str
-) -> tuple[StateVector | MatrixProductState | None, np.ndarray, np.ndarray | None]:
-    """Run the causal cone of the stacked circuit for ``points`` on ``backend``; post-select.
-
-    Returns ``(state, alive, probabilities)``: ``alive`` indexes the points
-    whose post-selected branch reaches ``BRANCH_PROBABILITY_FLOOR`` (all of
-    them without post-selection), the state stacks only those (None when
-    there are none), and ``probabilities`` holds their branch probabilities
-    (None without post-selection, empty when no branch is alive).
+def _run_blocks(plan: RunPlan, points: tuple[tuple[float, float | None], ...], backend: str):
+    """Run ``points`` on ``backend`` in stacked blocks, each the causal cone of its
+    circuit, post-selected; yield ``(start, block, state, alive, probabilities)``
+    for each, ``block`` being ``points[start : start + len(block)]``. A block holds
+    up to ``BLOCK_POINTS`` points on the MPS and ``MAX_BLOCK_AMPLITUDES`` amplitudes
+    on the statevector. ``alive`` indexes its points whose branch reaches
+    ``BRANCH_PROBABILITY_FLOOR`` (all without post-selection), the state stacks only
+    those (None when there are none), and ``probabilities`` holds their branch
+    probabilities (None without post-selection, empty when no branch is alive).
     """
-    circuit = _block_circuit(plan.config, points)
-    if len(plan.reads) < plan.total:  # a read of every qubit has nothing to prune
-        circuit = circuit.causal_cone(plan.reads)
-    fresh = MatrixProductState(plan.total) if backend == "mps" else StateVector.zeros(plan.total)
-    state = fresh.run_circuit(circuit)
+    size = BLOCK_POINTS if backend == "mps" else max(1, MAX_BLOCK_AMPLITUDES // 2**plan.total)
+    fresh = MatrixProductState if backend == "mps" else StateVector.zeros
     outcome = plan.config.postselect
-    if outcome is None:
-        return state, np.arange(len(points)), None
-    weights = state.single_rdm(plan.total)[:, outcome, outcome].real
-    alive = np.flatnonzero(weights >= BRANCH_PROBABILITY_FLOOR)
-    if alive.size == 0:
-        return None, alive, np.empty(0)
-    state = state.keep_points(alive)
-    if backend == "mps":  # projects in place
-        return state, alive, state.postselect(plan.total, outcome)
-    state, probabilities = state.postselect(plan.total, outcome)
-    return state, alive, probabilities
+    for start in range(0, len(points), size):
+        block = points[start : start + size]
+        circuit = _block_circuit(plan.config, block)
+        if len(plan.reads) < plan.total:  # a read of every qubit has nothing to prune
+            circuit = circuit.causal_cone(plan.reads)
+        state = fresh(plan.total).run_circuit(circuit)
+        if outcome is None:
+            yield start, block, state, np.arange(len(block)), None
+            continue
+        weights = state.single_rdm(plan.total)[:, outcome, outcome].real
+        alive = np.flatnonzero(weights >= BRANCH_PROBABILITY_FLOOR)
+        if alive.size == 0:
+            state, probabilities = None, np.empty(0)
+        elif backend == "mps":  # projects in place
+            probabilities = state.keep_points(alive).postselect(plan.total, outcome)
+        else:  # rebinds the pre-selection block, so it does not outlive the yield
+            state, probabilities = state.keep_points(alive).postselect(plan.total, outcome)
+        yield start, block, state, alive, probabilities
 
 
 def _pair_rdms(
@@ -450,8 +444,7 @@ def _scored_points(plan: RunPlan):
     # x86 host) from 40.3 to 45.4 MB (+13%) to save 0.01-0.03 s. Ascending rows
     # keep the MPS center walk short.
     rows = [tuple(row) for _, row in groupby(plan.pairs, key=itemgetter(0))]
-    for block in _blocks(plan.points, _block_points(plan.backend, plan.total)):
-        state, alive, probabilities = _prepare_block(plan, block, plan.backend)
+    for _, block, state, alive, probabilities in _run_blocks(plan, plan.points, plan.backend):
         if state is None:
             continue
         if plan.backend == "mps" and state.discarded_weight_total >= DISCARDED_WEIGHT_LIMIT:
@@ -546,33 +539,29 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
     weight over the grid points whose branch both backends find alive. A
     branch alive on one backend only deviates by at least its probability
     minus ``BRANCH_PROBABILITY_FLOOR``, and that is what the probability
-    deviation records for it. The MPS runs each block of up to
-    ``BLOCK_POINTS`` grid points as one stacked circuit, and the statevector
-    runs it in sub-blocks of at most ``MAX_BLOCK_AMPLITUDES`` amplitudes. Each
-    sub-block is compared in one pass: one intersection of the two alive lists,
-    one concurrence call scoring both backends there. A check that found no
-    grid point alive on both backends checked nothing and fails.
+    deviation records for it. The grid runs through ``_run_blocks`` on the
+    MPS, and each MPS block through it again on the statevector, in the
+    smaller statevector blocks. Each statevector block is compared in one pass:
+    one intersection of the two alive lists, one concurrence call scoring both
+    backends there. A check that found no grid point alive on both backends
+    checked nothing and fails.
     """
     plan = _plan(config)
     if plan.total > MAX_QUBITS:
         raise ValueError(f"oracle check needs <= {MAX_QUBITS} qubits, protocol uses {plan.total}")
-    sv_points = _block_points("statevector", plan.total)
     floor = BRANCH_PROBABILITY_FLOOR
     max_rdm = 0.0
     max_conc = 0.0
     max_prob = 0.0
     max_weight = 0.0
     n_checked = 0
-    for block in _blocks(plan.points, BLOCK_POINTS):
-        mps, mps_alive, p_mps = _prepare_block(plan, block, "mps")
+    for _, block, mps, mps_alive, p_mps in _run_blocks(plan, plan.points, "mps"):
         if mps is not None:
             max_weight = max(max_weight, mps.discarded_weight_total)
             mps_rdms = _pair_rdms(mps, plan.pairs)
-        for start in range(0, len(block), sv_points):
-            stop = start + sv_points
-            sv, sv_alive, p_sv = _prepare_block(plan, block[start:stop], "statevector")
-            # the MPS stack positions lo:hi hold the points of this sub-block
-            lo, hi = np.searchsorted(mps_alive, (start, stop))
+        for start, points, sv, sv_alive, p_sv in _run_blocks(plan, block, "statevector"):
+            # the MPS stack positions lo:hi hold the points of this statevector block
+            lo, hi = np.searchsorted(mps_alive, (start, start + len(points)))
             _, m, s = np.intersect1d(mps_alive[lo:hi] - start, sv_alive, return_indices=True)
             n_checked += s.size
             if p_sv is not None:

@@ -34,7 +34,7 @@ def test_unitary_params_special_angles():
 
 
 def test_unitary_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="angles must be finite"):
         unitary_params(float("nan"))
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -56,11 +58,12 @@ def test_zero_matrix_keeps_one_value():
 
 
 def test_svd_input_validation():
-    with pytest.raises(ValueError):
+    message = "expected a non-empty 2-d matrix or a stack of them, got shape (0, 2)"
+    with pytest.raises(ValueError, match=re.escape(message)):
         svd_truncate(np.zeros((0, 2)), max_rank=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_rank must be >= 1, got 0"):
         svd_truncate(np.eye(2), max_rank=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix contains non-finite entries"):
         svd_truncate(np.array([[np.nan, 0], [0, 1]]), max_rank=1)
     assert svd_truncate(np.eye(3), max_rank=np.int64(2)).rank == 2
 
@@ -102,7 +105,7 @@ def test_eigs_residual_and_trace(rng):
 def test_eigs_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("expected a square matrix, got shape (2, 3)")):
         hermitian_eigs(np.zeros((2, 3)))
 
 

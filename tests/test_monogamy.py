@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symm_ent import GridSpec, SweepConfig, wootters_concurrence
-from symm_ent.sweep import _pair_rdms, _plan, _prepare_block
+from symm_ent.sweep import _pair_rdms, _plan, _run_blocks
 
 from test_contract import ANGLES, grids
 
@@ -37,22 +37,26 @@ CONFIGS = [
 
 def _check_the_bound(config: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
     """Check the bound at every qubit and live grid point of ``config``'s
-    run; return the squared concurrences of every pair and the live points.
+    run, block by block; return the squared concurrences of every pair and
+    the live points.
 
     The default pairs read every qubit, so the run keeps every op."""
     plan = _plan(config)
-    state, alive, _ = _prepare_block(plan, plan.points, plan.backend)
     n = plan.total
     pairs = tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
-    if state is None:  # no post-selected branch is alive
-        return np.zeros((len(pairs), 0)), alive
-    squared = wootters_concurrence(_pair_rdms(state, pairs)) ** 2
-    assert squared.shape == (len(pairs), alive.size)
-    for q in range(1, n + 1):
-        tangle = 4.0 * np.linalg.det(state.single_rdm(q)).real
-        shared = sum(squared[k] for k, pair in enumerate(pairs) if q in pair)
-        assert np.all(tangle >= shared - 1e-12), q
-    return squared, alive
+    squared, alive = [np.zeros((len(pairs), 0))], [np.zeros(0, dtype=int)]
+    for start, _, state, block_alive, _ in _run_blocks(plan, plan.points, plan.backend):
+        if state is None:  # no post-selected branch of the block is alive
+            continue
+        block_squared = wootters_concurrence(_pair_rdms(state, pairs)) ** 2
+        assert block_squared.shape == (len(pairs), block_alive.size)
+        for q in range(1, n + 1):
+            tangle = 4.0 * np.linalg.det(state.single_rdm(q)).real
+            shared = sum(block_squared[k] for k, pair in enumerate(pairs) if q in pair)
+            assert np.all(tangle >= shared - 1e-12), q
+        squared.append(block_squared)
+        alive.append(start + block_alive)
+    return np.concatenate(squared, axis=1), np.concatenate(alive)
 
 
 @pytest.mark.parametrize("backend", ["statevector", "mps"])

@@ -62,8 +62,14 @@ def test_init_examples():
 
 
 def test_init_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="MPS backend needs at least 2 qubits, got 1"):
         MatrixProductState(1)
+
+
+@pytest.mark.parametrize("i, j", [(3, 2), (2, 2)])
+def test_apply_2q_needs_ascending_sites(i, j):
+    with pytest.raises(ValueError, match=re.escape(f"need i < j, got ({i}, {j})")):
+        MatrixProductState(4).apply_2q(np.eye(4), i, j)
 
 
 def test_apply_1q_examples():
@@ -247,9 +253,9 @@ def test_pair_rdm_matches_oracle_adjacent_and_distant(rng):
 
 def test_pair_rdm_validation():
     mps = MatrixProductState(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pair sites must ascend from i = 3, got 3 after 3"):
         mps.pair_rdm(3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pair sites must ascend from i = 3, got 2 after 3"):
         mps.pair_rdm(3, 2)
 
 
@@ -632,6 +638,11 @@ def test_postselect_zero_probability_errors():
     mps = MatrixProductState(3)
     with pytest.raises(ValueError, match="zero probability"):
         mps.postselect(2, 1)
+
+
+def test_postselect_rejects_an_outcome_other_than_0_or_1():
+    with pytest.raises(ValueError, match="outcome must be 0 or 1, got 2"):
+        MatrixProductState(3).postselect(2, 2)
 
 
 def test_run_circuit_size_mismatch():

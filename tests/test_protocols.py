@@ -16,6 +16,7 @@ from symm_ent import (
     rotation_matrix,
     wootters_concurrence,
 )
+from symm_ent.protocols import periodic_site_angle
 
 from oracles import case1_state_amplitudes, reverse_qubits, star_state_amplitudes
 
@@ -79,7 +80,7 @@ def test_star_single_outer_makes_bell_pair():
 
 
 def test_build_star_rejects_bad_size():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="star protocol needs n_outer >= 1, got 0"):
         build_star(0, 1.0)
 
 
@@ -107,10 +108,19 @@ def test_build_linear_op_lists():
 
 
 def test_build_linear_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="case must be 1, 2, 3, or 4, got 5"):
         build_linear(4, 5, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="chain protocol needs n >= 3, got 2"):
         build_linear(2, 1, 0.5)
+
+
+def test_build_periodic_validation():
+    with pytest.raises(ValueError, match="alternating chain protocol needs n >= 4, got 3"):
+        build_periodic(3, 0.1, 0.2)
+    for site in (0, 6):
+        message = f"site {site} is not rotated by the alternating protocol on 6 qubits"
+        with pytest.raises(ValueError, match=message):
+            periodic_site_angle(6, site, 0.1, 0.2)
 
 
 def test_case4_n6_matches_manual_operator_product():
@@ -207,10 +217,12 @@ def test_every_gate_respects_declared_topology():
 
 
 def test_circuit_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rotation site 3 outside 1..2"):
         Circuit(2, (Rotation(3, 0.1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="CX control and target must differ"):
         Circuit(2, (ControlledNot(1, 1),))
+    with pytest.raises(ValueError, match="circuit needs at least one qubit, got 0"):
+        Circuit(0, ())
 
 
 @pytest.mark.parametrize(

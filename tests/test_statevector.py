@@ -28,7 +28,7 @@ def test_zeros_examples():
 
 @pytest.mark.parametrize("n", [0, 13])
 def test_zeros_rejects_out_of_range(n):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"statevector backend supports 1..12 qubits, got {n}"):
         StateVector.zeros(n)
 
 
@@ -44,7 +44,7 @@ def test_apply_1q_validation():
     sv = StateVector.zeros(2)
     with pytest.raises(ValueError, match="not unitary"):
         sv.apply_1q(np.array([[1.0, 0.0], [1.0, 1.0]]), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="site 3 outside 1..2"):
         sv.apply_1q(rotation_matrix(0.3), 3)
 
 
@@ -66,7 +66,7 @@ def test_cx_examples():
 
 
 def test_cx_rejects_equal_sites():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="control and target must differ"):
         StateVector.zeros(2).apply_cx(1, 1)
 
 
@@ -169,6 +169,11 @@ def test_postselect_star_branch_probability():
 def test_postselect_zero_probability_errors():
     with pytest.raises(ValueError, match="zero probability"):
         StateVector.zeros(2).postselect(1, 1)
+
+
+def test_postselect_rejects_an_outcome_other_than_0_or_1():
+    with pytest.raises(ValueError, match="outcome must be 0 or 1, got 2"):
+        StateVector.zeros(3).postselect(2, 2)
 
 
 def test_star_permutation_symmetry():

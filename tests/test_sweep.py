@@ -33,7 +33,7 @@ from symm_ent import (
     unitary_params,
     write_rows,
 )
-from symm_ent.sweep import _block_circuit, _pair_rdms, _plan, _prepare_block
+from symm_ent.sweep import _block_circuit, _pair_rdms, _plan, _run_blocks
 
 TWO_PI = 2 * np.pi
 
@@ -54,12 +54,14 @@ def linear_config(**kw):
 def test_grid_spec_parsing():
     assert GridSpec.parse("0:6.2:11") == GridSpec(0.0, 6.2, 11)
     assert GridSpec.parse("1.57").values().tolist() == [1.57]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad grid '1:2': expected 'start:stop:steps'"):
         GridSpec.parse("1:2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("grid needs start < stop, got 1.0..0.0")):
         GridSpec(1.0, 0.0, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid needs steps >= 1, got 0"):
         GridSpec(0.0, 1.0, 0)
+    with pytest.raises(ValueError, match="single-point grid needs start == stop"):
+        GridSpec(0.0, 1.0, 1)
 
 
 @pytest.mark.parametrize("steps", [2.5, 3.0, True])
@@ -232,6 +234,45 @@ def test_sweep_validation_errors():
         run_sweep(SweepConfig(protocol="periodic", theta=GridSpec.single(1.0), n=6))
     with pytest.raises(ValueError, match="outside"):
         run_sweep(linear_config(pairs=((1, 9),)))
+
+
+@pytest.mark.parametrize(
+    "given_fields, message",
+    [
+        (dict(protocol="ring", n=6), "protocol must be one of ('star', 'linear', 'periodic'), "
+         "got 'ring'"),
+        (dict(protocol="linear", n=6, backend="gpu"),
+         "backend must be one of ('statevector', 'mps', 'auto'), got 'gpu'"),
+        (dict(protocol="linear", n=6, postselect=0),
+         "postselect is only meaningful for the star protocol"),
+        (dict(protocol="periodic", n=6),
+         "periodic protocol needs exactly one of theta2 / theta2_offset"),
+        (dict(protocol="periodic", n=6, theta2=GridSpec.single(0.5), theta2_offset=0.1),
+         "periodic protocol needs exactly one of theta2 / theta2_offset"),
+        (dict(protocol="linear", n=6, theta2_offset=0.1),
+         "theta2 is only meaningful for the periodic protocol"),
+        (dict(protocol="star", n_outer=3, theta2=GridSpec.single(0.5)),
+         "theta2 is only meaningful for the periodic protocol"),
+    ],
+    ids=["protocol", "backend", "postselect-linear", "periodic-no-theta2",
+         "periodic-both-theta2", "theta2_offset-linear", "theta2-star"],
+)
+def test_unknown_names_and_misplaced_options_are_rejected_by_name(given_fields, message):
+    config = SweepConfig(theta=GridSpec.single(1.0), **given_fields)
+    for run in (run_sweep, run_compare, run_oracle_check):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(config)
+
+
+@pytest.mark.parametrize("pairs", [(), [], None, 5], ids=["tuple", "list", "None", "int"])
+def test_only_the_default_pairs_select_the_default_keyword(pairs):
+    # an empty or non-sequence selection is an error naming pairs, not the default
+    config = linear_config(n=5, theta=GridSpec.single(1.0), pairs=pairs)
+    message = f"pairs must be a pair keyword or a non-empty sequence, got {pairs!r}"
+    for run in (run_sweep, run_compare, run_oracle_check):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(config)
+    assert len(run_sweep(replace(config, pairs=""))) == 4
 
 
 def test_sweep_star_skips_dead_branches():
@@ -481,6 +522,10 @@ def test_cli_oracle_check_runs():
              "--pairs", "1:2,2:3"),
             "grid 1.0:1.0000000000000002:5 repeats the angle 1.0",
         ),
+        (("--protocol", "linear", "--n", "6", "--pairs", "1:2:3", "--theta", "1.0"),
+         "bad pair '1:2:3': expected 'i:j' or one of the keywords"),
+        (("--protocol", "linear", "--n", "6", "--pairs", "1:2,1:x", "--theta", "1.0"),
+         "bad pair '1:x': sites must be integers"),
     ],
 )
 def test_cli_rejects_bad_grid_and_empty_selection(args, message):
@@ -864,6 +909,16 @@ def test_csv_empty_field_is_none_only_in_optional_columns():
         row.theta = 1.0
 
 
+def test_csv_reader_rejects_a_foreign_header_and_a_short_row():
+    text = rows_to_csv_text([OutputRow(0.5, None, 1, 2, 0.125, None, None, None, None)])
+    header = text.split("\n")[0]
+    assert rows_from_csv_text(text)
+    with pytest.raises(ValueError, match="unrecognized CSV header"):
+        rows_from_csv_text(text.replace("theta,", "angle,", 1))
+    with pytest.raises(ValueError, match=re.escape("malformed CSV row: '0.5,,1,2'")):
+        rows_from_csv_text(f"{header}\n0.5,,1,2\n")
+
+
 # ------------------------------------------- stacked grid runs vs single points
 
 NUMERIC_COLUMNS = ("concurrence_numeric", "abs_error", "postselect_probability")
@@ -1054,6 +1109,49 @@ def test_oracle_check_aligns_the_backends_across_block_boundaries(
     assert blocked.max_concurrence_deviation < 1e-10
 
 
+# --------------------------------------------------------- the block runner
+
+# twelve qubits: the statevector runs blocks of 8 points, the MPS one block of
+# 256 and one of 44; the branch is dead at both grid ends
+STAR_BLOCKS = SweepConfig(protocol="star", theta=GridSpec(0.0, TWO_PI, 300), n_outer=11,
+                          postselect=0)
+
+
+@pytest.mark.parametrize("backend, size", [("statevector", 8), ("mps", 256)])
+def test_the_block_runner_tiles_the_grid_in_blocks_sized_per_backend(backend, size):
+    plan = _plan(replace(STAR_BLOCKS, backend=backend))
+    blocks = list(_run_blocks(plan, plan.points, backend))
+    assert [start for start, *_ in blocks] == list(range(0, 300, size))
+    for start, block, state, alive, probabilities in blocks:
+        assert block == plan.points[start : start + size]
+        # each block is bitwise the run of its points alone
+        [(_, alone_block, alone, alone_alive, alone_probabilities)] = _run_blocks(
+            plan, block, backend
+        )
+        assert alone_block == block
+        assert np.array_equal(alive, alone_alive)
+        assert np.array_equal(probabilities, alone_probabilities)
+        assert np.array_equal(_pair_rdms(state, plan.pairs), _pair_rdms(alone, plan.pairs))
+
+
+def test_the_oracle_checks_every_live_point_of_every_block():
+    # the live points are those whose branch reaches the floor, by the closed form
+    probability = (1 + (-np.cos(STAR_BLOCKS.theta.values())) ** 11) / 2
+    assert np.count_nonzero(probability >= symm_ent.sweep.BRANCH_PROBABILITY_FLOOR) == 298
+    assert run_oracle_check(STAR_BLOCKS).n_points == 298
+
+
+def test_a_dead_statevector_block_yields_no_state_between_live_ones():
+    plan = _plan(replace(STAR_BLOCKS, backend="statevector"))
+    live = tuple((theta, None) for theta in np.linspace(0.5, 2.5, 8).tolist())
+    dead = tuple((theta, None) for theta in np.linspace(0.0, 1e-6, 8).tolist())
+    blocks = list(_run_blocks(plan, live + dead + live[:2], "statevector"))
+    assert [(start, len(block)) for start, block, *_ in blocks] == [(0, 8), (8, 8), (16, 2)]
+    (_, _, first, *_), (_, _, state, alive, probabilities), (_, _, last, *_) = blocks
+    assert state is None and alive.size == 0 and probabilities.size == 0
+    assert first.grid == 8 and last.grid == 2
+
+
 # ------------------------------------------------------------- causal cone
 
 
@@ -1099,14 +1197,17 @@ def test_the_causal_cone_changes_no_read(config):
     # the same plan reading every qubit runs the whole circuit
     unpruned = replace(plan, reads=frozenset(range(1, plan.total + 1)))
     for backend in ("statevector", "mps"):
-        state, alive, probabilities = _prepare_block(plan, plan.points, backend)
-        whole, whole_alive, whole_probabilities = _prepare_block(unpruned, plan.points, backend)
-        assert np.array_equal(alive, whole_alive)
-        if probabilities is not None:
-            assert np.abs(probabilities - whole_probabilities).max(initial=0.0) <= 1e-13
-        if state is not None:
-            deviation = np.abs(_pair_rdms(state, plan.pairs) - _pair_rdms(whole, plan.pairs))
-            assert deviation.max() <= 1e-13, backend
+        pruned_run = _run_blocks(plan, plan.points, backend)
+        whole_run = _run_blocks(unpruned, plan.points, backend)
+        for pruned_block, whole_block in zip(pruned_run, whole_run, strict=True):
+            _, _, state, alive, probabilities = pruned_block
+            _, _, whole, whole_alive, whole_probabilities = whole_block
+            assert np.array_equal(alive, whole_alive)
+            if probabilities is not None:
+                assert np.abs(probabilities - whole_probabilities).max(initial=0.0) <= 1e-13
+            if state is not None:
+                deviation = np.abs(_pair_rdms(state, plan.pairs) - _pair_rdms(whole, plan.pairs))
+                assert deviation.max() <= 1e-13, backend
 
 
 def test_a_chain_read_at_its_center_runs_about_half_its_circuit():
