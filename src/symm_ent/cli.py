@@ -46,17 +46,18 @@ def _parse_pairs(text: str):
 
 
 def _out_path(ctx, param, value):
-    """Reject an ``--out`` whose directory is missing before the run, not after it."""
+    """Reject an empty ``--out``, or one whose directory is missing, before the run."""
+    if value == "":
+        raise click.BadParameter("the path is empty")
     if value is not None and not Path(value).parent.is_dir():
         raise click.BadParameter(f"directory {str(Path(value).parent)!r} does not exist")
     return value
 
 
-def _run(action, options: dict):
-    """Build the config from the common options and return ``action(config)``.
-
-    A ValueError is a usage error (exit 2); a RuntimeError exits 1.
-    """
+def _run(action, options: dict, out: str | None = None, fmt: str = "csv"):
+    """Build the config from the common options, run ``action(config)``, write its
+    rows to ``out`` when given and return the result. A ValueError is a usage
+    error (exit 2); a RuntimeError, or an OSError writing ``out``, exits 1."""
     try:
         theta2 = options.pop("theta2")
         config = SweepConfig(
@@ -65,10 +66,13 @@ def _run(action, options: dict):
             pairs=_parse_pairs(options.pop("pairs")),
             **options,
         )
-        return action(config)
+        result = action(config)
+        if out is not None:  # a compare report carries the rows it swept
+            write_rows(getattr(result, "rows", result), out, fmt)
+        return result
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
-    except RuntimeError as exc:
+    except (RuntimeError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 
@@ -118,10 +122,8 @@ def main():
               help="Write the table here instead of stdout.")
 def sweep(fmt, out, **options):
     """Sweep the angle grid and emit one row per (grid point, pair)."""
-    rows = _run(run_sweep, options)
-    if out:
-        write_rows(rows, out, fmt)
-    else:
+    rows = _run(run_sweep, options, out, fmt)
+    if out is None:
         click.echo(rows_to_text(rows, fmt), nl=False)
 
 
@@ -131,9 +133,7 @@ def sweep(fmt, out, **options):
               help="Also write the underlying sweep rows here as CSV.")
 def compare(out, **options):
     """Check swept concurrences against their closed forms (threshold 1e-8)."""
-    report = _run(run_compare, options)
-    if out:
-        write_rows(report.rows, out)
+    report = _run(run_compare, options, out)
     click.echo(render_compare(report))
     if not report.passed:
         sys.exit(1)

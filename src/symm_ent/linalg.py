@@ -172,9 +172,9 @@ def svd_truncate(matrix, max_rank: int) -> SVDResult:
     ``min(max_rank, k)`` where ``k`` is the largest count, over the stack, of
     singular values at or above ``SINGULAR_VALUE_FLOOR``; at least one value
     is always kept so downstream tensors never lose their bond. The reported
-    ``discarded_weight`` equals the relative squared Frobenius reconstruction
-    error of the truncated factorization: a float for one matrix, an array
-    of the stack shape for a stack.
+    ``discarded_weight`` is the relative squared Frobenius reconstruction
+    error of the truncation, an exact zero when no value is dropped: a float
+    for one matrix, an array of the stack shape for a stack.
 
     A real two-row or two-column matrix or stack, as a bond-2 split is, is
     factored in closed form at any stack size: U rotates onto the
@@ -211,12 +211,12 @@ def svd_truncate(matrix, max_rank: int) -> SVDResult:
 
     significant = np.count_nonzero(s >= SINGULAR_VALUE_FLOOR, axis=-1)
     keep = max(1, min(max_rank, int(significant.max(initial=0))))
-    # squares relative to the largest value: entries above 1e154 would overflow
-    squares = np.square(np.divide(s, s[..., :1], out=np.zeros_like(s), where=s[..., :1] > 0))
-    total = squares.sum(axis=-1)
-    dropped = squares[..., keep:].sum(axis=-1)
-    # a zero matrix keeps its single zero value and discards nothing
-    discarded = np.divide(dropped, total, out=np.zeros_like(total), where=total > 0.0)
+    discarded = np.zeros(s.shape[:-1])  # an exact zero where nothing is dropped
+    if keep < s.shape[-1]:
+        # squares relative to the largest value: entries above 1e154 would overflow
+        squares = np.square(np.divide(s, s[..., :1], out=np.zeros_like(s), where=s[..., :1] > 0))
+        total = squares.sum(axis=-1)  # 0 only for a zero matrix, which discards nothing
+        np.divide(squares[..., keep:].sum(axis=-1), total, out=discarded, where=total > 0.0)
 
     return SVDResult(
         left_isometry=u[..., :keep],

@@ -4,12 +4,12 @@ The state is kept in mixed-canonical form around an orthogonality center:
 site tensors have index order (left bond, physical, right bond), tensors
 strictly left of the center are left-isometric, tensors strictly right of it
 are right-isometric, and the center tensor carries the full norm. Moving the
-center one site right is a pure QR basis change that leaves the represented
-state untouched; across a bond of dimension 1 the QR of the one-column matrix
-is its normalisation, so that is what the move does. There is one move: a
-left move is the right move of the mirrored chain, each tensor's bond axes
-swapped, (l, 2, r) -> (r, 2, l). Mirrored back, the orthonormal columns of
-the QR factor are orthonormal rows, for real and complex tensors alike.
+center across a bond is a pure QR basis change that leaves the represented
+state untouched. A tensor between bonds of dimension 1 is a unit vector, left-
+and right-isometric at once, so a run of such bonds is crossed in one step:
+the center tensor is divided by its norm and the run's far tensor multiplied
+by it. Every other bond is one QR, and a left move is the right move of the
+mirrored chain, each tensor's bond axes swapped, (l, 2, r) -> (r, 2, l).
 
 Every two-site gate is the one nearest-neighbor update: contract the
 two-site block at the center, apply the gate, split back with an SVD. A gate
@@ -94,11 +94,15 @@ def _dag(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _vector_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=-1, keepdims=True)``, bitwise, without its wrapper."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, -1, keepdims=True))
+
+
 def _norms(t: np.ndarray) -> np.ndarray:
     """Frobenius norm of each site tensor of a stack, shaped to broadcast
     against the stack."""
-    flat = t.reshape(t.shape[:-3] + (-1,))
-    return np.linalg.norm(flat, axis=-1, keepdims=True)[..., None, None]
+    return _vector_norms(t.reshape(t.shape[:-3] + (-1,)))[..., None, None]
 
 
 def _mirror(t: np.ndarray) -> np.ndarray:
@@ -252,21 +256,15 @@ class MatrixProductState:
     # ------------------------------------------------------- center movement
 
     def _shift(self, step: int) -> None:
-        """Move the center one site right (``step`` 1) or left (-1); a left
-        move is the right move of the mirrored pair of tensors."""
+        """Move the center one site right (``step`` 1) or left (-1) by a QR; a
+        left move is the right move of the mirrored pair of tensors."""
         c, to = self.center, self.center + step  # the center and the site it moves to
         flip = _mirror if step < 0 else np.asarray  # asarray returns an array as it is
         t, nxt = flip(self.tensors[c - 1]), flip(self.tensors[to - 1])
         *lead, l, _, r = t.shape
-        if r == 1:
-            # the QR of a single column is its normalisation
-            norm = _norms(t)
-            t, nxt = t / norm, nxt * norm
-        else:
-            q, carry = np.linalg.qr(t.reshape(*lead, l * 2, r))
-            t = q.reshape(*lead, l, 2, -1)
-            nxt = (carry @ nxt.reshape(*lead, r, -1)).reshape(*lead, -1, 2, nxt.shape[-1])
-        self.tensors[c - 1], self.tensors[to - 1] = flip(t), flip(nxt)
+        q, carry = np.linalg.qr(t.reshape(*lead, l * 2, r))
+        nxt = (carry @ nxt.reshape(*lead, r, -1)).reshape(*lead, -1, 2, nxt.shape[-1])
+        self.tensors[c - 1], self.tensors[to - 1] = flip(q.reshape(*lead, l, 2, -1)), flip(nxt)
         self.center = to
 
     def _split(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -276,14 +274,26 @@ class MatrixProductState:
         res = svd_truncate(block, min(block.shape[-2:]))
         self.discarded_weight = self.discarded_weight + res.discarded_weight
         s = res.singular_values
-        norm_s = np.linalg.norm(s, axis=-1, keepdims=True)
-        norm_block = np.linalg.norm(block.reshape(block.shape[:-2] + (-1,)), axis=-1, keepdims=True)
+        norm_s = _vector_norms(s)
+        norm_block = _vector_norms(block.reshape(block.shape[:-2] + (-1,)))
         s = s * np.divide(norm_block, norm_s, out=np.ones_like(norm_s), where=norm_s > 0.0)
         return res.left_isometry, s, res.right_isometry_dag
 
     def _move_center_to(self, site: int) -> None:
+        """Move the center to ``site``: across a run of bonds of dimension 1 in
+        one step (see the module docstring), across any other bond by ``_shift``."""
         while self.center != site:
-            self._shift(1 if self.center < site else -1)
+            c = to = self.center
+            step, bond = (1, -1) if c < site else (-1, -3)  # the bond axis toward site
+            while to != site and self.tensors[to - 1].shape[bond] == 1:
+                to += step
+            if to == c:
+                self._shift(step)
+            else:
+                norm = _norms(self.tensors[c - 1])
+                self.tensors[c - 1] = self.tensors[c - 1] / norm
+                self.tensors[to - 1] = self.tensors[to - 1] * norm
+                self.center = to
 
     # ------------------------------------------------------------ gate layer
 

@@ -94,6 +94,26 @@ def mps_amplitudes(state) -> np.ndarray:
     return vec[..., 0]
 
 
+def stepwise_move_center_to(state, site: int) -> None:
+    """Move the center of a ``MatrixProductState`` to ``site`` one bond at a
+    time, as the engine did before it crossed a run of bonds of dimension 1 in
+    one step: such a bond by dividing the center tensor (mirrored for a left
+    move) by its ``np.linalg.norm`` and multiplying the next tensor by it, any
+    other bond by the engine's own ``_shift``."""
+    while state.center != site:
+        step = 1 if state.center < site else -1
+        c, to = state.center, state.center + step
+        if state.tensors[c - 1].shape[-1 if step > 0 else -3] != 1:
+            state._shift(step)
+            continue
+        flip = (lambda t: np.ascontiguousarray(t.swapaxes(-3, -1))) if step < 0 else np.asarray
+        t, nxt = flip(state.tensors[c - 1]), flip(state.tensors[to - 1])
+        norm = np.linalg.norm(t.reshape(t.shape[:-3] + (-1,)), axis=-1, keepdims=True)
+        norm = norm[..., None, None]
+        state.tensors[c - 1], state.tensors[to - 1] = flip(t / norm), flip(nxt * norm)
+        state.center = to
+
+
 def _point_row(state, i: int, j, point: int | None):
     """Checks shared by the per-point references: the center is at ``i``;
     returns the row's sites and the tensors of i..sites[-1] at ``point``."""

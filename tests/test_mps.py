@@ -32,6 +32,7 @@ from oracles import (
     mps_amplitudes,
     pair_rdm_at_point,
     pair_rdm_einsum,
+    stepwise_move_center_to,
 )
 from test_mps_properties import protocol_grids
 
@@ -136,6 +137,76 @@ def test_shift_center_restores_isometries(rng):
         mps._move_center_to(target)
         assert mps.center == target
         assert mps.canonical_deviation() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        # chain-center's cone: a fresh state's center walks from site 1 to site 59
+        build_linear(60, 4, tuple(np.linspace(0.0, 2 * np.pi, 7))).causal_cone({30, 31}),
+        build_linear(20, 1, tuple(np.linspace(0.1, 6.0, 5))),
+        build_star(8, (0.4, 1.9, 3.3)),
+    ],
+)
+def test_a_fresh_state_reaches_a_far_first_gate_bitwise_as_the_stepwise_walk(
+    circuit, monkeypatch
+):
+    """Crossing the |0> sites of a fresh stacked state in one step writes
+    bitwise the tensors the one-bond-at-a-time walk wrote, through the whole run."""
+    run = MatrixProductState(circuit.n_qubits).run_circuit(circuit)
+    monkeypatch.setattr(MatrixProductState, "_move_center_to", stepwise_move_center_to)
+    walked = MatrixProductState(circuit.n_qubits).run_circuit(circuit)
+    assert run.center == walked.center
+    for a, b in zip(run.tensors, walked.tensors):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_a_run_of_bonds_of_dimension_1_is_crossed_in_one_normalisation(monkeypatch):
+    """A fresh state's center crosses 58 bonds of dimension 1, right and back
+    left, in one norm each, and every tensor stays |0>."""
+    norms, original = [], symm_ent.mps._norms
+    monkeypatch.setattr(symm_ent.mps, "_norms", lambda t: norms.append(t.shape) or original(t))
+    state = MatrixProductState(60)
+    state._stack(7)
+    for site, shape in ((59, (7, 1, 2, 1)), (1, (7, 1, 2, 1))):
+        norms.clear()
+        state._move_center_to(site)
+        assert state.center == site and norms == [shape]
+    assert all(t.tobytes() == MatrixProductState(60).tensors[0].tobytes() * 7 for t in state.tensors)
+
+
+def test_a_computed_product_stretch_is_crossed_keeping_the_state(rng):
+    """A run of bonds of dimension 1 in a computed state is crossed in one step
+    from the far end and back: every point's amplitudes and norm stay, the form
+    stays canonical, and a pair read across the run is the brute-force one."""
+    n, grid = 10, (0.0, np.pi, 2 * np.pi)
+    # a case-1 chain is a product state at these angles: every split drops a zero
+    product = MatrixProductState(n).run_circuit(build_linear(n, 1, grid))
+    # the cone of the last pair leaves sites 1..7 unentangled; rotating every
+    # site makes their tensors complex unit vectors only to roundoff
+    cone = MatrixProductState(n).run_circuit(
+        build_linear(n, 1, (0.4, 1.9, 3.3)).causal_cone({n - 1, n})
+    )
+    for site in range(1, n + 1):
+        cone.apply_1q(haar_unitary(rng), site)
+    # a center carrying norm 3, which a move must carry along the run
+    scaled = copy.deepcopy(cone)
+    scaled.tensors[scaled.center - 1] = 3.0 * scaled.tensors[scaled.center - 1]
+    assert product.max_bond_dimension == 1 and product.discarded_weight_total < 1e-30
+    assert [t.shape[-1] for t in cone.tensors[:-1]] == [1] * 7 + [2, 2]
+    for state in (product, cone, scaled):
+        reference, norm = mps_amplitudes(state), state.norm()
+        for site in (n, 1, n - 1, 2):
+            state._move_center_to(site)
+            assert state.center == site
+            assert np.abs(mps_amplitudes(state) - reference).max() < 1e-12
+            assert np.abs(state.norm() - norm).max() < 1e-12
+            if state is not scaled:
+                assert state.canonical_deviation() <= 1e-12
+        rho = state.pair_rdm(1, n)
+        for k in range(state.grid):
+            assert np.abs(rho[k] - brute_pair_rdm(reference[k], n, 1, n)).max() < 1e-12
+    assert np.abs(scaled.norm() - 3.0).max() < 1e-12
 
 
 @pytest.mark.parametrize("stacked", [False, True])

@@ -116,13 +116,17 @@ def test_apply_2q_keeps_the_center_side():
 
 @pytest.mark.parametrize("case", [1, 2, 3, 4])
 def test_staircase_circuits_need_no_qr(case, monkeypatch):
-    # look-ahead placement leaves the center where the next gate acts, and
-    # walks across untouched |0> sites are normalisations
-    calls = []
-    original = np.linalg.qr
+    # look-ahead placement leaves the center where the next gate acts, and a
+    # fresh state's center crosses the |0> sites before the first gate, all
+    # bonds of dimension 1, in one normalisation: no QR and no one-bond move
+    calls, shifts = [], []
+    original, shift = np.linalg.qr, MatrixProductState._shift
     monkeypatch.setattr(np.linalg, "qr", lambda m: calls.append(m.shape) or original(m))
+    monkeypatch.setattr(
+        MatrixProductState, "_shift", lambda self, step: shifts.append(step) or shift(self, step)
+    )
     mps = MatrixProductState(20).run_circuit(build_linear(20, case, 0.9))
-    assert calls == []
+    assert calls == [] and shifts == []
     assert mps.canonical_deviation() <= 1e-12
 
 

@@ -657,6 +657,40 @@ def test_cli_out_into_a_missing_directory_is_refused_before_the_run(
     assert not missing.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_cli_an_empty_out_is_a_usage_error(command, monkeypatch):
+    def never(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(symm_ent.cli, "run_sweep", never)
+    monkeypatch.setattr(symm_ent.cli, "run_compare", never)
+    result = CliRunner().invoke(
+        symm_ent.cli.main,
+        [command, "--protocol", "linear", "--n", "8", "--theta", "0:6:7", "--out", ""],
+    )
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--out': the path is empty" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_cli_a_failed_out_write_exits_one_with_an_error(command, monkeypatch, tmp_path):
+    def refused(rows, path, fmt="csv"):
+        assert len(rows) == 7 * 7  # seven angles, seven adjacent pairs
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(symm_ent.cli, "write_rows", refused)
+    out = tmp_path / "rows.csv"
+    result = CliRunner().invoke(
+        symm_ent.cli.main,
+        [command, "--protocol", "linear", "--n", "8", "--theta", "0:6:7", "--out", str(out)],
+    )
+    assert result.exit_code == 1, result.output
+    assert result.stderr == f"error: [Errno 13] Permission denied: {str(out)!r}\n"
+    assert result.stdout == ""
+    assert not isinstance(result.exception, PermissionError)
+
+
 def _one_matrix_at_a_time(rho):
     """``wootters_concurrence`` called once per matrix of a stack."""
     rho = np.asarray(rho)
