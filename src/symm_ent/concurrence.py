@@ -7,8 +7,8 @@ floor's scale; NaN fails) is scored in closed form by
 ``xstate_concurrence``. An X state is the direct sum of its outer
 (rows and columns 0, 3) and inner (1, 2) 2x2 blocks, so that route checks
 it through ``hermitian_eigs`` on the stack of blocks: finiteness,
-Hermiticity and the eigenvalue check on two 2x2 problems instead of a 4x4
-one, and no SVD.
+Hermiticity and the eigenvalue check on two 2x2 spectra in closed form
+instead of a 4x4 one on LAPACK, and no SVD.
 
 Any other matrix takes the general route: it factors rho = L L^dag and reads
 the square roots of the spectrum of rho * rho_tilde off as the singular

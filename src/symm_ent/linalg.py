@@ -3,9 +3,9 @@
 Only two factorizations are needed anywhere in this package: a truncated
 singular value decomposition (splitting two-site blocks, compressing bonds)
 and Hermitian eigenvalues (density-matrix spectra). Every real two-row or
-two-column matrix, one or a stack of any size, as a bond-2 split makes, is
-factored in closed form; everything else goes to LAPACK. Every matrix that
-reaches these routines is small, a few hundred rows at the very most, so
+two-column matrix, as a bond-2 split makes, and every 2x2 spectrum, one or a
+stack of any size, is taken in closed form; the rest goes to LAPACK. Every
+matrix reaching these routines is small, a few hundred rows at most, so
 explicit validation and deterministic behavior win over asymptotics. Each
 routine also takes a stack of matrices, one per grid point, in one call.
 
@@ -227,13 +227,15 @@ def svd_truncate(matrix, max_rank: int) -> SVDResult:
 
 
 def hermitian_eigs(matrix) -> np.ndarray:
-    """Eigenvalues (real, ascending) of a Hermitian matrix, from LAPACK's
-    values-only driver (``np.linalg.eigvalsh``).
+    """Eigenvalues (real, ascending) of a Hermitian matrix.
 
     ``matrix`` is one ``(n, n)`` matrix or a ``(..., n, n)`` stack, handled
     in one call; each stacked result is bitwise equal to that matrix alone.
     Every input must be Hermitian within ``HERMITIAN_TOL`` elementwise; it is
     symmetrized first, so the spectrum is that of the exactly Hermitian part.
+    A 2x2 [[x, b], [b*, z]] has the closed form (x + z)/2 -+ hypot((x - z)/2,
+    |b|), elementwise along the stack, within a few eps max|lambda| of LAPACK;
+    larger matrices go to LAPACK's values-only driver (``np.linalg.eigvalsh``).
     """
     m = _as_matrix(matrix)
     if m.shape[-2] != m.shape[-1]:
@@ -247,8 +249,13 @@ def hermitian_eigs(matrix) -> np.ndarray:
             f"matrix{where} is not Hermitian: max |M - M^dag| = {deviation[flat]:.3e} "
             f"exceeds {HERMITIAN_TOL:.1e}"
         )
+    h = 0.5 * (m + adjoint)
+    if h.shape[-1] == 2:
+        x, z = h[..., 0, 0].real, h[..., 1, 1].real
+        mid, radius = 0.5 * (x + z), np.hypot(0.5 * (x - z), np.abs(h[..., 0, 1]))
+        return mid[..., None] + radius[..., None] * np.array([-1.0, 1.0])
     try:
-        return np.linalg.eigvalsh(0.5 * (m + adjoint))
+        return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition failed to converge: {exc}") from exc
 

@@ -9,7 +9,9 @@ state untouched. A tensor between bonds of dimension 1 is a unit vector, left-
 and right-isometric at once, so a run of such bonds is crossed in one step:
 the center tensor is divided by its norm and the run's far tensor multiplied
 by it. Every other bond is one QR, and a left move is the right move of the
-mirrored chain, each tensor's bond axes swapped, (l, 2, r) -> (r, 2, l).
+mirrored chain, each tensor's bond axes swapped, (l, 2, r) -> (r, 2, l). The
+QR's new center is rescaled to the old one's norm, which R's rounding would
+otherwise drift by about eps per move, N eps over a walk of the chain.
 
 Every two-site gate is the one nearest-neighbor update: contract the
 two-site block at the center, apply the gate, split back with an SVD. A gate
@@ -264,6 +266,7 @@ class MatrixProductState:
         *lead, l, _, r = t.shape
         q, carry = np.linalg.qr(t.reshape(*lead, l * 2, r))
         nxt = (carry @ nxt.reshape(*lead, r, -1)).reshape(*lead, -1, 2, nxt.shape[-1])
+        nxt = nxt * (_norms(t) / _norms(nxt))  # the old center's norm, which R's rounding drifts
         self.tensors[c - 1], self.tensors[to - 1] = flip(q.reshape(*lead, l, 2, -1)), flip(nxt)
         self.center = to
 

@@ -15,7 +15,7 @@ have shape ``(2**n,)``). Both run through the same code. On a stacked state
 ``single_rdm`` and ``pair_rdm`` return ``(P, 2, 2)`` and ``(P, 4, 4)``
 stacks and ``postselect`` one probability per point, each point bitwise
 equal to its own single-point run. A stack costs P * 2**n amplitudes of
-memory, so callers bound P (``sweep`` caps a block at 2**15 amplitudes).
+memory, so callers bound P (``sweep`` caps a block at 2**16 amplitudes).
 
 ``pair_rdm(i, j)`` also reads a row, ``j`` a tuple of sites, as one
 ``(len(j), ..., 4, 4)`` stack: one Gram per chunk of ``ROW_CHUNK`` sites, each
@@ -46,11 +46,11 @@ MAX_QUBITS = 12
 ZERO_PROBABILITY = 1e-14
 # right sites of a row read through one Gram; each chunk copies the block once,
 # and its Gram and traces double with every site. At chunks of 1 / 2 / 3 / 4 /
-# 5 / 6 sites a post-selected star block's outer pairs read in 4.8 / 2.8 / 2.6 /
-# 2.7 / 2.9 / 5.0 ms at 12 qubits and 8 points, 3.4 / 2.2 / 2.2 / 2.5 / 3.3 /
-# 7.5 ms at 10 qubits and 32 points, and the star oracle-check (n_outer 11, 101
-# angles) took 101 / 96 / 97 / 116 ms at 2 to 5 against 123 ms with one Gram per
-# pair. In-process, best of 12 to 15, 2-core x86 host.
+# 5 / 6 sites the star oracle-check (n_outer 11, 101 angles, post-selected,
+# blocks of 16 points) spent 68.5 / 34.5 / 30.0 / 27.9 / 31.4 / 56.3 ms in its
+# statevector row reads and took 108 / 75 / 72 / 68 / 73 / 99 ms in all; a
+# 10-qubit post-selected star sweep's reads took 11.7 / 6.0 / 6.2 / 7.1 / 10.1 /
+# 26.0 ms. In-process, best of 12, 2-core x86 host.
 ROW_CHUNK = 4
 
 
@@ -184,10 +184,11 @@ class StateVector:
     def _gram(self, sites: tuple[int, ...]) -> np.ndarray:
         """Reduced density matrix of ``sites`` in basis |q_sites...>, per grid point."""
         psi, lead = self._grid(), self._lead()
-        front = [len(lead) + s - 1 for s in sites]
-        rest = [ax for ax in range(len(lead), psi.ndim) if ax not in front]
-        m = psi.transpose([*range(len(lead)), *front, *rest]).reshape(lead + (2 ** len(sites), -1))
-        return m @ m.conj().swapaxes(-1, -2)
+        back = [len(lead) + s - 1 for s in sites]
+        rest = [ax for ax in range(len(lead), psi.ndim) if ax not in back]
+        # the read sites last, so the copy's contiguous inner run is theirs
+        m = psi.transpose([*range(len(lead)), *rest, *back]).reshape(lead + (-1, 2 ** len(sites)))
+        return m.swapaxes(-1, -2) @ m.conj()
 
     def single_rdm(self, site: int) -> np.ndarray:
         """2x2 reduced density matrix of one qubit; a ``(P, 2, 2)`` stack for a stacked state."""

@@ -65,14 +65,14 @@ NOTHING_CHECKED = f"  no grid point has a post-selected branch >= {BRANCH_PROBAB
 # 32.8 / 34.0 / 37.4 / 49.7 MB. Past 256 the time falls by 5% at most while
 # the memory keeps growing with the block.
 BLOCK_POINTS = 256
-# amplitudes the statevector backend holds in one stacked block: 8 grid points
-# at 12 qubits. The star oracle-check (n_outer 11, 101 angles, post-selected;
-# perfbench host-normalised wall s, median of 3 runs, same host) at caps of
-# 2**13 / 2**14 / 2**15 / 2**16 / 2**17 took 0.502 / 0.468 / 0.438 / 0.446 /
-# 0.455 s at peak RSS 36.0 / 36.1 / 36.5 / 37.7 / 39.3 MB (one point at a
-# time: 0.58 s, 35.7 MB). A 12-qubit linear sweep, 1024 angles, all adjacent
-# pairs, took 0.90 s at 2**15 and 0.82 s at 2**16 (one point at a time: 1.78 s).
-MAX_BLOCK_AMPLITUDES = 2**15
+# amplitudes the statevector backend holds in one stacked block: 16 grid points
+# at 12 qubits. The star oracle-check (n_outer 11, 101 angles, post-selected),
+# with its Grams copied with the read sites last, took 0.122 / 0.092 / 0.079 /
+# 0.070 / 0.071 s in-process (best of 10) at caps of 2**13 / 2**14 / 2**15 /
+# 2**16 / 2**17, and perfbench's star-oracle peak RSS read 36.0 / 36.8 / 38.9 /
+# 41.1 MB at 2**14 / 2**15 / 2**16 / 2**17 (37.3 MB at 2**15 before that
+# layout); 2-core x86 host, one BLAS thread. Past 2**16 the time stops falling.
+MAX_BLOCK_AMPLITUDES = 2**16
 
 
 def _check_real(value, label: str) -> None:
@@ -441,8 +441,9 @@ def _scored_points(plan: RunPlan):
     whose state exists, ``scores`` holding one concurrence per plan pair."""
     # scored one row of pairs at a time. One call per block took the peak RSS of
     # a 60-qubit all-adjacent sweep (201 angles, perfbench chain-sweep, 2-core
-    # x86 host) from 40.3 to 45.4 MB (+13%) to save 0.01-0.03 s. Ascending rows
-    # keep the MPS center walk short.
+    # x86 host) from 40.3 to 45.4 MB (+13%) to save 0.01-0.03 s. The MPS reads
+    # the rows in order from the end nearer the center run_circuit left, so the
+    # center crosses the rows once (a 60-qubit case-3 chain: 58 QRs, not 116).
     rows = [tuple(row) for _, row in groupby(plan.pairs, key=itemgetter(0))]
     for _, block, state, alive, probabilities in _run_blocks(plan, plan.points, plan.backend):
         if state is None:
@@ -452,7 +453,9 @@ def _scored_points(plan: RunPlan):
                 f"MPS sweep truncated (discarded weight {state.discarded_weight_total:.3e}); "
                 "protocol circuits must be exact"
             )
-        scores = np.concatenate([wootters_concurrence(_pair_rdms(state, row)) for row in rows])
+        back = plan.backend == "mps" and 2 * state.center > rows[0][0][0] + rows[-1][0][0]
+        scores = [wootters_concurrence(_pair_rdms(state, row)) for row in rows[:: -1 if back else 1]]
+        scores = np.concatenate(scores[::-1] if back else scores)
         probabilities = [None] * alive.size if probabilities is None else probabilities.tolist()
         for k, (index, probability) in enumerate(zip(alive.tolist(), probabilities)):
             theta, theta2 = block[index]

@@ -12,17 +12,16 @@ import numpy as np
 
 
 def brute_pair_rdm(amplitudes: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    """Partial trace onto (q_i, q_j) by explicit basis-state enumeration."""
+    """Partial trace onto (q_i, q_j) by explicit basis-state enumeration: each
+    basis state x meets the four states y that share its environment bits."""
     rho = np.zeros((4, 4), dtype=complex)
     shift_i = n - i
     shift_j = n - j
     env_mask = (2**n - 1) ^ (1 << shift_i) ^ (1 << shift_j)
     for x in range(2**n):
         bx = 2 * ((x >> shift_i) & 1) + ((x >> shift_j) & 1)
-        for y in range(2**n):
-            if (x & env_mask) != (y & env_mask):
-                continue
-            by = 2 * ((y >> shift_i) & 1) + ((y >> shift_j) & 1)
+        for by in range(4):
+            y = (x & env_mask) | ((by >> 1) << shift_i) | ((by & 1) << shift_j)
             rho[bx, by] += amplitudes[x] * np.conj(amplitudes[y])
     return rho
 

@@ -106,6 +106,30 @@ def test_xstate_concurrence_rejects_non_x_states():
     assert _same_bits(xstate_concurrence(stack), np.ones(3))
 
 
+@pytest.mark.parametrize(
+    ("rho", "defect"),
+    [
+        (x_matrix(0.5, 0.0, 0.0, 0.4, 0.0, 0.0), ": trace deviates by 1.000e-01"),
+        (x_matrix(0.25, 0.25, 0.25, 0.25, 0.4, 0.0), ": eigenvalue -1.500e-01 below -1e-10"),
+        (x_matrix(0.25, 0.25, 0.25, 0.25, 0.0, 0.4j), ": eigenvalue -1.500e-01 below -1e-10"),
+        (x_matrix(0.5, 0.0, 0.0, 0.5, 0.5, 0.0) + np.diag([0, 0, 0, 1e-9j]),
+         " is not Hermitian: max |M - M^dag| = 2.000e-09 exceeds 1.0e-10"),
+        (np.diag([np.nan, 1.0, 0.0, 0.0]), " contains non-finite entries"),
+    ],
+)
+def test_x_route_errors_read_as_the_4x4_checks(rho, defect):
+    """The X route checks its 2x2 blocks in closed form, yet a bad state's
+    message is word for word the 4x4 check's, on one matrix and in a stack."""
+    what = "matrix" if "non-finite" in defect or "Hermitian" in defect else "invalid density matrix"
+    for score in (xstate_concurrence, wootters_concurrence):
+        with pytest.raises(ValueError) as one:
+            score(rho)
+        assert str(one.value) == what + defect
+        with pytest.raises(ValueError) as stacked:
+            score(np.array([bell_projector(), rho, bell_projector()]))
+        assert str(stacked.value) == what + " at stack index 1" + defect
+
+
 def test_xstate_concurrence_bell():
     assert abs(xstate_concurrence(bell_projector()) - 1.0) < 1e-14
 

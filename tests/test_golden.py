@@ -24,7 +24,7 @@ GOLDEN = [
     pytest.param(
         ("sweep", "--protocol", "linear", "--case", "2", "--n", "7", "--theta", GRID,
          "--backend", "mps"),
-        "91f53318cd417a62e31c14182038587c49e06e5d4f80afb91764f8c0e7e316d4",
+        "4d3333bb6ef03dca747ff6f241ca093da43dc7bd2bec5e5be7f2759c7639e430",
         id="linear-case2-mps",
     ),
     pytest.param(
@@ -41,7 +41,7 @@ GOLDEN = [
     pytest.param(
         ("sweep", "--protocol", "periodic", "--n", "8", "--theta", GRID,
          "--theta2-offset", "0.4", "--backend", "mps"),
-        "1d8170b7e5c70760c7c5f8db91680579722794bc9c7ebe67423d04a9b7324580",
+        "1511158d201a625b93345e207b1160185e8ba96d8771149c5ab776c95b2b1260",
         id="periodic-offset-mps",
     ),
     pytest.param(
@@ -62,34 +62,34 @@ GOLDEN = [
     pytest.param(
         ("oracle-check", "--protocol", "star", "--n-outer", "3", "--theta", GRID,
          "--postselect", "0"),
-        "6ee5670cf3ed65c13d6b598267458437349aae1ba85396c2b96d45aa5f507e0a",
+        "aad0fe02c6e6a1c04d53e897f57d880891052fb3d46f41d6b1ef02d1b8d2cc9c",
         id="oracle-check-star-postselect0",
     ),
     pytest.param(
-        # 12 qubits: the statevector runs the 21 points in stacked blocks of 8
+        # 12 qubits: the statevector runs the 21 points in stacked blocks of 16 and 5
         ("oracle-check", "--protocol", "star", "--n-outer", "11", "--postselect", "0",
          "--theta", "0:6.283185307179586:21"),
-        "d71cfbd35857226ef2ebe7330396970c210f4ed5f823084af7b1000e4595bfc6",
+        "799140b2089a78e564e0ff3662635c37b4e73c1ee99c3d69d1143e5d81de2c59",
         id="oracle-check-star12-postselect0",
     ),
     pytest.param(
         # the MPS distant-pair read: rows of outer pairs sharing a left site
         ("sweep", "--protocol", "star", "--n-outer", "6", "--postselect", "1",
          "--backend", "mps", "--theta", GRID),
-        "ac4c9b18c1fe5b759d8810fc22a0fd79d5f44990c518de663feb448c38f166a5",
+        "f983cb2ee38243cec93fd41bd2bc237c0a47d4a865eae484fa3b38f5e4b2fb19",
         id="star-postselect1-mps",
     ),
     pytest.param(
         # unsorted explicit pairs, a shared left site, a row through the central qubit
         ("sweep", "--protocol", "star", "--n-outer", "5", "--backend", "mps",
          "--pairs", "1:4,1:2,2:5,1:6", "--theta", GRID),
-        "a79f6f8bcbb1af6df0adeb8486df8778c99189ee097229d2750778909d74f9ef",
+        "7240bd5737c46702c3421eaeb6f6a21e42293e02b1f7572bc67196245f19344e",
         id="star-explicit-pairs-mps",
     ),
     pytest.param(
         # the swap route: the central qubit walks down the chain and back home
         ("sweep", "--protocol", "star", "--n-outer", "6", "--backend", "mps", "--theta", GRID),
-        "5efd0e9c1274c7ca9e4878464f6eda03efab308d664abe665ebbcf2cf4940b18",
+        "e263ebf12f63c3102bf4def0e9432b37b3f2ca9051daaeed3898a8079909cd71",
         id="star-central-mps",
     ),
     pytest.param(
@@ -110,7 +110,7 @@ GOLDEN = [
         # form; the grid ends give exact zero rows
         ("sweep", "--protocol", "linear", "--case", "4", "--n", "8", "--theta",
          "0:6.283185307179586:65", "--backend", "mps"),
-        "e2955a524a888ff3a680102f2ddaad6b9ef8c8f425b022b24f50b126122e69d1",
+        "625a0e5a6ab511d4107bd87d5b0c75bbe4b14171f05625b7af81b70b63725e80",
         id="linear-case4-mps-closed-form-split",
     ),
     pytest.param(
@@ -118,7 +118,7 @@ GOLDEN = [
         # two-row blocks to the closed form
         ("sweep", "--protocol", "star", "--n-outer", "4", "--postselect", "0",
          "--backend", "mps", "--theta", "0:6.283185307179586:65"),
-        "07765a6866a539bb05e49c402b3c4c445e0bbcbf047de714ec9b36f612e54ba7",
+        "2ea77756be37bbac7080c1d9544643ed9d0fa6000efeb68a25fc4079252ee5bc",
         id="star-postselect0-mps-mixed-split",
     ),
     pytest.param(

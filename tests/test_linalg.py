@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symm_ent import SVDResult, hermitian_eigs, svd_truncate
+from symm_ent.concurrence import DM_TOL
 
 
 def reconstruct(res: SVDResult) -> np.ndarray:
@@ -151,6 +152,62 @@ def test_stacked_eigs_name_the_bad_matrix():
         hermitian_eigs(np.zeros((2, 0, 0)))
     with pytest.raises(ValueError, match="square"):
         hermitian_eigs(np.zeros((2, 2, 3)))
+
+
+def _hermitian(rng, n, complex_):
+    g = rng.normal(size=(n, 2, 2)) + (1j * rng.normal(size=(n, 2, 2)) if complex_ else 0.0)
+    return g + g.conj().swapaxes(-1, -2)
+
+
+def _near_dm_tol(rng, n, complex_):
+    """Density-matrix blocks whose smallest eigenvalue is within 1e-16 of -DM_TOL."""
+    smallest = -DM_TOL + rng.uniform(-1e-16, 1e-16, n)
+    d = np.zeros((n, 2, 2))
+    d[:, 0, 0], d[:, 1, 1] = smallest, 1.0 - smallest
+    angle, phase = rng.uniform(0.0, 2 * np.pi, (2, n))
+    u = np.zeros((n, 2, 2), complex if complex_ else float)
+    u[:, 0, 0] = u[:, 1, 1] = np.cos(angle)
+    u[:, 1, 0] = np.sin(angle) * (np.exp(1j * phase) if complex_ else 1.0)
+    u[:, 0, 1] = -u[:, 1, 0].conj()
+    return u @ d @ u.conj().swapaxes(-1, -2)
+
+
+# stacks of 2x2 Hermitian matrices, one kind each; complex_ picks the kind of the entries
+TWO_BY_TWO = {
+    "general": lambda rng, complex_: _hermitian(rng, 50, complex_),
+    "diagonal": lambda rng, complex_: _hermitian(rng, 50, complex_) * np.eye(2),
+    "multiple of I": lambda rng, complex_: (rng.normal(size=(50, 1, 1)) * np.eye(2)).astype(
+        complex if complex_ else float
+    ),
+    "zero": lambda rng, complex_: np.zeros((3, 2, 2), complex if complex_ else float),
+    "scaled 1e150": lambda rng, complex_: _hermitian(rng, 50, complex_) * 1e150,
+    "scaled 1e-150": lambda rng, complex_: _hermitian(rng, 50, complex_) * 1e-150,
+    "eigenvalue near -DM_TOL": lambda rng, complex_: _near_dm_tol(rng, 50, complex_),
+}
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("kind", list(TWO_BY_TWO))
+def test_two_by_two_spectra_are_the_closed_form(rng, monkeypatch, kind, complex_):
+    """A 2x2 spectrum is (x + z)/2 -+ hypot((x - z)/2, |b|), no LAPACK call:
+    ascending, within 8 eps max|lambda| of LAPACK's (6.3 eps was the worst of
+    1.2 million random draws), and each stacked value bitwise its one-matrix call."""
+    stack = TWO_BY_TWO[kind](rng, complex_)
+    assert np.iscomplexobj(stack) == complex_
+    reference = np.linalg.eigvalsh(stack)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: pytest.fail("a 2x2 went to LAPACK"))
+    values = hermitian_eigs(stack)
+    assert values.shape == stack.shape[:-1] and values.dtype == np.float64
+    assert np.all(values[:, 0] <= values[:, 1])
+    scale = np.abs(reference).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(values - reference) <= 8 * np.finfo(float).eps * scale)
+    for k, matrix in enumerate(stack):
+        assert hermitian_eigs(matrix).tobytes() == values[k].tobytes()
+    # the X route's (P, 2, 2, 2) stack of block pairs, one pair alone too
+    pairs = stack[: len(stack) // 2 * 2].reshape(-1, 2, 2, 2)
+    paired = hermitian_eigs(pairs)
+    assert paired.tobytes() == values[: 2 * len(pairs)].tobytes()
+    assert hermitian_eigs(pairs[:1]).tobytes() == paired[:1].tobytes()
 
 
 def test_stacked_svd_shares_the_largest_rank(rng):

@@ -139,6 +139,19 @@ def test_shift_center_restores_isometries(rng):
         assert mps.canonical_deviation() < 1e-12
 
 
+def test_a_center_walk_across_600_sites_keeps_the_norm():
+    """A QR move gives the new center the old center's norm, so walking the
+    center across a 600-site case-2 chain and back keeps the canonical form
+    and the norm to roundoff: without it R's rounding drifted both by about
+    N eps (1.1e-13 here)."""
+    state = MatrixProductState(600).run_circuit(build_linear(600, 2, (0.3, 1.7, 3.1, 4.6, 6.0)))
+    assert state.center == 599 and state.canonical_deviation() <= 1e-14
+    for site in (1, 600, 1):
+        state._move_center_to(site)
+        assert state.center == site
+        assert state.canonical_deviation() <= 1e-14
+
+
 @pytest.mark.parametrize(
     "circuit",
     [

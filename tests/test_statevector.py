@@ -381,6 +381,31 @@ def test_row_read_matches_one_pair_reads(rng, grid):
         assert np.abs(rho - brute_pair_rdm(single.amplitudes, 6, 3, j)).max() < 1e-14
 
 
+@pytest.mark.parametrize("grid", [None, 2])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_twelve_qubit_rows_match_the_enumerated_partial_trace(rng, kind, grid):
+    """The Gram copies the state with the read sites last. At 12 qubits, rows
+    from either end of the register that reach the other end and cross the
+    ROW_CHUNK boundary are the enumerated partial trace to roundoff, and a
+    one-site row is bitwise the Gram of its pair."""
+    n = 12
+    state = _random_state(rng, n, grid)
+    if kind == "real":
+        amps = state.amplitudes.real
+        state = StateVector(n, amps / np.linalg.norm(amps, axis=-1, keepdims=True))
+    points = state.amplitudes.reshape(-1, 2**n)
+    for i, row in ((1, (12, 2, 7, 11, 3)), (12, (1, 6, 11, 2, 9)), (6, (12, 1, 5, 7, 10))):
+        assert len(row) > symm_ent.statevector.ROW_CHUNK
+        rdms = state.pair_rdm(i, row)
+        assert rdms.dtype == (np.float64 if kind == "real" else np.complex128)
+        for rho, j in zip(rdms, row):
+            for k, amplitudes in enumerate(points):
+                expected = brute_pair_rdm(amplitudes, n, i, j)
+                assert np.abs(rho.reshape(-1, 4, 4)[k] - expected).max() < 1e-14
+    for i, j in ((1, 12), (12, 1), (6, 7), (7, 6)):
+        assert _same(state.pair_rdm(i, (j,))[0], state._gram((i, j)))
+
+
 def test_one_site_row_is_bitwise_the_pair_read(rng):
     """A chunk of one site traces nothing: the read is the pair's own Gram."""
     for grid in (None, 4):

@@ -334,6 +334,38 @@ def test_compare_linear_families_pass():
     assert all(c.max_abs_error < 1e-8 for c in report.families)
 
 
+@pytest.mark.parametrize("n", [60, 200, 600])
+@pytest.mark.parametrize("case", [2, 4])
+def test_the_closed_form_error_does_not_grow_with_the_chain(case, n):
+    """The paper's protocol does not depend on the number of qubits, and the
+    engine's error must not either: every adjacent pair of a chain of any
+    length meets its closed form to a few eps (it grew as N eps when center
+    moves drifted the norm, to 1.6e-13 at N = 600)."""
+    report = run_compare(linear_config(n=n, case=case, backend="mps",
+                                       theta=GridSpec(0.0, TWO_PI, 51)))
+    assert report.passed
+    assert max(c.max_abs_error for c in report.families) <= 2e-15
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4])
+def test_a_chain_reads_its_rows_from_the_end_nearer_the_center(case, monkeypatch):
+    """The MPS reads a block's rows starting from the end where run_circuit left
+    the center, so a 60-qubit compare of every case walks the center across the
+    chain once: at most 60 QRs for its one block (cases 2 and 3, whose center
+    ends on the right, made 116 reading upward). The rows still come out in
+    plan order, each against its own closed form."""
+    shifts, shift = [], MatrixProductState._shift
+    monkeypatch.setattr(MatrixProductState, "_shift",
+                        lambda self, step: shifts.append(step) or shift(self, step))
+    config = SweepConfig(protocol="linear", theta=GridSpec(0.0, TWO_PI, 51), case=case, n=60,
+                         backend="mps")
+    report = run_compare(config)
+    assert report.passed
+    assert len(shifts) <= 60
+    plan = _plan(config)
+    assert [(row.pair_left, row.pair_right) for row in report.rows] == list(plan.pairs) * 51
+
+
 def test_compare_periodic_families_pass():
     config = SweepConfig(
         protocol="periodic",
@@ -1145,13 +1177,15 @@ def test_oracle_check_aligns_the_backends_across_block_boundaries(
 
 # --------------------------------------------------------- the block runner
 
-# twelve qubits: the statevector runs blocks of 8 points, the MPS one block of
-# 256 and one of 44; the branch is dead at both grid ends
+# twelve qubits: the statevector runs blocks of MAX_BLOCK_AMPLITUDES / 2**12
+# points (16), the MPS one block of 256 and one of 44; the branch is dead at
+# both grid ends
 STAR_BLOCKS = SweepConfig(protocol="star", theta=GridSpec(0.0, TWO_PI, 300), n_outer=11,
                           postselect=0)
+SV_BLOCK = symm_ent.sweep.MAX_BLOCK_AMPLITUDES // 2**12
 
 
-@pytest.mark.parametrize("backend, size", [("statevector", 8), ("mps", 256)])
+@pytest.mark.parametrize("backend, size", [("statevector", SV_BLOCK), ("mps", 256)])
 def test_the_block_runner_tiles_the_grid_in_blocks_sized_per_backend(backend, size):
     plan = _plan(replace(STAR_BLOCKS, backend=backend))
     blocks = list(_run_blocks(plan, plan.points, backend))
@@ -1177,13 +1211,15 @@ def test_the_oracle_checks_every_live_point_of_every_block():
 
 def test_a_dead_statevector_block_yields_no_state_between_live_ones():
     plan = _plan(replace(STAR_BLOCKS, backend="statevector"))
-    live = tuple((theta, None) for theta in np.linspace(0.5, 2.5, 8).tolist())
-    dead = tuple((theta, None) for theta in np.linspace(0.0, 1e-6, 8).tolist())
+    live = tuple((theta, None) for theta in np.linspace(0.5, 2.5, SV_BLOCK).tolist())
+    dead = tuple((theta, None) for theta in np.linspace(0.0, 1e-6, SV_BLOCK).tolist())
     blocks = list(_run_blocks(plan, live + dead + live[:2], "statevector"))
-    assert [(start, len(block)) for start, block, *_ in blocks] == [(0, 8), (8, 8), (16, 2)]
+    assert [(start, len(block)) for start, block, *_ in blocks] == [
+        (0, SV_BLOCK), (SV_BLOCK, SV_BLOCK), (2 * SV_BLOCK, 2)
+    ]
     (_, _, first, *_), (_, _, state, alive, probabilities), (_, _, last, *_) = blocks
     assert state is None and alive.size == 0 and probabilities.size == 0
-    assert first.grid == 8 and last.grid == 2
+    assert first.grid == SV_BLOCK and last.grid == 2
 
 
 # ------------------------------------------------------------- causal cone
