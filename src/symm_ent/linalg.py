@@ -279,6 +279,15 @@ def require_unitary(matrix, dim: int) -> np.ndarray:
     return m
 
 
+def lift(g: np.ndarray, r: int) -> np.ndarray:
+    """``g^T (x) I_r`` of a ``(..., k, k)`` gate or stack: ``rows @ lift(g, r)`` applies
+    ``g`` to the k-axis of rows laid out ``(k, r)`` in one matmul, not one per row."""
+    *lead, k, _ = g.shape
+    lifted = np.zeros((*lead, k, r, k, r), g.dtype)
+    lifted[..., :, range(r), :, range(r)] = g.swapaxes(-1, -2)
+    return lifted.reshape(*lead, k * r, k * r)
+
+
 def require_single_gate(gate, dim: int) -> np.ndarray:
     """Validate one ``dim x dim`` unitary, as a backend's public gate methods
     take it; a grid's gates come from running a circuit with angle tuples."""

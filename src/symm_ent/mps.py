@@ -14,7 +14,8 @@ QR's new center is rescaled to the old one's norm, which R's rounding would
 otherwise drift by about eps per move, N eps over a walk of the chain.
 
 Every two-site gate is the one nearest-neighbor update: contract the
-two-site block at the center, apply the gate, split back with an SVD. A gate
+two-site block at the center, apply the gate g, split back with an SVD; g acts
+as one ``(P l, 4r) @ linalg.lift(g, r)`` matmul, not P l 4x4 products. A gate
 between distant sites (the star layout's controlled-NOTs) is routed with
 adjacent SWAP gates (Stoudenmire & White, New J. Phys. 12, 055026, 2010):
 ``run_circuit`` keeps a qubit-to-site map, moves a CX target one site at a
@@ -76,6 +77,8 @@ distinct instances.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .linalg import (
@@ -83,6 +86,7 @@ from .linalg import (
     as_points,
     as_site,
     first_flagged,
+    lift,
     require_single_gate,
     require_unitary,
     svd_truncate,
@@ -327,14 +331,14 @@ class MatrixProductState:
         swaps = [(SWAP, lo, True) for lo in range(i, j - 1)]
         self._run([*swaps, (g, j - 1, True), *reversed(swaps)])
 
-    def _apply_2q(self, g: np.ndarray, site: int, center_left: bool) -> None:
-        """Two-site update at (site, site + 1); the center ends at ``site``
-        when ``center_left`` and at ``site + 1`` otherwise."""
+    def _apply_2q(self, lifted: np.ndarray, site: int, center_left: bool) -> None:
+        """Two-site update at (site, site + 1) by a 4x4 gate g passed as ``lift(g, r)``,
+        r site + 1's right bond; the center ends at ``site`` if ``center_left``, else right."""
         left, right = self.tensors[site - 1], self.tensors[site]
         *lead, l, _, _ = left.shape
         r = right.shape[-1]
         block = left.reshape(*lead, l * 2, -1) @ right.reshape(*lead, -1, 2 * r)
-        block = g[..., None, :, :] @ block.reshape(*lead, l, 4, r)
+        block = block.reshape(-1, 4 * r) @ lifted  # (P l, 4r): one matmul for the whole stack
         u, s, vdag = self._split(block.reshape(*lead, l * 2, 2 * r))
         if center_left:
             u = u * s[..., None, :]
@@ -357,12 +361,15 @@ class MatrixProductState:
             upcoming[k] = following
             if steps[k][2]:
                 following = steps[k][1]
+        lifts: dict[tuple[int, int], np.ndarray] = {}  # (id(g), r): g lifted to the bond r
         for (g, site, two_site), target in zip(steps, upcoming):
             if two_site:
                 if not site <= self.center <= site + 1:  # the least move onto site or site + 1
                     self._move_center_to(min(max(self.center, site), site + 1))
                 center_left = self.center == site if target is None else target <= site
-                self._apply_2q(g, site, center_left)
+                if (key := (id(g), self.tensors[site].shape[-1])) not in lifts:
+                    lifts[key] = lift(g, key[1])
+                self._apply_2q(lifts[key], site, center_left)
             else:
                 self._apply_1q(g, site)
 
@@ -413,27 +420,28 @@ class MatrixProductState:
         stack. The row is contracted for every point at once and kept with
         the tensors it read, which alone fix it while the center is at ``i``;
         no operation writes into a tensor, so a call that finds the same row
-        and tensor objects returns a read-only slice.
+        and tensor objects returns a read-only slice. The kept row is keyed by ``i``
+        and its own tuple object, whose sites, once checked, cannot change.
         """
-        i, row = as_site(i, self.n_qubits, "i"), isinstance(j, tuple)
-        sites = tuple(as_index(site, "j") for site in j) if row else (as_index(j, "j"),)
-        if not sites:
-            raise ValueError(f"row of pairs from site {i} names no right site")
-        left = i
-        for site in sites:
-            if site <= left:
-                raise ValueError(f"pair sites must ascend from i = {i}, got {site} after {left}")
-            left = site
-        if left > self.n_qubits:  # the last site; the others lie between i and it
-            raise ValueError(f"site {left} outside 1..{self.n_qubits}")
+        i, row, memo = as_site(i, self.n_qubits, "i"), isinstance(j, tuple), self._row
+        sites = j
+        if j is not memo[1] or i != memo[0]:
+            sites = tuple(as_index(site, "j") for site in j) if row else (as_index(j, "j"),)
+            if not sites:
+                raise ValueError(f"row of pairs from site {i} names no right site")
+            for a, b in zip((i, *sites), sites):
+                if b <= a:
+                    raise ValueError(f"pair sites must ascend from i = {i}, got {b} after {a}")
+            if sites[-1] > self.n_qubits:  # the last site; the others lie between i and it
+                raise ValueError(f"site {sites[-1]} outside 1..{self.n_qubits}")
         if point is not None and self.grid is None:
             raise ValueError(f"point {point} given for a single-point state")
         if point is not None and not 0 <= as_index(point, "point") < self.grid:
             raise ValueError(f"a stacked state needs a point in 0..{self.grid - 1}, got {point}")
         self._move_center_to(i)
-        tensors, memo = self.tensors[i - 1 : left], self._row
-        if memo[:2] != (i, sites) or any(a is not b for a, b in zip(memo[2], tensors)):
-            self._row = memo = (i, sites, tensors, _row_rdms(tensors, i, sites))
+        tensors = self.tensors[i - 1 : sites[-1]]
+        if memo[:2] != (i, sites) or not all(map(operator.is_, memo[2], tensors)):
+            self._row = memo = (i, j if row else sites, tensors, _row_rdms(tensors, i, sites))
         rdms = memo[3] if point is None else memo[3][:, point]
         rdms = rdms if row else rdms[0]
         rdms.flags.writeable = False  # a view of the kept row

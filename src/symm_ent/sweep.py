@@ -420,31 +420,29 @@ def _run_blocks(plan: RunPlan, points: tuple[tuple[float, float | None], ...], b
         yield start, block, state, alive, probabilities
 
 
-def _pair_rdms(
-    state: StateVector | MatrixProductState, pairs: tuple[tuple[int, int], ...]
-) -> np.ndarray:
-    """The RDMs of the ascending ``pairs`` at every grid point of a stacked
-    state, as a ``(len(pairs), P, 4, 4)`` stack, read one row of pairs that
-    share a left site at a time. Both backends return a row's whole-block
-    stack from ``pair_rdm(i, sites)``; the MPS is still called once per grid
-    point, as the benchmark pins, each call a slice of the kept row."""
+def _pair_rdms(state: StateVector | MatrixProductState, pairs) -> np.ndarray:
+    """The ``(len(pairs), P, 4, 4)`` RDMs of the ascending ``pairs`` of a stacked state."""
+    return _read_rows(state, pairs, np.asarray)
+
+
+def _read_rows(state: StateVector | MatrixProductState, pairs, score) -> np.ndarray:
+    """``score`` of each row's ``(len(row), P, 4, 4)`` RDMs, the rows being the ascending
+    ``pairs`` sharing a left site, in plan order. The MPS is called once per grid point,
+    as the benchmark pins, each call a slice of the kept row. A row is scored as it is
+    read (all rows at once took perfbench chain-sweep's peak RSS from 40.3 to 45.4 MB,
+    2-core x86 host), from the end nearer an MPS center, which then crosses the rows
+    once (60-qubit case-3 sweep: 58 QRs, not 116; star-oracle's check: 12, not 21)."""
     rows = [(i, tuple(j for _, j in row)) for i, row in groupby(pairs, key=itemgetter(0))]
-    return np.concatenate([
-        state.pair_rdm(i, sites) if isinstance(state, StateVector) else
-        np.array([state.pair_rdm(i, sites, point=k) for k in range(state.grid)]).swapaxes(0, 1)
-        for i, sites in rows
-    ])
+    back = isinstance(state, MatrixProductState) and 2 * state.center > rows[0][0] + rows[-1][0]
+    scores = [score(state.pair_rdm(i, sites) if isinstance(state, StateVector) else np.array(
+        [state.pair_rdm(i, sites, point=p) for p in range(state.grid)]).swapaxes(0, 1))
+        for i, sites in rows[:: -1 if back else 1]]
+    return np.concatenate(scores[::-1] if back else scores)
 
 
 def _scored_points(plan: RunPlan):
     """Yield ``(theta, theta2, probability, scores)`` for every grid point
     whose state exists, ``scores`` holding one concurrence per plan pair."""
-    # scored one row of pairs at a time. One call per block took the peak RSS of
-    # a 60-qubit all-adjacent sweep (201 angles, perfbench chain-sweep, 2-core
-    # x86 host) from 40.3 to 45.4 MB (+13%) to save 0.01-0.03 s. The MPS reads
-    # the rows in order from the end nearer the center run_circuit left, so the
-    # center crosses the rows once (a 60-qubit case-3 chain: 58 QRs, not 116).
-    rows = [tuple(row) for _, row in groupby(plan.pairs, key=itemgetter(0))]
     for _, block, state, alive, probabilities in _run_blocks(plan, plan.points, plan.backend):
         if state is None:
             continue
@@ -453,9 +451,7 @@ def _scored_points(plan: RunPlan):
                 f"MPS sweep truncated (discarded weight {state.discarded_weight_total:.3e}); "
                 "protocol circuits must be exact"
             )
-        back = plan.backend == "mps" and 2 * state.center > rows[0][0][0] + rows[-1][0][0]
-        scores = [wootters_concurrence(_pair_rdms(state, row)) for row in rows[:: -1 if back else 1]]
-        scores = np.concatenate(scores[::-1] if back else scores)
+        scores = _read_rows(state, plan.pairs, wootters_concurrence)
         probabilities = [None] * alive.size if probabilities is None else probabilities.tolist()
         for k, (index, probability) in enumerate(zip(alive.tolist(), probabilities)):
             theta, theta2 = block[index]

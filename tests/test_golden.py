@@ -69,7 +69,7 @@ GOLDEN = [
         # 12 qubits: the statevector runs the 21 points in stacked blocks of 16 and 5
         ("oracle-check", "--protocol", "star", "--n-outer", "11", "--postselect", "0",
          "--theta", "0:6.283185307179586:21"),
-        "799140b2089a78e564e0ff3662635c37b4e73c1ee99c3d69d1143e5d81de2c59",
+        "513563dd4d87c9d2b44ea63a32af16f7e5c96c5d22e437c72f1f3552ff66c217",
         id="oracle-check-star12-postselect0",
     ),
     pytest.param(

@@ -25,6 +25,7 @@ from symm_ent import (
     wootters_concurrence,
 )
 from symm_ent.formulas import analytic_concurrence, unitary_params
+from symm_ent.linalg import lift
 
 from oracles import (
     brute_pair_rdm,
@@ -691,6 +692,29 @@ def test_row_read_rejects_a_bad_row(sites, message):
             state.pair_rdm(2, sites, point=point)
 
 
+def test_a_kept_row_is_known_by_its_own_tuple_and_its_left_site():
+    """A read passing the kept row's own tuple and its ``i`` skips the site
+    checks; an equal tuple of another object, or the kept tuple from another
+    ``i``, is checked as any new row is."""
+    state = MatrixProductState(6).run_circuit(build_star(5, (0.3, 1.2)))
+    kept = (4, 5)
+    state.pair_rdm(3, kept, point=0)
+    assert np.array_equal(state.pair_rdm(3, kept, point=1), pair_rdm_at_point(state, 3, kept, 1))
+    # equal to the kept tuple, yet its sites are not integers
+    floats = (np.float64(4.0), np.float64(5.0))
+    assert floats == kept
+    with pytest.raises(ValueError, match=re.escape("j must be an integer, got np.float64(4.0)")):
+        state.pair_rdm(3, floats, point=0)
+    # the kept tuple from a left site it does not ascend from
+    with pytest.raises(ValueError, match=re.escape("pair sites must ascend from i = 5, got 4 after 5")):
+        state.pair_rdm(5, kept, point=0)
+    with pytest.raises(ValueError, match=re.escape("got 4 after 4")):
+        state.pair_rdm(4, kept, point=0)
+    # and from one it does, it is that left site's row
+    assert np.array_equal(state.pair_rdm(2, kept, point=1), pair_rdm_at_point(state, 2, kept, 1))
+    assert np.array_equal(state.pair_rdm(3, kept, point=0), pair_rdm_at_point(state, 3, kept, 0))
+
+
 def test_translation_invariance_of_bulk_pairs():
     for n in (20, 40, 60):
         for theta in (0.9, 2.4, 5.1):
@@ -856,10 +880,44 @@ def test_apply_2q_next_to_the_center_is_one_update(i, center_left):
     mps._move_center_to(i if center_left else i + 1)
     reference, gate = copy.deepcopy(mps), random_two_site_unitary(rng)
     mps.apply_2q(gate, i, i + 1)
-    reference._apply_2q(gate, i, center_left=center_left)
+    reference._apply_2q(lift(gate, reference.tensors[i].shape[-1]), i, center_left=center_left)
     assert mps.center == reference.center == (i if center_left else i + 1)
     assert all(np.array_equal(a, b) for a, b in zip(mps.tensors, reference.tensors))
     assert np.array_equal(mps.discarded_weight, reference.discarded_weight)
+
+
+@pytest.mark.parametrize("points", [None, 5], ids=["single", "stack-5"])
+@pytest.mark.parametrize("l, r", [(l, r) for l in (1, 2, 4) for r in (1, 2, 4)])
+def test_the_lifted_two_site_update_is_the_batched_product(monkeypatch, l, r, points):
+    """The two-site update's gate is one ``(P l, 4r) @ lift(g, r)`` matmul; the
+    block it hands to the split is the batched ``g @ block`` of P l 4x4 products,
+    exactly for CX and SWAP and to within 8 eps max|block| for Haar gates. Its
+    bits depend on the BLAS kernel, so the CI runs this under several."""
+    rng = np.random.default_rng(10 * l + r + (points or 0))
+    lead = () if points is None else (points,)
+    split = MatrixProductState._split
+    blocks = []
+    monkeypatch.setattr(MatrixProductState, "_split",
+                        lambda self, block: blocks.append(block) or split(self, block))
+    gates = [cx_matrix(control_first=True), cx_matrix(control_first=False), symm_ent.mps.SWAP,
+             haar_unitary(rng, 4), haar_unitary(rng, 4)]
+    for g in gates:
+        state = MatrixProductState(4)
+        shapes = [(1, 2, l), (l, 2, 2), (2, 2, r), (r, 2, 1)]
+        state.tensors = [rng.standard_normal(lead + shape) + 1j * rng.standard_normal(lead + shape)
+                         for shape in shapes]
+        state.grid, state.discarded_weight = points, np.zeros(lead)
+        left, right = state.tensors[1], state.tensors[2]
+        pair = left.reshape(lead + (2 * l, 2)) @ right.reshape(lead + (2, 2 * r))
+        batched = (g @ pair.reshape(lead + (l, 4, r))).reshape(pair.shape)
+        blocks.clear()
+        state._apply_2q(lift(g, r), 2, True)
+        (block,) = blocks
+        if np.iscomplexobj(g):
+            eps = np.finfo(float).eps
+            assert np.abs(block - batched).max() <= 8 * eps * np.abs(batched).max()
+        else:
+            assert np.array_equal(block, batched)
 
 
 def test_star_run_is_linear_in_the_outer_qubits(monkeypatch):

@@ -318,6 +318,34 @@ def test_gate_kernel_is_the_tensordot_contraction(rng):
             assert _same(single.amplitudes, expected.ravel())
 
 
+@pytest.mark.parametrize("points", [None, 16], ids=["single", "stack-16"])
+@pytest.mark.parametrize("n", [3, 6, 9, 12])
+def test_short_trailing_blocks_are_the_batched_2x2_product(n, points):
+    """Every site with at most 8 amplitudes after each of its bits takes one
+    ``(..., 2T) @ lift(g, T)`` product per point; it is the batched 2x2 product
+    ``g @ psi`` to within 4 eps max|psi|, for protocol rotations and for Haar
+    gates on complex amplitudes. Its bits depend on the BLAS kernel, so the CI
+    runs this under several."""
+    rng = np.random.default_rng(1000 * n + (points or 1))
+    lead = () if points is None else (points,)
+    eps = np.finfo(float).eps
+    for site in range(max(1, n - 3), n + 1):
+        trail = 2 ** (n - site)
+        for _ in range(4):
+            angles = rng.uniform(0.0, 2 * np.pi, lead)
+            rotation = rotation_matrix(tuple(angles) if lead else float(angles))
+            haar = np.array([haar_unitary(rng) for _ in range(points or 1)]).reshape(lead + (2, 2))
+            real = rng.standard_normal(lead + (2**n,))
+            amplitudes = real + 1j * rng.standard_normal(lead + (2**n,))
+            for g, psi in ((rotation, real), (haar, amplitudes)):
+                psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+                state = StateVector(n, psi)
+                out = state._apply_1q(g, site).amplitudes
+                batched = g[..., None, :, :] @ psi.reshape(lead + (2 ** (site - 1), 2, trail))
+                assert out.dtype == batched.dtype
+                assert np.abs(out - batched.reshape(out.shape)).max() <= 4 * eps * np.abs(psi).max()
+
+
 def test_stacked_postselect_names_the_dead_point():
     # at theta = 0 every outer qubit flips, so the central qubit of three is |1>
     state = StateVector.zeros(4).run_circuit(build_star(3, (1.0, 0.0, 2.0)))

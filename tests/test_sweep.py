@@ -366,6 +366,33 @@ def test_a_chain_reads_its_rows_from_the_end_nearer_the_center(case, monkeypatch
     assert [(row.pair_left, row.pair_right) for row in report.rows] == list(plan.pairs) * 51
 
 
+@pytest.mark.parametrize(
+    "config, most",
+    [
+        (SweepConfig(protocol="star", theta=GridSpec(0.0, TWO_PI, 101), n_outer=11,
+                     pairs="star-all", postselect=0), 12),
+        (SweepConfig(protocol="linear", theta=GridSpec(0.0, TWO_PI, 51), case=3, n=12,
+                     pairs="all-adjacent"), 11),
+    ],
+    ids=["star-oracle", "case3"],
+)
+def test_the_oracle_check_reads_its_rows_from_the_end_nearer_the_center(config, most, monkeypatch):
+    """The oracle check reads a block's MPS rows by the sweep's rule, from the end
+    where the center is: the star check (post-selected, so the center ends on the
+    central qubit) makes 12 QRs, not 21, and a 12-qubit case-3 chain 10, not 20.
+    The rows still come out in plan order."""
+    shifts, shift = [], MatrixProductState._shift
+    monkeypatch.setattr(MatrixProductState, "_shift",
+                        lambda self, step: shifts.append(step) or shift(self, step))
+    assert run_oracle_check(config).passed
+    assert len(shifts) <= most
+    plan = _plan(config)
+    for _, _, state, _, _ in _run_blocks(plan, plan.points, "mps"):
+        rows = _pair_rdms(state, plan.pairs)
+        for rho, (i, j) in zip(rows, plan.pairs):
+            assert np.abs(rho - state.pair_rdm(i, j)).max() <= 1e-14
+
+
 def test_compare_periodic_families_pass():
     config = SweepConfig(
         protocol="periodic",
