@@ -2,7 +2,7 @@
 
 Circuit builders for star, chain, and alternating-chain entangling
 protocols; an exact statevector oracle (up to 12 qubits); a matrix-product-
-state engine for long chains; Wootters concurrence with an exact X-state
+state engine that runs every sweep by default; Wootters concurrence with an exact X-state
 fast path; and the closed-form pair states and concurrences the protocols
 produce, wired together behind a sweep/compare/cross-check layer and a CLI.
 """

@@ -100,13 +100,15 @@ def _common_options(fn):
                            "'i:j,k:l'. Default: all-adjacent (star: star-all)."),
         click.option("--postselect", type=click.IntRange(0, 1), default=None,
                       help="Condition on measuring the central qubit (star only)."),
-        click.option("--backend", type=click.Choice(BACKENDS),
-                      default="auto", show_default=True,
-                      help="auto picks statevector up to 12 qubits, MPS beyond."),
     ]
     for option in reversed(options):
         fn = option(fn)
     return fn
+
+
+_backend_option = click.option("--backend", type=click.Choice(BACKENDS), default="mps",
+                               show_default=True, help="mps is exact on every protocol at "
+                               "any size; statevector is capped at 12 qubits.")
 
 
 @click.group()
@@ -116,6 +118,7 @@ def main():
 
 @main.command()
 @_common_options
+@_backend_option
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, callback=_out_path,
@@ -129,6 +132,7 @@ def sweep(fmt, out, **options):
 
 @main.command()
 @_common_options
+@_backend_option
 @click.option("--out", type=click.Path(dir_okay=False), default=None, callback=_out_path,
               help="Also write the underlying sweep rows here as CSV.")
 def compare(out, **options):

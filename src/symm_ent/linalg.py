@@ -147,9 +147,12 @@ def _two_row_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for _ in range(2):  # one Gram-Schmidt pass can leave V 1e-14 off orthonormal
         w1 = w1 - np.add.reduce(w1 * v0, 0) * v0
     s1 = np.sqrt(np.add.reduce(w1 * w1, 0))
-    if np.count_nonzero(tiny := s1 < 2.0**-500):  # w1's squares went subnormal
-        s1[tiny] = np.sqrt(np.add.reduce(np.square(w1[:, tiny] * 2.0**600), 0)) * 2.0**-600
     v1 = np.divide(w1, s1, out=np.zeros(w1.shape), where=s1 > 0.0)
+    if np.count_nonzero(tiny := s1 < 2.0**-500):  # w1's squares went subnormal
+        w, v = w1[:, tiny] * 2.0**600, v0[:, tiny]
+        w = w - np.add.reduce(w * v, 0) * v  # once more: a subnormal w1 kept 2**-1074 of v0
+        s = np.sqrt(np.add.reduce(w * w, 0))
+        v1[:, tiny], s1[tiny] = np.divide(w, s, out=np.zeros(w.shape), where=s > 0.0), s * 2.0**-600
     null = s1 == 0.0
     if np.count_nonzero(null):
         # rank < 2 (the grid ends give exact zeros): complete v1 from the unit

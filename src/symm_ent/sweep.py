@@ -6,9 +6,10 @@ wherever one exists. ``run_compare`` turns that into a per-family error
 report against a fixed threshold, and ``run_oracle_check`` runs the exact
 statevector backend and the MPS backend on identical circuits and reports
 their worst disagreement. Each of them first resolves its configuration
-into a ``RunPlan`` and then reads only the plan. One generator runs a plan's grid on
-either backend, in stacked blocks sized for the backend, each block only the causal cone
-of the sites the plan reads: a chain read at its center runs about half its gates.
+into a ``RunPlan`` and then reads only the plan. Sweeps run on the MPS unless the config
+names the statevector; one generator runs a grid on either backend, in stacked blocks sized
+for the backend, each only the causal cone of the sites the plan reads: a chain read at its
+center runs about half its gates.
 
 Rows are ``OutputRow`` named tuples: immutable, with ``_asdict()`` and
 ``_replace()``. Output is deterministic: identical configurations produce
@@ -46,7 +47,7 @@ from .protocols import (
 from .statevector import MAX_QUBITS, StateVector
 
 PROTOCOLS = ("star", "linear", "periodic")
-BACKENDS = ("statevector", "mps", "auto")
+BACKENDS = ("statevector", "mps")
 PAIR_KEYWORDS = ("all-adjacent", "all-bulk", "bulk-center", "edges", "star-all")
 COMPARE_THRESHOLD = 1e-8
 RDM_THRESHOLD = 1e-12
@@ -56,14 +57,13 @@ DISCARDED_WEIGHT_LIMIT = 1e-14
 BRANCH_PROBABILITY_FLOOR = 1e-9
 # a check with no grid point left checked nothing, so it fails with this line
 NOTHING_CHECKED = f"  no grid point has a post-selected branch >= {BRANCH_PROBABILITY_FLOOR:.0e}"
-# grid points the MPS backend runs as one stacked circuit. Over a 1024-point
-# grid at blocks of 16 / 64 / 256 / 1024 (2-vCPU x86 host, one BLAS thread),
-# wall s and peak RSS MB were: 60-qubit linear bulk-center sweep 1.06 / 0.58 /
-# 0.50 / 0.49 s at 32.7 / 32.7 / 35.5 / 41.7 MB; 60-qubit all-adjacent sweep
-# 4.05 / 3.29 / 3.05 / 3.09 s at 45.9 / 46.0 / 47.5 / 54.3 MB; star
-# oracle-check, n_outer 11, post-selected, 10.1 / 9.5 / 9.1 / 8.7 s at
-# 32.8 / 34.0 / 37.4 / 49.7 MB. Past 256 the time falls by 5% at most while
-# the memory keeps growing with the block.
+# grid points the MPS backend runs as one stacked circuit. Over a 1024-point grid at
+# blocks of 16 / 64 / 256 / 1024, medians of 10 fresh processes (2-core x86 host, one
+# BLAS thread), wall s and peak RSS MB: 60-qubit bulk-center sweep 0.269 / 0.084 / 0.043
+# / 0.038 s at 31.9 / 31.9 / 32.5 / 34.3 MB; 60-qubit all-adjacent sweep 1.33 / 0.81 /
+# 0.53 / 0.43 s at 58.2 / 58.1 / 59.1 / 60.9 MB; star oracle-check, n_outer 11,
+# post-selected, 1.03 / 0.78 / 0.70 / 0.67 s at 36.0 / 36.7 / 40.2 / 48.4 MB. Past 256 the
+# sweeps gain 12-20% for 2 MB, and the oracle-check 5% for 8 MB.
 BLOCK_POINTS = 256
 # amplitudes the statevector backend holds in one stacked block: 16 grid points
 # at 12 qubits. The star oracle-check (n_outer 11, 101 angles, post-selected),
@@ -154,7 +154,7 @@ class SweepConfig:
     theta2_offset: float | None = None
     pairs: str | tuple[tuple[int, int], ...] = ""
     postselect: int | None = None
-    backend: str = "auto"
+    backend: str = "mps"
 
 
 class OutputRow(NamedTuple):
@@ -206,9 +206,8 @@ class RunPlan:
     """A validated run, resolved once: everything a sweep, comparison or
     cross-check needs besides the circuits themselves."""
 
-    config: SweepConfig  # completed: the default pair keyword filled in
+    config: SweepConfig  # completed: the default pair keyword filled in; names the backend
     total: int  # qubits in the circuit
-    backend: str  # "statevector" or "mps"; "auto" already decided
     pairs: tuple[tuple[int, int], ...]  # ascending, i < j in each
     families: tuple[str | None, ...]  # closed-form family per pair, None if none
     points: tuple[tuple[float, float | None], ...]  # (theta, theta2), ascending
@@ -269,9 +268,6 @@ def _plan(config: SweepConfig) -> RunPlan:
             f"statevector backend is capped at {MAX_QUBITS} qubits but the protocol needs "
             f"{total}; use the mps backend"
         )
-    backend = config.backend
-    if backend == "auto":
-        backend = "statevector" if total <= MAX_QUBITS else "mps"
     pairs = tuple(sorted(_resolve_pairs(config, total)))
     thetas = config.theta.values().tolist()
     if config.theta2 is not None:
@@ -288,7 +284,6 @@ def _plan(config: SweepConfig) -> RunPlan:
     return RunPlan(
         config=config,
         total=total,
-        backend=backend,
         pairs=pairs,
         families=tuple(_family_for_pair(config, total, pair) for pair in pairs),
         points=tuple(points),
@@ -443,10 +438,11 @@ def _read_rows(state: StateVector | MatrixProductState, pairs, score) -> np.ndar
 def _scored_points(plan: RunPlan):
     """Yield ``(theta, theta2, probability, scores)`` for every grid point
     whose state exists, ``scores`` holding one concurrence per plan pair."""
-    for _, block, state, alive, probabilities in _run_blocks(plan, plan.points, plan.backend):
+    backend = plan.config.backend
+    for _, block, state, alive, probabilities in _run_blocks(plan, plan.points, backend):
         if state is None:
             continue
-        if plan.backend == "mps" and state.discarded_weight_total >= DISCARDED_WEIGHT_LIMIT:
+        if backend == "mps" and state.discarded_weight_total >= DISCARDED_WEIGHT_LIMIT:
             raise RuntimeError(
                 f"MPS sweep truncated (discarded weight {state.discarded_weight_total:.3e}); "
                 "protocol circuits must be exact"
@@ -482,9 +478,8 @@ def run_sweep(config: SweepConfig) -> list[OutputRow]:
     Returns one row per (grid point, pair), in order of (theta, theta2,
     pair_left, pair_right). Star post-selection grid points whose branch
     probability is below 1e-9 are skipped (the conditioned state does not
-    exist there). Each backend runs a block of grid points as one stacked
-    circuit: up to ``BLOCK_POINTS`` on the MPS, up to ``MAX_BLOCK_AMPLITUDES``
-    amplitudes on the statevector.
+    exist there). The grid runs on ``config.backend``, the MPS by default, in stacked
+    blocks of ``BLOCK_POINTS`` points (MPS) or ``MAX_BLOCK_AMPLITUDES`` amplitudes.
     """
     plan = _plan(config)
     return [row for point in _scored_points(plan) for row in _point_rows(plan, *point)]
@@ -531,7 +526,7 @@ def run_compare(config: SweepConfig) -> CompareReport:
 
 
 def run_oracle_check(config: SweepConfig) -> OracleReport:
-    """Run statevector and MPS backends on identical circuits and compare.
+    """Run both backends on identical circuits, whatever ``config.backend`` says, and compare.
 
     Reports the worst elementwise pair-RDM deviation, concurrence deviation,
     post-selection probability deviation, and accumulated MPS discarded

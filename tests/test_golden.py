@@ -17,7 +17,8 @@ GRID = "0:6.283185307179586:9"
 
 GOLDEN = [
     pytest.param(
-        ("sweep", "--protocol", "linear", "--case", "1", "--n", "6", "--theta", GRID),
+        ("sweep", "--protocol", "linear", "--case", "1", "--n", "6", "--theta", GRID,
+         "--backend", "statevector"),
         "1313a472863f3b079488c3852f862e231bcf235f964b4c3d8eb44d8cf46a5f3f",
         id="linear-case1",
     ),
@@ -28,7 +29,8 @@ GOLDEN = [
         id="linear-case2-mps",
     ),
     pytest.param(
-        ("sweep", "--protocol", "linear", "--case", "3", "--n", "6", "--theta", GRID),
+        ("sweep", "--protocol", "linear", "--case", "3", "--n", "6", "--theta", GRID,
+         "--backend", "statevector"),
         "3fc8cbaf0774ff3659c601febeba6888b9bd15f908b38e1af3b0854d0529af00",
         id="linear-case3",
     ),
@@ -45,17 +47,20 @@ GOLDEN = [
         id="periodic-offset-mps",
     ),
     pytest.param(
-        ("sweep", "--protocol", "star", "--n-outer", "4", "--theta", GRID),
+        ("sweep", "--protocol", "star", "--n-outer", "4", "--theta", GRID,
+         "--backend", "statevector"),
         "8b5733ad350f0fda50557d33d6fea125d22e5a8cee6a83113dfd4c5f8808cf09",
         id="star",
     ),
     pytest.param(
-        ("sweep", "--protocol", "star", "--n-outer", "4", "--theta", GRID, "--postselect", "1"),
+        ("sweep", "--protocol", "star", "--n-outer", "4", "--theta", GRID, "--postselect", "1",
+         "--backend", "statevector"),
         "914527e85769306f43d42fea07440676ea33e5dadba1fdd84dcfcd69e3ee9dbc",
         id="star-postselect1",
     ),
     pytest.param(
-        ("compare", "--protocol", "linear", "--n", "8", "--theta", GRID),
+        ("compare", "--protocol", "linear", "--n", "8", "--theta", GRID,
+         "--backend", "statevector"),
         "4285945f2159cc0a7a82c6f987f3c568e195b25cee783a15445c2ef0f239bc90",
         id="compare-linear",
     ),
@@ -131,7 +136,7 @@ GOLDEN = [
     pytest.param(
         # JSON of ints, None and branch probabilities
         ("sweep", "--protocol", "star", "--n-outer", "4", "--postselect", "1", "--theta", GRID,
-         "--format", "json"),
+         "--format", "json", "--backend", "statevector"),
         "20a80747cde8a68f0765910e7531ade6139c2c1a7c9a977c7e585b0d37753f2b",
         id="star-postselect1-json",
     ),

@@ -292,6 +292,8 @@ TWO_ROW_KINDS = {
     "zero first row": lambda rng, shape: rng.normal(size=shape) * [[0.0], [1.0]],
     # squares of the second row are subnormal unless it gets its own scale
     "row 1e-160 of the other": lambda rng, shape: rng.normal(size=shape) * [[1.0], [1e-160]],
+    # a subnormal row: V stays orthonormal only if its projection is redone scaled up
+    "row 1e-313 of the other": lambda rng, shape: rng.normal(size=shape) * [[1.0], [1e-313]],
     "all zero": lambda rng, shape: np.zeros(shape),
     "parallel rows": lambda rng, shape: np.outer([1.0, rng.normal()], rng.normal(size=shape[1])),
     "rank 1 one column": lambda rng, shape: np.outer(rng.normal(size=2), np.eye(shape[1])[0]),

@@ -45,7 +45,7 @@ def _check_the_bound(config: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
     n = plan.total
     pairs = tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
     squared, alive = [np.zeros((len(pairs), 0))], [np.zeros(0, dtype=int)]
-    for start, _, state, block_alive, _ in _run_blocks(plan, plan.points, plan.backend):
+    for start, _, state, block_alive, _ in _run_blocks(plan, plan.points, plan.config.backend):
         if state is None:  # no post-selected branch of the block is alive
             continue
         block_squared = wootters_concurrence(_pair_rdms(state, pairs)) ** 2

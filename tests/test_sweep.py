@@ -45,7 +45,7 @@ def linear_config(**kw):
         case=4,
         n=8,
         pairs="all-adjacent",
-        backend="auto",
+        backend="statevector",
     )
     base.update(kw)
     return SweepConfig(**base)
@@ -158,7 +158,8 @@ def test_grid_endpoints_inclusive_and_exact():
 
 
 def test_sweep_bulk_center_with_analytic_column():
-    rows = run_sweep(linear_config(n=20, theta=GridSpec(0.0, TWO_PI, 201), pairs="bulk-center"))
+    rows = run_sweep(linear_config(n=20, theta=GridSpec(0.0, TWO_PI, 201), pairs="bulk-center",
+                                   backend="mps"))
     assert len(rows) == 201
     assert all(r.pair_left == 10 and r.pair_right == 11 for r in rows)
     assert max(r.abs_error for r in rows) < 1e-8
@@ -242,7 +243,9 @@ def test_sweep_validation_errors():
         (dict(protocol="ring", n=6), "protocol must be one of ('star', 'linear', 'periodic'), "
          "got 'ring'"),
         (dict(protocol="linear", n=6, backend="gpu"),
-         "backend must be one of ('statevector', 'mps', 'auto'), got 'gpu'"),
+         "backend must be one of ('statevector', 'mps'), got 'gpu'"),
+        (dict(protocol="linear", n=6, backend="auto"),
+         "backend must be one of ('statevector', 'mps'), got 'auto'"),
         (dict(protocol="linear", n=6, postselect=0),
          "postselect is only meaningful for the star protocol"),
         (dict(protocol="periodic", n=6),
@@ -254,7 +257,7 @@ def test_sweep_validation_errors():
         (dict(protocol="star", n_outer=3, theta2=GridSpec.single(0.5)),
          "theta2 is only meaningful for the periodic protocol"),
     ],
-    ids=["protocol", "backend", "postselect-linear", "periodic-no-theta2",
+    ids=["protocol", "backend", "backend-auto", "postselect-linear", "periodic-no-theta2",
          "periodic-both-theta2", "theta2_offset-linear", "theta2-star"],
 )
 def test_unknown_names_and_misplaced_options_are_rejected_by_name(given_fields, message):
@@ -327,7 +330,7 @@ def test_json_output_shape():
 
 
 def test_compare_linear_families_pass():
-    report = run_compare(linear_config(n=20, theta=GridSpec(0.0, TWO_PI, 41)))
+    report = run_compare(linear_config(n=20, theta=GridSpec(0.0, TWO_PI, 41), backend="mps"))
     assert report.passed
     families = {c.family for c in report.families}
     assert families == {"linear_bulk", "linear_edge"}
@@ -611,6 +614,33 @@ def test_cli_usage_errors_exit_two():
         )
         assert result.returncode == 2
         assert "No such option" in result.stderr
+    # the backend is statevector or mps, and oracle-check, which runs both, takes none
+    auto = run_cli("sweep", "--protocol", "linear", "--n", "6", "--theta", "0:1:3",
+                   "--backend", "auto")
+    assert auto.returncode == 2
+    assert "'statevector'" in auto.stderr and "'mps'" in auto.stderr
+    oracle = run_cli("oracle-check", "--protocol", "linear", "--n", "6", "--theta", "0:1:3",
+                     "--backend", "mps")
+    assert oracle.returncode == 2
+    assert "No such option '--backend'" in oracle.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--protocol", "linear", "--n", "6"),
+        ("--protocol", "star", "--n-outer", "11", "--postselect", "0"),
+    ],
+    ids=["linear-6", "star-12-postselect0"],
+)
+def test_cli_sweeps_run_on_the_mps_unless_told_otherwise(args):
+    # below the statevector's 12-qubit cap too: there is no size rule
+    args = ("sweep", *args, "--theta", "0:6.283185307179586:21")
+    runner = CliRunner()
+    default = runner.invoke(symm_ent.cli.main, list(args))
+    on_mps = runner.invoke(symm_ent.cli.main, [*args, "--backend", "mps"])
+    assert default.exit_code == on_mps.exit_code == 0, default.output
+    assert default.stdout == on_mps.stdout
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare", "oracle-check"])
