@@ -183,10 +183,11 @@ def svd_truncate(matrix, max_rank: int) -> SVDResult:
     factored in closed form at any stack size: U rotates onto the
     eigenvectors of M M^T (the 2x2 symmetric Schur step, Golub & Van Loan,
     4th ed., sec. 8.5) and the rows of U^T M, made orthogonal, give s and
-    V^T. Each row and column of M is rebuilt to roundoff relative to its own
-    size (after Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1204, 1992),
-    6.7e-16 with one physical slice scaled by 1e-4 to 1e-12 where LAPACK
-    missed by up to 5.3e-3: a branch near a dead outcome keeps its digits.
+    V^T. Each row and column of normal numbers is rebuilt to roundoff relative
+    to its own size (after Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13,
+    1204, 1992), 6.7e-16 with one physical slice scaled by 1e-4 to 1e-12 where
+    LAPACK missed by up to 5.3e-3: a branch near a dead outcome keeps its
+    digits. A subnormal row keeps fewer, about 1e-9 relative at 1e-313.
     Complex and wider matrices go to LAPACK.
 
     Raises:

@@ -13,22 +13,25 @@ mirrored chain, each tensor's bond axes swapped, (l, 2, r) -> (r, 2, l). The
 QR's new center is rescaled to the old one's norm, which R's rounding would
 otherwise drift by about eps per move, N eps over a walk of the chain.
 
-Every two-site gate is the one nearest-neighbor update: contract the
-two-site block at the center, apply the gate g, split back with an SVD; g acts
-as one ``(P l, 4r) @ linalg.lift(g, r)`` matmul, not P l 4x4 products. A gate
-between distant sites (the star layout's controlled-NOTs) is routed with
-adjacent SWAP gates (Stoudenmire & White, New J. Phys. 12, 055026, 2010):
-``run_circuit`` keeps a qubit-to-site map, moves a CX target one site at a
-time next to its control and leaves it there, so the star's central qubit
-walks down the chain at one SWAP and one CX per outer qubit, and every split
-stays at bond dimension 2 or less. After the last op adjacent SWAPs return
-every qubit to its own site, so outside ``run_circuit`` qubit k is site k.
+Every gate runs through one executor as one matmul against ``linalg.lift(g,
+r)``, the gate g lifted once per call to the right bond r of its right-hand
+site, not as P l small products: ``(P l, 2r) @ lift(g, r)`` on a one-site
+gate's tensor, and ``(P l, 4r) @ lift(g, r)`` on the two-site block at the
+center in the one nearest-neighbor update, which splits the block back with
+an SVD. A gate between distant sites (the star layout's controlled-NOTs) is
+routed with adjacent SWAP gates (Stoudenmire & White, New J. Phys. 12,
+055026, 2010): ``run_circuit`` keeps a qubit-to-site map, moves a CX target
+one site at a time next to its control and leaves it there, so the star's
+central qubit walks down the chain at one SWAP and one CX per outer qubit,
+and every split stays at bond dimension 2 or less. After the last op
+adjacent SWAPs return every qubit to its own site, so outside
+``run_circuit`` qubit k is site k.
 
 The public gate methods, ``apply_1q(gate, site)`` and ``apply_2q(gate, i,
-j)``, check their gate with ``require_unitary`` on every call, and neither
-needs the center anywhere: the engine places it. ``apply_2q`` takes any pair
-i < j, routes a distant one by adjacent SWAPs through the executor that runs
-circuits, and leaves the center at ``i`` or ``i + 1``. ``run_circuit``
+j)``, check their gate with ``require_unitary`` on every call and hand it to
+the executor that runs circuits; neither needs the center anywhere: the
+engine places it. ``apply_2q`` takes any pair i < j, routes a distant one by
+adjacent SWAPs, and leaves the center at ``i`` or ``i + 1``. ``run_circuit``
 validates each distinct gate once per call (one check per rotation angle, one
 per CX orientation on the sites it acts on; the fixed SWAP is never checked)
 and then applies the ops through unchecked kernels. It places the center by
@@ -305,16 +308,10 @@ class MatrixProductState:
     # ------------------------------------------------------------ gate layer
 
     def apply_1q(self, gate, site: int) -> None:
-        """Contract a 2x2 unitary into the physical leg of one site tensor.
-
-        Preserves canonical structure wherever the center is, so no shift is
-        required first.
-        """
+        """Contract a 2x2 unitary into the physical leg of one site tensor; the
+        canonical structure survives wherever the center is, and it does not move."""
         g = require_single_gate(gate, 2)
-        self._apply_1q(g, as_site(site, self.n_qubits))
-
-    def _apply_1q(self, g: np.ndarray, site: int) -> None:
-        self.tensors[site - 1] = g[..., None, :, :] @ self.tensors[site - 1]
+        self._run([(g, as_site(site, self.n_qubits), False)])
 
     def apply_2q(self, gate, i: int, j: int) -> None:
         """Apply a 4x4 unitary to the pair (i, j), i < j, in basis |q_i q_j>.
@@ -363,15 +360,17 @@ class MatrixProductState:
                 following = steps[k][1]
         lifts: dict[tuple[int, int], np.ndarray] = {}  # (id(g), r): g lifted to the bond r
         for (g, site, two_site), target in zip(steps, upcoming):
+            if two_site and not site <= self.center <= site + 1:  # the least move onto the pair
+                self._move_center_to(min(max(self.center, site), site + 1))
+            r = self.tensors[site - 1 + two_site].shape[-1]  # read after a center move changes it
+            if (lifted := lifts.get((id(g), r))) is None:
+                lifted = lifts[id(g), r] = lift(g, r)
             if two_site:
-                if not site <= self.center <= site + 1:  # the least move onto site or site + 1
-                    self._move_center_to(min(max(self.center, site), site + 1))
                 center_left = self.center == site if target is None else target <= site
-                if (key := (id(g), self.tensors[site].shape[-1])) not in lifts:
-                    lifts[key] = lift(g, key[1])
-                self._apply_2q(lifts[key], site, center_left)
-            else:
-                self._apply_1q(g, site)
+                self._apply_2q(lifted, site, center_left)
+            else:  # (..., l, 2r) @ lift(g, r): one matmul for the whole stack
+                t = self.tensors[site - 1]
+                self.tensors[site - 1] = (t.reshape(*t.shape[:-2], -1) @ lifted).reshape(t.shape)
 
     def run_circuit(self, circuit: Circuit) -> "MatrixProductState":
         """Apply all gates in listed order, routing distant CXs with adjacent

@@ -5,8 +5,8 @@ row per (grid point, pair), with the matching closed-form value attached
 wherever one exists. ``run_compare`` turns that into a per-family error
 report against a fixed threshold, and ``run_oracle_check`` runs the exact
 statevector backend and the MPS backend on identical circuits and reports
-their worst disagreement. Each of them first resolves its configuration
-into a ``RunPlan`` and then reads only the plan. Sweeps run on the MPS unless the config
+their worst disagreement. Each of them resolves its configuration once,
+into a ``RunPlan``, and then reads only the plan. Sweeps run on the MPS unless the config
 names the statevector; one generator runs a grid on either backend, in stacked blocks sized
 for the backend, each only the causal cone of the sites the plan reads: a chain read at its
 center runs about half its gates.
@@ -454,22 +454,22 @@ def _scored_points(plan: RunPlan):
             yield theta, theta2, probability, scores[:, k].tolist()
 
 
-def _point_rows(
-    plan: RunPlan, theta: float, theta2: float | None, probability: float | None, scores
-) -> Iterator[OutputRow]:
-    # one closed-form value per family; each formula ignores the size it does not use
-    angles = unitary_params(theta, theta2)
-    closed = dict.fromkeys(plan.families)
-    for family in closed:
-        if family is not None:
-            closed[family] = analytic_concurrence(
-                family, angles, n_outer=plan.total - 1, chain_n=plan.total
-            )
+def _rows(plan: RunPlan) -> Iterator[OutputRow]:
+    """One row per (grid point, pair) of the plan, at the points whose state exists."""
     outcome = plan.config.postselect
-    for (i, j), family, numeric in zip(plan.pairs, plan.families, scores):
-        analytic = closed[family]
-        error = None if analytic is None else abs(numeric - analytic)
-        yield OutputRow(theta, theta2, i, j, numeric, analytic, error, outcome, probability)
+    for theta, theta2, probability, scores in _scored_points(plan):
+        # one closed-form value per family; each formula ignores the size it does not use
+        angles = unitary_params(theta, theta2)
+        closed = dict.fromkeys(plan.families)
+        for family in closed:
+            if family is not None:
+                closed[family] = analytic_concurrence(
+                    family, angles, n_outer=plan.total - 1, chain_n=plan.total
+                )
+        for (i, j), family, numeric in zip(plan.pairs, plan.families, scores):
+            analytic = closed[family]
+            error = None if analytic is None else abs(numeric - analytic)
+            yield OutputRow(theta, theta2, i, j, numeric, analytic, error, outcome, probability)
 
 
 def run_sweep(config: SweepConfig) -> list[OutputRow]:
@@ -481,8 +481,7 @@ def run_sweep(config: SweepConfig) -> list[OutputRow]:
     exist there). The grid runs on ``config.backend``, the MPS by default, in stacked
     blocks of ``BLOCK_POINTS`` points (MPS) or ``MAX_BLOCK_AMPLITUDES`` amplitudes.
     """
-    plan = _plan(config)
-    return [row for point in _scored_points(plan) for row in _point_rows(plan, *point)]
+    return list(_rows(_plan(config)))
 
 
 def run_compare(config: SweepConfig) -> CompareReport:
@@ -500,7 +499,7 @@ def run_compare(config: SweepConfig) -> CompareReport:
             "star-all for the star)"
         )
     family_of = dict(zip(plan.pairs, plan.families))
-    rows = run_sweep(plan.config)
+    rows = list(_rows(plan))
     by_family: dict[str, list[OutputRow]] = {}
     for row in rows:
         by_family.setdefault(family_of[row.pair_left, row.pair_right], []).append(row)

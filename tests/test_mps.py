@@ -920,6 +920,37 @@ def test_the_lifted_two_site_update_is_the_batched_product(monkeypatch, l, r, po
             assert np.array_equal(block, batched)
 
 
+@pytest.mark.parametrize("points", [None, 5], ids=["single", "stack-5"])
+@pytest.mark.parametrize("l, r", [(l, r) for l in (1, 2, 4) for r in (1, 2, 4)])
+def test_the_lifted_one_site_gate_is_the_batched_product(l, r, points):
+    """A one-site gate runs through ``_run`` as one ``(..., l, 2r) @ lift(g, r)``
+    matmul; on random real and complex tensors it is the batched ``g @ t`` of
+    P l 2x2 products to within 4 eps max|t|, and bitwise on an untouched |0>
+    tensor. Its bits depend on the BLAS kernel, so the CI runs this under several."""
+    rng = np.random.default_rng(100 + 10 * l + r + (points or 0))
+    lead = () if points is None else (points,)
+    count = points or 1
+    gates = [  # a rotation is symmetric, so the other two also tell g from g^T
+        rotation_matrix(tuple(rng.uniform(0, 2 * np.pi, count))),
+        np.array([np.linalg.qr(rng.standard_normal((2, 2)))[0] for _ in range(count)]),
+        np.array([haar_unitary(rng, 2) for _ in range(count)]),
+    ]
+    eps = np.finfo(float).eps
+    for g in (g.reshape(lead + (2, 2)) for g in gates):
+        for dtype in (float, complex):
+            state = MatrixProductState(3)
+            state._stack(points)
+            zero = state.tensors[0]
+            t = rng.standard_normal(lead + (l, 2, r))
+            if dtype is complex:
+                t = t + 1j * rng.standard_normal(t.shape)
+            state.tensors[1] = t
+            state._run([(g, 1, False), (g, 2, False)])
+            assert np.array_equal(state.tensors[0], g[..., None, :, :] @ zero)
+            batched = g[..., None, :, :] @ t
+            assert np.abs(state.tensors[1] - batched).max() <= 4 * eps * np.abs(t).max()
+
+
 def test_star_run_is_linear_in_the_outer_qubits(monkeypatch):
     # one CX per outer qubit and one SWAP out and one home per outer qubit
     # past the first, each split at rank <= 2: O(n) work for the whole star

@@ -706,15 +706,15 @@ def test_discarded_weight_guard(lossy_mps):
 
 
 def test_cli_compare_out_sweeps_once(monkeypatch, tmp_path):
+    # the sweep is _scored_points, which run_compare reaches without run_sweep
     calls = []
-    counted = symm_ent.sweep.run_sweep
+    counted = symm_ent.sweep._scored_points
 
-    def counting(config):
-        calls.append(config)
-        return counted(config)
+    def counting(plan):
+        calls.append(plan)
+        return counted(plan)
 
-    monkeypatch.setattr(symm_ent.sweep, "run_sweep", counting)
-    monkeypatch.setattr(symm_ent.cli, "run_sweep", counting)
+    monkeypatch.setattr(symm_ent.sweep, "_scored_points", counting)
     args = ["--protocol", "linear", "--n", "8", "--theta", "0:6:7"]
     out_path = tmp_path / "rows.csv"
     runner = CliRunner()
@@ -723,6 +723,14 @@ def test_cli_compare_out_sweeps_once(monkeypatch, tmp_path):
     assert len(calls) == 1
     swept = runner.invoke(symm_ent.cli.main, ["sweep", *args])
     assert out_path.read_text(encoding="utf-8") == swept.stdout
+
+
+def test_compare_resolves_its_plan_once(monkeypatch):
+    calls = []
+    planned = symm_ent.sweep._plan
+    monkeypatch.setattr(symm_ent.sweep, "_plan", lambda c: calls.append(c) or planned(c))
+    assert run_compare(linear_config(backend="mps")).passed
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])
