@@ -48,12 +48,12 @@ from .protocols import Circuit, Rotation, rotation_matrix
 MAX_QUBITS = 12
 ZERO_PROBABILITY = 1e-14
 # right sites of a row read through one Gram; each chunk copies the block once,
-# and its Gram and traces double with every site. At chunks of 1 / 2 / 3 / 4 /
-# 5 / 6 sites the star oracle-check (n_outer 11, 101 angles, post-selected,
-# blocks of 16 points) spent 68.5 / 34.5 / 30.0 / 27.9 / 31.4 / 56.3 ms in its
-# statevector row reads and took 108 / 75 / 72 / 68 / 73 / 99 ms in all; a
-# 10-qubit post-selected star sweep's reads took 11.7 / 6.0 / 6.2 / 7.1 / 10.1 /
-# 26.0 ms. In-process, best of 12, 2-core x86 host.
+# and its Gram and traces double with every site. At chunks of 3 / 4 / 5 / 6
+# sites the star oracle-check (n_outer 11, 101 angles, post-selected, blocks of
+# 16 points, each read as its 11-qubit branch) spent 18.8 / 19.7 / 23.4 / 46.6 ms
+# in its statevector row reads and took 59.1 / 58.9 / 64.3 / 87.2 ms in all; a
+# 10-qubit post-selected star sweep's reads took 4.5 / 5.8 / 9.3 / 28.9 ms. In-process,
+# best of 12, 2-core x86 host; chunks of 3 beat 4 in only 8 of 10 alternating pairs.
 ROW_CHUNK = 4
 
 

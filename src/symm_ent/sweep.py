@@ -67,11 +67,11 @@ NOTHING_CHECKED = f"  no grid point has a post-selected branch >= {BRANCH_PROBAB
 BLOCK_POINTS = 256
 # amplitudes the statevector backend holds in one stacked block: 16 grid points
 # at 12 qubits. The star oracle-check (n_outer 11, 101 angles, post-selected),
-# with its Grams copied with the read sites last, took 0.122 / 0.092 / 0.079 /
-# 0.070 / 0.071 s in-process (best of 10) at caps of 2**13 / 2**14 / 2**15 /
-# 2**16 / 2**17, and perfbench's star-oracle peak RSS read 36.0 / 36.8 / 38.9 /
-# 41.1 MB at 2**14 / 2**15 / 2**16 / 2**17 (37.3 MB at 2**15 before that
-# layout); 2-core x86 host, one BLAS thread. Past 2**16 the time stops falling.
+# its blocks read as their 11-qubit branch, took 102 / 82 / 66 / 63 / 63 ms
+# in-process (best of 12) at caps of 2**13 / 2**14 / 2**15 / 2**16 / 2**17, its
+# tracemalloc peak reading 1.6 / 1.6 / 2.0 / 3.0 / 4.9 MB; perfbench's star-oracle
+# read 0.079 / 0.075 / 0.073 s at 37.0 / 38.6 / 40.9 MB peak RSS at 2**15 / 2**16 /
+# 2**17 (two runs each); 2-core x86 host, one BLAS thread. Past 2**16, 2.3 MB buys 3%.
 MAX_BLOCK_AMPLITUDES = 2**16
 
 
@@ -391,6 +391,9 @@ def _run_blocks(plan: RunPlan, points: tuple[tuple[float, float | None], ...], b
     ``BRANCH_PROBABILITY_FLOOR`` (all without post-selection), the state stacks only
     those (None when there are none), and ``probabilities`` holds their branch
     probabilities (None without post-selection, empty when no branch is alive).
+    A post-selected statevector state whose central qubit no plan pair reads is
+    its branch, of ``plan.total - 1`` qubits: the collapsed qubit is a product
+    factor, and the last site, so the others keep their numbers.
     """
     size = BLOCK_POINTS if backend == "mps" else max(1, MAX_BLOCK_AMPLITUDES // 2**plan.total)
     fresh = MatrixProductState if backend == "mps" else StateVector.zeros
@@ -412,6 +415,11 @@ def _run_blocks(plan: RunPlan, points: tuple[tuple[float, float | None], ...], b
             probabilities = state.keep_points(alive).postselect(plan.total, outcome)
         else:  # rebinds the pre-selection block, so it does not outlive the yield
             state, probabilities = state.keep_points(alive).postselect(plan.total, outcome)
+            if all(j < plan.total for _, j in plan.pairs):  # no pair reads the central qubit
+                # a local view here would keep the projected block alive through the yield
+                state = StateVector(
+                    plan.total - 1, state.amplitudes.reshape(alive.size, -1, 2)[..., outcome]
+                )
         yield start, block, state, alive, probabilities
 
 
@@ -534,7 +542,8 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
     minus ``BRANCH_PROBABILITY_FLOOR``, and that is what the probability
     deviation records for it. The grid runs through ``_run_blocks`` on the
     MPS, and each MPS block through it again on the statevector, in the
-    smaller statevector blocks. Each statevector block is compared in one pass:
+    smaller statevector blocks, which drop the collapsed central qubit unless a
+    pair reads it. Each statevector block is compared in one pass:
     one intersection of the two alive lists, one concurrence call scoring both
     backends there. A check that found no grid point alive on both backends
     checked nothing and fails.
@@ -586,28 +595,24 @@ def run_oracle_check(config: SweepConfig) -> OracleReport:
 # ----------------------------------------------------------------------- IO
 
 
-def rows_to_csv_text(rows: list[OutputRow]) -> str:
-    # equal nonzero floats print the same text, so each is formatted once per
-    # table: a chain's bulk pairs repeat one value per angle. Zeros are not
-    # memoised, since 0.0 == -0.0 but they print as 0 and -0.
-    texts = {}
+class _FieldTexts(dict):
+    """CSV field text by value, formatted on first sight and kept unless zero: 0.0 == -0.0,
+    but they print as 0 and -0. An int and the float equal to it share a key and print
+    alike (ints through ``str``, floats with 17 significant digits, exact below 1e17)."""
 
-    def fmt(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, int):
-            return str(value)
-        text = texts.get(value)
-        if text is None:
-            text = f"{value:.17g}"
-            if value:
-                texts[value] = text
+    def __missing__(self, value) -> str:
+        text = str(value) if isinstance(value, int) else f"{value:.17g}"
+        if value:
+            self[value] = text
         return text
 
+
+def rows_to_csv_text(rows: list[OutputRow]) -> str:
+    texts = _FieldTexts({None: ""})  # a row's fields are looked up in C; a miss formats
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     for row in rows:
-        out.write(",".join(map(fmt, row)) + "\n")
+        out.write(",".join(map(texts.__getitem__, row)) + "\n")
     return out.getvalue()
 
 

@@ -74,7 +74,7 @@ GOLDEN = [
         # 12 qubits: the statevector runs the 21 points in stacked blocks of 16 and 5
         ("oracle-check", "--protocol", "star", "--n-outer", "11", "--postselect", "0",
          "--theta", "0:6.283185307179586:21"),
-        "513563dd4d87c9d2b44ea63a32af16f7e5c96c5d22e437c72f1f3552ff66c217",
+        "05101f80f15eed099ebf162c9eafdd431b47302fc40349660dcaafc2a46c2f4f",
         id="oracle-check-star12-postselect0",
     ),
     pytest.param(

@@ -40,10 +40,12 @@ def _check_the_bound(config: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
     run, block by block; return the squared concurrences of every pair and
     the live points.
 
-    The default pairs read every qubit, so the run keeps every op."""
-    plan = _plan(config)
-    n = plan.total
+    The plan reads every pair, so the run keeps every op, and every qubit:
+    a post-selected statevector run keeps the central qubit only when a
+    pair of its plan reads it."""
+    n = _plan(config).total
     pairs = tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
+    plan = _plan(replace(config, pairs=pairs))
     squared, alive = [np.zeros((len(pairs), 0))], [np.zeros(0, dtype=int)]
     for start, _, state, block_alive, _ in _run_blocks(plan, plan.points, plan.config.backend):
         if state is None:  # no post-selected branch of the block is alive

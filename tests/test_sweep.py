@@ -1018,6 +1018,22 @@ def test_csv_bytes_are_each_field_formatted_on_its_own(rows):
     assert rows_to_csv_text(rows_from_csv_text(text)) == text
 
 
+def test_csv_memo_keeps_zeros_signs_none_and_equal_ints_and_floats_apart():
+    # 0.0, -0.0 and int 0 are equal keys, and so are 1 and 1.0; the text of
+    # each field is still its own
+    rows = [
+        OutputRow(0.0, -0.0, 1, 2, 1.0, 1e-17, 0.0, 0, None),
+        OutputRow(-0.0, 0.0, 1, 3, -0.0, None, 1e-17, 1, 1.0),
+        OutputRow(1.0, None, 1, 2, 0.0, -1e-17, -0.0, None, 0.0),
+    ]
+    assert rows_to_csv_text(rows) == (
+        f"{symm_ent.sweep.CSV_HEADER}\n"
+        "0,-0,1,2,1,1.0000000000000001e-17,0,0,\n"
+        "-0,0,1,3,-0,,1.0000000000000001e-17,1,1\n"
+        "1,,1,2,0,-1.0000000000000001e-17,-0,,0\n"
+    )
+
+
 OPTIONAL_COLUMNS = {
     "theta2", "concurrence_analytic", "abs_error", "postselect_outcome",
     "postselect_probability",
@@ -1285,6 +1301,43 @@ def test_a_dead_statevector_block_yields_no_state_between_live_ones():
     (_, _, first, *_), (_, _, state, alive, probabilities), (_, _, last, *_) = blocks
     assert state is None and alive.size == 0 and probabilities.size == 0
     assert first.grid == SV_BLOCK and last.grid == 2
+
+
+@pytest.mark.parametrize("outcome", [0, 1])
+def test_a_statevector_block_drops_a_central_qubit_that_no_pair_reads(outcome):
+    # 40 points: blocks of 16, 16 and 8; for outcome 0 the branch is dead at both ends
+    config = replace(STAR_BLOCKS, theta=GridSpec(0.0, TWO_PI, 40), postselect=outcome,
+                     backend="statevector")
+    plan = _plan(config)
+    # one more pair reads the central qubit, so the same blocks keep it
+    kept = _plan(replace(config, pairs=plan.pairs + ((1, plan.total),)))
+    assert kept.reads == plan.reads
+    dropped_run = _run_blocks(plan, plan.points, "statevector")
+    kept_run = _run_blocks(kept, plan.points, "statevector")
+    for (_, _, state, alive, p), (_, _, whole, whole_alive, whole_p) in zip(
+        dropped_run, kept_run, strict=True
+    ):
+        assert np.array_equal(alive, whole_alive) and np.array_equal(p, whole_p)
+        assert (state.n_qubits, whole.n_qubits) == (plan.total - 1, plan.total)
+        assert state.grid == whole.grid == alive.size
+        # a Gram over twice the rows, half of them zeros, sums in another order:
+        # 2.4e-15 apart at most on this grid (OpenBLAS, SkylakeX kernels)
+        deviation = np.abs(_pair_rdms(state, plan.pairs) - _pair_rdms(whole, plan.pairs))
+        assert deviation.max() <= 1e-14
+
+
+@pytest.mark.parametrize("outcome", [0, 1])
+def test_a_pair_that_reads_the_central_qubit_keeps_it_collapsed(outcome):
+    config = replace(STAR_BLOCKS, theta=GridSpec(0.0, TWO_PI, 21), postselect=outcome,
+                     pairs=((3, 12), (3, 5)), backend="statevector")
+    plan = _plan(config)
+    projector = np.diag([1.0 - outcome, float(outcome)])  # |o><o|
+    for _, _, state, alive, _ in _run_blocks(plan, plan.points, "statevector"):
+        assert state.n_qubits == plan.total and state.grid == alive.size
+        ring, central = _pair_rdms(state, plan.pairs)
+        # one Gram of sites 3, 5 and 12 against one of site 3: 1.4e-15 apart at most there
+        assert np.abs(central - np.kron(state.single_rdm(3), projector)).max() <= 1e-14
+        assert np.abs(np.trace(ring, axis1=-2, axis2=-1) - 1.0).max() <= 1e-14
 
 
 # ------------------------------------------------------------- causal cone
